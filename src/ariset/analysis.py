@@ -244,8 +244,10 @@ def boundedness(
                     for b, out in degenerate_classify(form, split, tol)
                     if out.kind == "free-family"
                 }
-            gen = axis_gens[blk.offset]
-            witnesses.append(Witness(direction=gen, sign="+-", block=i))
+            if blk.offset in axis_gens:
+                witnesses.append(
+                    Witness(direction=axis_gens[blk.offset], sign="+-", block=i)
+                )
         else:
             witnesses.append(_ray_for_block(form, split, i, tol))
 

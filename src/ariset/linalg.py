@@ -130,8 +130,14 @@ def definiteness(s, tol=1e-8, sym_tol=1e-8):
     """
     m = symmetrize(s, sym_tol=sym_tol, name="S")
     w = np.linalg.eigvalsh(m)
-    lo, hi = float(w[0]), float(w[-1])
-    cut = tol * max(1.0, float(np.abs(m).max()))
+    return verdict_from_extremes(
+        float(w[0]), float(w[-1]), tol * max(1.0, float(np.abs(m).max()))
+    )
+
+
+def verdict_from_extremes(lo, hi, cut):
+    """Sign class of a symmetric matrix from its extreme eigenvalues
+    ``lo <= hi`` at the absolute cutoff ``cut``."""
     if max(abs(lo), abs(hi)) <= cut:
         kind = "zero"
     elif lo > cut:

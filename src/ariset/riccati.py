@@ -12,7 +12,6 @@ solutions through Schur complements of the maximal one, and classifies the
 degenerate axis blocks (zero / purely imaginary eigenvalues).
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +33,9 @@ from .linalg import (
     as_matrix,
     definiteness,
     real_schur_ordered,
-    schur_complement,
     solve_sylvester,
     symmetrize,
+    verdict_from_extremes,
 )
 from .systems import AXIS, SpectralSplit
 from .tolerances import DEFAULT, Tolerances
@@ -56,6 +55,18 @@ __all__ = [
     "solve_base_are",
     "zero_solution",
 ]
+
+# Invariance residual |A0ᵀL − LD|_max accepted for a computed invariant
+# basis L, relative to max(1, ||A0||₂) and the size of L's entries.
+INVARIANCE_RTOL = 1e-8
+
+# Residual gate for family members: |Ric(X)|_max relative to
+# max(1, |A0|_max |X|_max, |M|_max |X|²_max), the size of Ric's terms.
+FAMILY_RESIDUAL_RTOL = 1e-8
+
+# Subsets enumerated at a time by schur_family; every family of up to 12
+# clusters is built in one chunk.
+_SUBSET_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -131,10 +142,16 @@ class SimplifiedEquation:
 class AriSolution:
     """A symmetric solution X of Ric(X) ≤ 0 with its support certificate.
 
-    ``X = Lk · Lcoord · Lkᵀ`` for the generating block set; ``residual``
-    is Ric(X) and ``residual_verdict`` its sign classification (never
-    positive for an emitted solution). ``certificate``, when present,
-    summarizes strictness on the support subspace.
+    ``X = L · Lcoord · Lᵀ`` where ``L`` is an orthonormal basis of the
+    support, the invariant subspace of the generating block set: the
+    reduced basis ``Lk`` for a solution built from a
+    :class:`SimplifiedEquation`, a QR basis for a :func:`schur_family`
+    member. Bases of one support differ by an orthogonal factor, and so
+    do their ``Lcoord``; ``X`` and ``rank`` do not depend on the basis.
+    ``residual`` is Ric(X) and ``residual_verdict`` its sign
+    classification (never positive for an emitted solution).
+    ``certificate``, when present, summarizes strictness on the support
+    subspace.
     """
 
     X: np.ndarray
@@ -359,7 +376,7 @@ def reduce(
     mk = 0.5 * (mk + mk.T)
 
     inv_resid = float(np.abs(form.A0.T @ lk - lk @ dk).max())
-    if inv_resid > 1e-8 * max(1.0, a0_norm):
+    if inv_resid > INVARIANCE_RTOL * max(1.0, a0_norm):
         raise NonInvariantSelection(
             f"selected blocks are coupled to unselected ones: invariance "
             f"residual {inv_resid:.3e}"
@@ -464,31 +481,45 @@ def zero_solution(form: HomogeneousForm, tol: Tolerances = DEFAULT):
 # the Schur-complement family
 
 
-def _decouple_blocks(eqn, tol):
-    """Similarity W making Dk block-diagonal across selected blocks.
+def _clusters(split, gap_tol):
+    """Label every block with its eigenvalue cluster.
 
-    Returns ``(W, ok)`` where ``Dk W = W blkdiag(...)``; ``ok`` is False
-    when some pair of blocks cannot be separated (shared eigenvalues).
+    Two blocks are linked when some pair of their eigenvalues lies within
+    ``gap_tol`` (the distance at which :func:`reduce` refuses to separate
+    them); clusters are the connected components of that relation.
     """
-    k = eqn.k
-    w = np.eye(k)
-    spans = [
-        slice(off, off + blk.size) for off, blk in zip(eqn.offsets, eqn.blocks)
-    ]
-    d = eqn.Dk
+    sizes = [blk.size for blk in split.blocks]
+    eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
+    owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap_tol).astype(float)
+    reach = owner.T @ near @ owner > 0
+    for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
+        reach = reach @ reach
+    return reach.argmax(axis=1)  # the first block of each cluster
+
+
+def _decouple_blocks(d, spans, cluster):
+    """Unit upper block-triangular W such that ``W⁻¹ d W`` has no coupling
+    between blocks of different clusters.
+
+    ``d`` is upper block-triangular with diagonal blocks ``spans`` and
+    ``cluster[i]`` labels block i. Blocks of one cluster share eigenvalues
+    and stay coupled. Raises :class:`SingularSylvester` when two clusters
+    cannot be separated.
+    """
+    w = np.eye(d.shape[0])
+    lam = np.zeros_like(d)
     for j in range(1, len(spans)):
+        sj = spans[j]
         for i in range(j - 1, -1, -1):
-            rhs = -sum(
-                d[spans[i], spans[l]] @ w[spans[l], spans[j]]
-                for l in range(i + 1, j + 1)
-            )
-            try:
-                w[spans[i], spans[j]] = solve_sylvester(
-                    d[spans[i], spans[i]], -d[spans[j], spans[j]], rhs
-                )
-            except SingularSylvester:
-                return w, False
-    return w, True
+            si = spans[i]
+            rhs = -sum(d[si, spans[l]] @ w[spans[l], sj] for l in range(i + 1, j + 1))
+            rhs = rhs + sum(w[si, spans[l]] @ lam[spans[l], sj] for l in range(i + 1, j))
+            if cluster[i] == cluster[j]:
+                lam[si, sj] = -rhs
+            else:
+                w[si, sj] = solve_sylvester(d[si, si], -d[sj, sj], rhs)
+    return w
 
 
 def schur_family(
@@ -498,17 +529,32 @@ def schur_family(
 ):
     """All equation solutions generated by subsets of non-axis blocks.
 
-    Every subset of the non-axis Schur blocks (conjugate pairs atomic) is
-    tried; subsets whose reduced Gramian is singular, or which split an
-    eigenvalue cluster, are absent from the result. Axis blocks never
-    participate: controllable ones only contribute the zero coordinate
-    and uncontrollable ones generate the infinite families reported by
-    :func:`degenerate_classify`.
+    Every solution of Ric(X) = 0 is supported on an A0ᵀ-invariant
+    subspace spanned by Schur blocks. One :func:`reduce` over the
+    eligible blocks gives ``A0ᵀ Lk = Lk Dk``; a similarity ``W`` makes
+    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters, and the
+    Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'`` with
+    ``L' = Lk W``) is solved block pair by block pair. The member over a
+    subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the Schur complement of
+    the maximal solution onto S. Members are built in stacked batches of
+    equal column count; each is expressed in a QR basis of ``L'_S``,
+    where the Gramian's rank test and ``rank`` read as in
+    :func:`full_rank_simplified_solution`.
 
-    When the maximal solution over all eligible blocks exists, each lower
-    rank member is cross-checked against the Schur complement of the
-    maximal coordinates in a block-decoupled basis; the two routes must
-    agree to 1e-6.
+    A subset is absent when it contains an uncontrollable block (its
+    Gramian is singular), both blocks of a mirrored pair λ, −λ (their
+    Sylvester solve is singular), part but not all of an eigenvalue
+    cluster, or a block whose cluster reaches an axis block. Axis blocks
+    never participate: controllable ones only contribute the zero
+    coordinate and uncontrollable ones generate the infinite families
+    reported by :func:`degenerate_classify`.
+
+    Verification: ``A0ᵀ L' = L' Λ`` is checked once, every member's
+    residual must satisfy ``|Ric(X)|_max <= FAMILY_RESIDUAL_RTOL ·
+    max(1, |A0|_max |X|_max, |M|_max |X|²_max)``, and the direct route
+    (:func:`reduce` + :func:`full_rank_simplified_solution`) must agree
+    on presence and on X to 1e-6 for every single block and for the
+    maximal set. Any failure raises :class:`RiccatiError`.
 
     Returns
     -------
@@ -520,59 +566,153 @@ def schur_family(
     if not eligible:
         return solutions
 
-    maximal = None
-    decoupled = None
-    try:
-        eqn_all = reduce(form, split, eligible, tol)
-        maximal = full_rank_simplified_solution(eqn_all, tol)
-    except (SingularSylvester, SingularY, DegenerateSpectrum):
-        maximal = None
-    if maximal is not None:
-        w, ok = _decouple_blocks(eqn_all, tol)
-        if ok:
-            winv = np.linalg.inv(w)
-            lstar_bd = winv @ maximal.Lcoord @ winv.T
-            decoupled = (eqn_all.Lk @ w, 0.5 * (lstar_bd + lstar_bd.T), eqn_all)
+    labels = _clusters(split, tol.axis * float(np.linalg.norm(form.A0, 2)))
+    at_axis = {labels[i] for i, b in enumerate(split.blocks) if b.half_plane == AXIS}
+    live = [i for i in eligible if labels[i] not in at_axis]
+    members = []
+    eqn = None
+    if live:
+        eqn = reduce(form, split, live, tol)
+        members = _gramian_members(eqn, labels, tol)
+    _check_direct_route(form, split, eligible, eqn, members, tol)
 
-    for r in range(1, len(eligible)):
-        for subset in itertools.combinations(eligible, r):
-            try:
-                eqn = reduce(form, split, subset, tol)
-                sol = full_rank_simplified_solution(eqn, tol)
-            except (SingularSylvester, SingularY, DegenerateSpectrum):
-                continue
-            if decoupled is not None:
-                _cross_check_schur_route(sol, subset, decoupled, eligible)
-            solutions.append(sol)
-    if maximal is not None:
-        solutions.append(maximal)
-
+    solutions.extend(members)
     solutions.sort(key=lambda s: (s.rank, s.block_set))
     return solutions
 
 
-def _cross_check_schur_route(sol, subset, decoupled, eligible):
-    """Verify the direct reduced solution against the Schur complement of
-    the maximal solution expressed in the decoupled basis."""
-    l_bd, lstar_bd, eqn_all = decoupled
-    local = {blk_id: (off, eqn_all.blocks[pos].size)
-             for pos, (blk_id, off) in enumerate(zip(eqn_all.block_set, eqn_all.offsets))}
-    cols = []
-    for i in subset:
-        off, size = local[i]
-        cols.extend(range(off, off + size))
-    try:
-        sc = schur_complement(lstar_bd, cols)
-    except RiccatiError:
-        return  # eliminated block singular: nothing to compare against
-    x_sc = l_bd[:, cols] @ sc @ l_bd[:, cols].T
-    x_sc = 0.5 * (x_sc + x_sc.T)
-    gap = float(np.abs(x_sc - sol.X).max())
-    if gap > 1e-6 * max(1.0, float(np.abs(sol.X).max())):
+def _gramian_members(eqn, labels, tol):
+    """Every present member over unions of the clusters in ``eqn``."""
+    form = eqn.form
+    spans = [slice(off, off + blk.size) for off, blk in zip(eqn.offsets, eqn.blocks)]
+    block_label = [labels[i] for i in eqn.block_set]
+    units = sorted(set(block_label), key=block_label.index)
+    unit_of_block = np.array([units.index(lb) for lb in block_label])
+    unit_of_col = np.repeat(unit_of_block, [blk.size for blk in eqn.blocks])
+    cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
+
+    w = _decouple_blocks(eqn.Dk, spans, block_label)
+    same = unit_of_col[:, None] == unit_of_col[None, :]
+    lam = np.where(same, np.linalg.solve(w, eqn.Dk @ w), 0.0)
+    lp = eqn.Lk @ w
+    a0_norm = float(np.linalg.norm(form.A0, 2))
+    inv_resid = float(np.abs(form.A0.T @ lp - lp @ lam).max())
+    if inv_resid > INVARIANCE_RTOL * max(1.0, a0_norm) * max(1.0, float(np.abs(lp).max())):
         raise RiccatiError(
-            f"Schur-complement route disagrees with the direct solution "
-            f"for blocks {subset}: gap {gap:.3e}"
+            f"decoupled basis is not invariant: residual {inv_resid:.3e}"
         )
+
+    c = lp.T @ form.M @ lp
+    c = 0.5 * (c + c.T)
+    y = np.zeros_like(c)
+    clash = np.zeros((len(units), len(units)), dtype=bool)
+    for u, cu in enumerate(cols):
+        for v in range(u, len(units)):
+            cv = cols[v]
+            try:
+                yuv = solve_sylvester(lam[np.ix_(cu, cu)].T, lam[np.ix_(cv, cv)],
+                                      c[np.ix_(cu, cv)])
+            except SingularSylvester:
+                clash[u, v] = clash[v, u] = True
+                continue
+            y[np.ix_(cu, cv)] = yuv
+            y[np.ix_(cv, cu)] = yuv.T
+
+    eigs = {i: blk.eigenvalues for i, blk in zip(eqn.block_set, eqn.blocks)}
+    block_ids = np.asarray(eqn.block_set)
+    members = []
+    # every union of units, as rows of a membership table built in chunks
+    # so that its memory stays proportional to the members emitted
+    for start in range(1, 2 ** len(units), _SUBSET_CHUNK):
+        masks = np.arange(start, min(start + _SUBSET_CHUNK, 2 ** len(units)))
+        pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
+        pick = pick[~np.any((pick @ clash) & pick, axis=1)]
+        col_pick = pick[:, unit_of_col]
+        ncols = col_pick.sum(axis=1)
+        for k in np.unique(ncols):
+            rows = np.flatnonzero(ncols == k)
+            idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
+            block_sets = [tuple(block_ids[pick[row, unit_of_block]].tolist()) for row in rows]
+            members += _batch_members(form, lp[:, idx].transpose(1, 0, 2),
+                                      y[idx[:, :, None], idx[:, None, :]],
+                                      block_sets, eigs, tol)
+    return members
+
+
+def _batch_members(form, ls, ys, block_sets, eigs, tol):
+    """Members for stacked supports ``ls`` (N×n×k) with Gramians ``ys``
+    (N×k×k), skipping those whose Gramian is singular."""
+    q, r = np.linalg.qr(ls)
+    rt = np.swapaxes(r, 1, 2)
+    g = np.linalg.solve(rt, np.swapaxes(np.linalg.solve(rt, ys), 1, 2))
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    sv = np.linalg.svd(g, compute_uv=False)
+    ok = sv[:, -1] > tol.rank * np.maximum(1.0, sv[:, 0])
+    lcoord = np.linalg.inv(g[ok])
+    lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
+    x = q[ok] @ lcoord @ np.swapaxes(q[ok], 1, 2)
+    x = 0.5 * (x + np.swapaxes(x, 1, 2))
+    a0, m = form.A0, form.M
+    resid = -a0.T @ x - x @ a0 + x @ m @ x
+    resid = 0.5 * (resid + np.swapaxes(resid, 1, 2))
+    eig = np.linalg.eigvalsh(resid)
+    rank = np.count_nonzero(sv[ok, -1:] > tol.rank * sv[ok], axis=1)
+
+    r_max = np.abs(resid).max(axis=(1, 2))
+    x_max = np.abs(x).max(axis=(1, 2))
+    gate = FAMILY_RESIDUAL_RTOL * np.maximum.reduce([
+        np.ones_like(x_max),
+        float(np.abs(a0).max()) * x_max,
+        float(np.abs(m).max()) * x_max ** 2,
+    ])
+    if np.any(r_max > gate):
+        worst = int(np.argmax(r_max / gate))
+        raise RiccatiError(
+            f"family member residual {r_max[worst]:.3e} exceeds {gate[worst]:.3e}"
+        )
+
+    return [
+        AriSolution(
+            X=x[j], Lcoord=lcoord[j], block_set=block_set, rank=int(rank[j]),
+            residual=resid[j],
+            residual_verdict=verdict_from_extremes(
+                float(eig[j, 0]), float(eig[j, -1]),
+                tol.definiteness * max(1.0, float(r_max[j]))),
+            eigenvalues=tuple(ev for i in block_set for ev in eigs[i]),
+        )
+        for j, block_set in enumerate(bs for bs, good in zip(block_sets, ok) if good)
+    ]
+
+
+def _check_direct_route(form, split, eligible, eqn, members, tol):
+    """Compare the batch against reduce + full_rank_simplified_solution on
+    every single block and on the maximal set: presence must agree and X
+    must agree to 1e-6 relative."""
+    built = {sol.block_set: sol for sol in members}
+    checks = [((i,), None) for i in eligible]
+    if eqn is not None and len(eqn.block_set) > 1:
+        checks.append((eqn.block_set, eqn))
+    for block_set, reduced in checks:
+        try:
+            if reduced is None:
+                reduced = reduce(form, split, block_set, tol)
+            direct = full_rank_simplified_solution(reduced, tol)
+        except (SingularSylvester, SingularY, DegenerateSpectrum):
+            direct = None
+        ours = built.get(block_set)
+        if (direct is None) != (ours is None):
+            raise RiccatiError(
+                f"family and direct route disagree on whether blocks "
+                f"{block_set} carry a solution"
+            )
+        if direct is None:
+            continue
+        gap = float(np.abs(direct.X - ours.X).max())
+        if gap > 1e-6 * max(1.0, float(np.abs(direct.X).max())):
+            raise RiccatiError(
+                f"family member for blocks {block_set} disagrees with the "
+                f"direct solution: gap {gap:.3e}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +783,12 @@ def degenerate_classify(
     eigenvalue, the identity coordinate on the invariant plane for a
     purely imaginary pair.
 
+    Uncontrollable zero blocks that share an eigenvalue take the
+    directions of the kernel of ``[A0ᵀ; Bᵀ]``, one each; when a Jordan
+    chain leaves fewer directions than blocks, the surplus blocks get no
+    outcome, so the free-family generators are distinct and as many as
+    the kernel's dimension.
+
     Returns
     -------
     list of (SpectralBlock, DegenerateOutcome)
@@ -665,7 +811,9 @@ def degenerate_classify(
                     zero_dirs = _uncontrollable_zero_directions(form, tol)
                 if not zero_dirs:
                     raise
-                v = zero_dirs[min(zero_used, len(zero_dirs) - 1)]
+                if zero_used == len(zero_dirs):
+                    continue  # a Jordan chain: its direction is already out
+                v = zero_dirs[zero_used]
                 zero_used += 1
             gen = np.outer(v, v)
         else:

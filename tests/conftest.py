@@ -2,7 +2,7 @@
 
 Systems are constructed with exactly known spectra: a block quasi-
 triangular core (1x1 blocks for real eigenvalues, 2x2 rotation blocks for
-conjugate pairs, strictly-upper coupling inside the controllable part)
+conjugate pairs, coupling above the diagonal blocks of the controllable part)
 conjugated by a random orthogonal matrix. Uncontrollable modes are planted
 by appending decoupled blocks whose rows of B vanish in the core basis.
 """
@@ -72,15 +72,17 @@ def _expand(entries):
 
 
 def draw_spectrum(rng, n, half_planes=("RHP", "LHP"), allow_complex=True,
-                  min_gap=0.3):
+                  min_gap=0.3, max_tries=20000):
     """Entry list (reals / complex pair representatives) totalling size n.
 
     Magnitudes of real parts lie in [0.4, 2.5]; redrawn until all
     eigenvalues are pairwise separated and separated from their mirrors
     by ``min_gap`` (so every block subset stays solvable and flips are
-    unambiguous).
+    unambiguous). Gives up with ``RuntimeError`` after ``max_tries``
+    draws: some requests (eight real eigenvalues) are feasible only on a
+    set of measure zero.
     """
-    while True:
+    for _ in range(max_tries):
         entries = []
         size = 0
         while size < n:
@@ -104,6 +106,9 @@ def draw_spectrum(rng, n, half_planes=("RHP", "LHP"), allow_complex=True,
                     ok = False
         if ok:
             return entries
+    raise RuntimeError(
+        f"no spectrum of size {n} with gap {min_gap} in {max_tries} draws"
+    )
 
 
 def _pbh_margin(a, b):
@@ -126,11 +131,16 @@ def build_system(rng, ctrl, unc=(), m=1, coupling=0.4, margin=1e-6,
     blocks_c = [_eig_block(lam) for lam in ctrl]
     blocks_u = [_eig_block(lam) for lam in unc]
     nc = sum(blk.shape[0] for blk in blocks_c)
+    ends = np.cumsum([blk.shape[0] for blk in blocks_c]).tolist()
+    block_spans = list(zip([0] + ends[:-1], ends))
     nu = sum(blk.shape[0] for blk in blocks_u)
     n = nc + nu
     for _ in range(max_tries):
         core_c = block_diag(*blocks_c) if blocks_c else np.zeros((0, 0))
-        core_c = core_c + coupling * np.triu(rng.standard_normal((nc, nc)), 1)
+        upper = np.triu(rng.standard_normal((nc, nc)), 1)
+        for lo, hi in block_spans:
+            upper[lo:hi, lo:hi] = 0.0  # keep each pair's planted rotation
+        core_c = core_c + coupling * upper
         core_u = block_diag(*blocks_u) if blocks_u else np.zeros((0, 0))
         bc = rng.standard_normal((nc, m))
         if nc and _pbh_margin(core_c, bc) < margin:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import itertools
+
 from ariset import (
     BaseResidualTooLarge,
     DegenerateSpectrum,
     InvalidInput,
     NoBaseSolution,
+    RiccatiError,
     RiccatiProblem,
     SingularSylvester,
     SingularY,
@@ -18,6 +21,7 @@ from ariset import (
     schur_family,
     solve_base_are,
 )
+from ariset import riccati
 
 from conftest import (
     L1,
@@ -376,6 +380,114 @@ def test_family_ordering_lhp_mirrored():
         assert np.linalg.eigvalsh(sol.X).max() <= 1e-8 * max(1.0, np.abs(sol.X).max())
 
 
+def _mixed_system():
+    rng = np.random.default_rng(101)
+    ctrl = [complex(1.2, 0.8), -0.7, 2.1, complex(-1.5, 1.1)]
+    return build_system(rng, ctrl=ctrl, m=2)
+
+
+def _uncontrollable_system():
+    rng = np.random.default_rng(103)
+    return build_system(rng, ctrl=[1.1, complex(-0.9, 0.7), 2.0], unc=[1.6, -2.3], m=2)
+
+
+def _mirrored_system():
+    rng = np.random.default_rng(107)
+    return build_system(rng, ctrl=[1.0, -1.0, 2.2, complex(0.6, 1.4)], m=2)
+
+
+def _separated_cluster_system():
+    # A0ᵀ is already in Schur form: eigenvalue 1 (a Jordan block) sits in
+    # positions 0 and 2, with the block of 3 between them
+    t = np.array([[1.0, 0.5, 0.3, 0.2], [0.0, 3.0, 0.4, -0.3],
+                  [0.0, 0.0, 1.0, 0.6], [0.0, 0.0, 0.0, -2.0]])
+    b = np.array([[1.0, 0.2], [0.3, 1.0], [0.5, -0.4], [1.0, 1.0]])
+    return t.T, b
+
+
+def _near_axis_system():
+    # ||A0||₂ = 2, so the axis band and reduce's gap tolerance are 2e-8:
+    # 1.8e-8 is an axis block and 3e-8 an eligible block within the gap
+    s, _ = np.linalg.qr(np.random.default_rng(109).standard_normal((4, 4)))
+    a0 = s @ np.diag([2.0, 1.8e-8, 3e-8, -1.0]) @ s.T
+    b = s @ np.array([[1.0, 0.0], [0.5, 1.0], [1.0, -0.7], [1.0, 1.0]])
+    return a0, b
+
+
+FAMILY_CASES = {
+    "mixed": _mixed_system,
+    "uncontrollable-rhp-lhp": _uncontrollable_system,
+    "mirrored-pair": _mirrored_system,
+    "separated-cluster": _separated_cluster_system,
+    "near-axis": _near_axis_system,
+}
+
+
+def _direct_family(form, split):
+    """Every subset solved on its own by reduce + full_rank_simplified_solution."""
+    eligible = [i for i, blk in enumerate(split.blocks) if blk.half_plane != "AXIS"]
+    found = {}
+    for r in range(1, len(eligible) + 1):
+        for subset in itertools.combinations(eligible, r):
+            try:
+                found[subset] = full_rank_simplified_solution(reduce(form, split, subset))
+            except (SingularSylvester, SingularY, DegenerateSpectrum):
+                pass
+    return found
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_matches_direct_route_on_every_subset(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    direct = _direct_family(form, split)
+    family = {sol.block_set: sol for sol in schur_family(form, split)}
+    assert set(family) == set(direct) | {()}
+    for block_set, want in direct.items():
+        got = family[block_set]
+        assert got.rank == want.rank
+        assert np.abs(got.X - want.X).max() <= 1e-9 * max(1.0, np.abs(want.X).max())
+        # both Lcoord are in orthonormal bases of the same support
+        eig_got, eig_want = np.linalg.eigvalsh(got.Lcoord), np.linalg.eigvalsh(want.Lcoord)
+        assert np.abs(eig_got - eig_want).max() <= 1e-9 * max(1.0, np.abs(eig_want).max())
+
+
+def test_family_case_geometry():
+    # the planted structure each case above is meant to exercise, and the
+    # subsets it leaves absent
+    absent = {
+        case: (2 ** sum(blk.half_plane != "AXIS" for blk in split.blocks) - 1)
+        - (len(schur_family(form, split)) - 1)
+        for case, (form, split) in (
+            (c, homogeneous_setup(*build())) for c, build in FAMILY_CASES.items()
+        )
+    }
+    assert absent == {"mixed": 0, "uncontrollable-rhp-lhp": 24, "mirrored-pair": 4,
+                      "separated-cluster": 8, "near-axis": 4}
+    _, split = homogeneous_setup(*_separated_cluster_system())
+    ones = [i for i, blk in enumerate(split.blocks) if abs(blk.eigenvalues[0] - 1.0) < 1e-12]
+    assert len(ones) == 2 and ones[1] - ones[0] == 2
+    _, split = homogeneous_setup(*_near_axis_system())
+    planes = sorted(blk.half_plane for blk in split.blocks)
+    assert planes == ["AXIS", "LHP", "RHP", "RHP"]
+    _, split = homogeneous_setup(*_uncontrollable_system())
+    assert {split.blocks[i].half_plane for i in split.indices(controllable=False)} == {"RHP", "LHP"}
+    _, split = homogeneous_setup(*_mixed_system())
+    assert {blk.size for blk in split.blocks} == {1, 2}
+
+
+def test_family_rejects_a_perturbed_decoupling(monkeypatch):
+    form, split = homogeneous_setup(*_mixed_system())
+    exact = riccati._decouple_blocks
+
+    def perturbed(d, spans, cluster):
+        w = exact(d, spans, cluster)
+        return w + 1e-4 * np.triu(np.ones_like(w), 1)
+
+    monkeypatch.setattr(riccati, "_decouple_blocks", perturbed)
+    with pytest.raises(RiccatiError, match="not invariant"):
+        schur_family(form, split)
+
+
 def test_degenerate_everything_zero_and_uncontrolled():
     # A0 = 0, B = 0: every direction is a free family and nothing errors
     form, split = homogeneous_setup(np.zeros((2, 2)), np.zeros((2, 1)))
@@ -451,3 +563,23 @@ def test_non_invariant_rank_two_residual_is_indefinite():
         if verdict.kind == "indefinite":
             hits += 1
     assert hits == 10
+
+
+def test_degenerate_jordan_chain_hands_out_each_kernel_direction_once():
+    # two uncontrollable zero blocks in one Jordan chain; the kernel of
+    # [A0ᵀ; Bᵀ] is one-dimensional, so the chain carries one free direction
+    a0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([[0.0], [0.0], [1.0]])
+    form, split = homogeneous_setup(a0, b)
+    kernel = np.linalg.matrix_rank(np.vstack([a0.T, b.T]))
+    assert 3 - kernel == 1
+    gens = [out.generator for _, out in degenerate_classify(form, split)
+            if out.kind == "free-family"]
+    assert len(gens) == 1
+    for g in gens:
+        assert np.abs(ric_residual(form, 10.0 * g)).max() <= 1e-10
+    from ariset import boundedness
+
+    report = boundedness(form, split)
+    assert report.verdict == "unbounded-both"
+    assert len(report.witnesses) == 1

@@ -127,3 +127,23 @@ def test_planted_uncontrollable_mode_is_detected():
     idx = np.argmin(np.abs(w - lam))
     v = np.real(vl[:, idx])
     assert np.linalg.norm(v @ b) <= 1e-8
+
+
+def test_build_system_keeps_the_planted_spectrum():
+    rng = np.random.default_rng(71)
+    for trial in range(20):
+        ctrl = draw_spectrum(rng, int(rng.integers(2, 7)))
+        unc = [complex(-1.3, 0.9)] if trial % 2 else [2.9]
+        a0, _ = build_system(rng, ctrl=ctrl, unc=unc, m=2)
+        planted = []
+        for lam in ctrl + unc:
+            planted += [lam, lam.conjugate()] if lam.imag else [lam]
+        got = np.sort_complex(np.linalg.eigvals(a0))
+        assert np.abs(got - np.sort_complex(np.array(planted))).max() <= 1e-9
+
+
+def test_draw_spectrum_gives_up_on_an_infeasible_request():
+    # eight real magnitudes in [0.4, 2.5], pairwise 0.3 apart, need a span
+    # of exactly 2.1: a set of measure zero
+    with pytest.raises(RuntimeError, match="no spectrum"):
+        draw_spectrum(np.random.default_rng(5), 8, allow_complex=False)
