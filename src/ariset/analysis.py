@@ -27,6 +27,7 @@ from .riccati import (
     AriSolution,
     HomogeneousForm,
     SimplifiedEquation,
+    _ric_scale,
     _solution_from_coordinates,
     are_residual,
     degenerate_classify,
@@ -136,7 +137,7 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
         raise InvalidInput(f"v must be a unit vector, got norm {norm:.6e}")
     w = form.A0.T @ vec
     defect = w - (vec @ w) * vec
-    cut = tol.definiteness * max(1.0, float(np.linalg.norm(form.A0, 2)))
+    cut = tol.definiteness * max(1.0, form.a0_norm)
     if float(np.linalg.norm(defect)) <= cut:
         return "semidefinite-rank<=1"
     return "indefinite"
@@ -204,10 +205,10 @@ def _ray_for_block(form, split, index, tol):
     blk = split.blocks[index]
     eye = np.eye(eqn.k)
     if blk.half_plane == RHP:
-        p = solve_lyapunov_stable(-eqn.Dk.T, eye)
+        p = solve_lyapunov_stable(-eqn.Dk.T, eye, axis_tol=tol.axis, sym_tol=tol.sym)
         sign = "+"
     else:
-        p = solve_lyapunov_stable(eqn.Dk.T, eye)
+        p = solve_lyapunov_stable(eqn.Dk.T, eye, axis_tol=tol.axis, sym_tol=tol.sym)
         sign = "-"
     x = eqn.Lk @ p @ eqn.Lk.T
     x = 0.5 * (x + x.T)
@@ -410,12 +411,7 @@ def feedback_flip(form: HomogeneousForm, sol: AriSolution, tol: Tolerances = DEF
         not flip).
     """
     resid = float(np.abs(sol.residual).max())
-    scale = max(
-        1.0,
-        float(np.abs(form.A0).max()) * float(np.abs(sol.X).max()),
-        float(np.abs(form.M).max()) * float(np.abs(sol.X).max()) ** 2,
-    )
-    if resid > tol.base * scale:
+    if resid > tol.base * float(_ric_scale(form, sol.X)):
         raise NotAnEquationSolution(
             f"residual {resid:.3e} is not zero within tolerance; the flip "
             "identity applies only to equation solutions"

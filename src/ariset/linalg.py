@@ -185,21 +185,6 @@ class SchurBlock(NamedTuple):
     eigenvalues: tuple
 
 
-def _scan_blocks(t):
-    """Partition a quasi-triangular matrix into 1x1 / 2x2 diagonal blocks."""
-    n = t.shape[0]
-    blocks = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
 def _block_eigenvalues(t, offset, size):
     if size == 1:
         return (complex(t[offset, offset]),)
@@ -218,16 +203,60 @@ def _block_eigenvalues(t, offset, size):
 
 
 def _schur_blocks(t):
-    return [
-        SchurBlock(off, size, _block_eigenvalues(t, off, size))
-        for off, size in _scan_blocks(t)
-    ]
+    """Partition a quasi-triangular matrix into 1x1 / 2x2 diagonal blocks."""
+    blocks = []
+    i = 0
+    while i < t.shape[0]:
+        size = 2 if i + 1 < t.shape[0] and t[i + 1, i] != 0.0 else 1
+        blocks.append(SchurBlock(i, size, _block_eigenvalues(t, i, size)))
+        i += size
+    return blocks
 
 
-def _classify_block(block, classify):
-    # conjugate eigenvalues share the class; use the representative with
-    # the largest imaginary part
-    return classify(block.eigenvalues[0])
+def _row_eigenvalues(t):
+    """Eigenvalue of every row of a quasi-triangular matrix, read from its
+    diagonal blocks (both rows of a 2x2 block carry its pair)."""
+    return np.array([lam for blk in _schur_blocks(t) for lam in blk.eigenvalues])
+
+
+def _selection_gap(lam, rows):
+    """Smallest distance between the row eigenvalues ``lam[rows]`` and those
+    of the other rows (inf if none)."""
+    chosen = np.zeros(lam.size, dtype=bool)
+    chosen[rows] = True
+    if chosen.all():
+        return np.inf
+    return float(np.abs(lam[chosen, None] - lam[None, ~chosen]).min())
+
+
+# Residual |A U − U T|_max accepted for the reordered Schur form, relative
+# to max(1, ||A||_F).
+SCHUR_RESIDUAL_RTOL = 1e-9
+
+
+def _select_leading(t, u, rows):
+    """Reorder the real Schur form ``(U, T)`` through LAPACK ``dtrsen`` so
+    that the blocks covering ``rows`` (both rows of a 2x2 block) lead,
+    keeping the relative order of the selected blocks and of the others.
+    Returns the reordered ``(T, U)``.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        When LAPACK cannot separate a selected block from an unselected
+        one; ``gap`` is the smallest distance between their eigenvalues.
+    """
+    select = np.zeros(t.shape[0], dtype=np.int32)
+    select[rows] = 1
+    ts, us, _, _, _, _, _, info = lapack.dtrsen(select, t, u, job="N")
+    if info != 0:
+        gap = _selection_gap(_row_eigenvalues(t), rows)
+        raise DegenerateSpectrum(
+            "Schur reordering failed: eigenvalue clusters too close "
+            f"(gap ~ {gap:.3e})",
+            gap=gap,
+        )
+    return ts, us
 
 
 def real_schur_ordered(a, classify: Callable[[complex], int]):
@@ -257,43 +286,24 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
     """
     m = as_matrix(a, name="A", square=True)
     t, u = schur(m, output="real")
-    t = np.ascontiguousarray(t)
-    u = np.ascontiguousarray(u)
 
-    nblk = len(_scan_blocks(t))
-    for position in range(nblk):
-        blocks = _schur_blocks(t)
-        ranks = [_classify_block(b, classify) for b in blocks]
-        best = min(range(position, nblk), key=lambda i: (ranks[i], i))
-        if best != position:
-            ifst = blocks[best].offset + 1  # LAPACK is 1-based
-            ilst = blocks[position].offset + 1
-            t, u, info = lapack.dtrexc(t, u, ifst, ilst, wantq=1)
-            if info != 0:
-                gap = _min_block_gap(blocks, best, position)
-                raise DegenerateSpectrum(
-                    "Schur reordering failed: eigenvalue clusters too close "
-                    f"(gap ~ {gap:.3e})",
-                    gap=gap,
-                )
-
+    # one stable pass per class boundary, highest first: lead with every
+    # block ranked at most the cut
     blocks = _schur_blocks(t)
+    cuts = sorted({classify(blk.eigenvalues[0]) for blk in blocks})
+    for cut in reversed(cuts[:-1]):
+        rows = [blk.offset + i for blk in blocks
+                if classify(blk.eigenvalues[0]) <= cut for i in range(blk.size)]
+        t, u = _select_leading(t, u, rows)
+        blocks = _schur_blocks(t)
+
     scale = max(1.0, float(np.linalg.norm(m)))
     resid = float(np.abs(m @ u - u @ t).max())
-    if resid > 1e-9 * scale:
+    if resid > SCHUR_RESIDUAL_RTOL * scale:
         raise DegenerateSpectrum(
             f"reordered Schur form lost accuracy: residual {resid:.3e}"
         )
     return u, t, blocks
-
-
-def _min_block_gap(blocks, i, j):
-    gaps = [
-        abs(li - lj)
-        for li in blocks[i].eigenvalues
-        for lj in blocks[j].eigenvalues
-    ]
-    return min(gaps) if gaps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,11 @@ def _min_block_gap(blocks, i, j):
 
 
 def solve_sylvester(f, g, c, sep_tol=1e-10):
-    """Solve ``F X + X G = C`` through the vectorized Kronecker system.
+    """Solve ``F X + X G = C`` by the Bartels–Stewart method.
+
+    ``F`` and ``G`` are brought to real Schur form, LAPACK ``dtrsyl``
+    solves the quasi-triangular equation, and the solution is transformed
+    back.
 
     Parameters
     ----------
@@ -320,7 +334,8 @@ def solve_sylvester(f, g, c, sep_tol=1e-10):
     Raises
     ------
     SingularSylvester
-        When spec(F) and spec(-G) overlap within tolerance.
+        When spec(F) and spec(-G) overlap within tolerance, or LAPACK had
+        to perturb the quasi-triangular solve.
     """
     fm = as_matrix(f, name="F", square=True)
     gm = as_matrix(g, name="G", square=True)
@@ -329,8 +344,10 @@ def solve_sylvester(f, g, c, sep_tol=1e-10):
     if cm.shape != (p, q):
         raise InvalidInput(f"C must be {p}x{q}, got {cm.shape}")
 
-    wf = np.linalg.eigvals(fm)
-    wg = np.linalg.eigvals(gm)
+    tf, uf = schur(fm, output="real")
+    tg, ug = schur(gm, output="real")
+    wf = _row_eigenvalues(tf)
+    wg = _row_eigenvalues(tg)
     sep = float(np.abs(wf[:, None] + wg[None, :]).min())
     scale = max(1.0, float(np.abs(wf).max()) + float(np.abs(wg).max()))
     if sep <= sep_tol * scale:
@@ -339,10 +356,14 @@ def solve_sylvester(f, g, c, sep_tol=1e-10):
             f"{sep_tol:.1e} * {scale:.3e}"
         )
 
-    # column-major vec: vec(FX) = (I (x) F) vec(X), vec(XG) = (G^T (x) I) vec(X)
-    k = np.kron(np.eye(q), fm) + np.kron(gm.T, np.eye(p))
-    x = np.linalg.solve(k, cm.flatten(order="F"))
-    return x.reshape((p, q), order="F")
+    y, ysc, info = lapack.dtrsyl(tf, tg, uf.T @ cm @ ug)
+    if info < 0:
+        raise InvalidInput(f"dtrsyl rejected argument {-info}")
+    if info == 1:
+        raise SingularSylvester(
+            "spec(F) nearly meets spec(-G): dtrsyl perturbed the solve"
+        )
+    return uf @ (y / ysc) @ ug.T
 
 
 def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):

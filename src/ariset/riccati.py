@@ -13,10 +13,10 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     BaseResidualTooLarge,
@@ -30,6 +30,8 @@ from .errors import (
 )
 from .linalg import (
     DefinitenessVerdict,
+    _select_leading,
+    _selection_gap,
     as_matrix,
     definiteness,
     real_schur_ordered,
@@ -101,7 +103,8 @@ class HomogeneousForm:
 
     ``A0 = A − BBᵀK0`` is the feedback matrix, ``M = BBᵀ`` the input Gram
     matrix, and ``base_residual`` the max-norm of the equation residual at
-    K0 (bounded by the base tolerance at construction).
+    K0 (bounded by the base tolerance at construction). ``a0_norm`` is
+    ``||A0||₂``, computed once on first use.
     """
 
     problem: RiccatiProblem
@@ -110,6 +113,10 @@ class HomogeneousForm:
     M: np.ndarray
     base_residual: float
     kind: str
+
+    @cached_property
+    def a0_norm(self):
+        return float(np.linalg.norm(self.A0, 2))
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,9 @@ class AriSolution:
     member. Bases of one support differ by an orthogonal factor, and so
     do their ``Lcoord``; ``X`` and ``rank`` do not depend on the basis.
     ``residual`` is Ric(X) and ``residual_verdict`` its sign
-    classification (never positive for an emitted solution).
+    classification (never positive for an emitted solution), at the
+    cutoff ``tol.definiteness`` times the size of Ric's terms,
+    max(1, |A0|_max |X|_max, |M|_max |X|²_max).
     ``certificate``, when present, summarizes strictness on the support
     subspace.
     """
@@ -178,6 +187,14 @@ def ric_residual(form: HomogeneousForm, x):
     a0, m = form.A0, form.M
     r = -a0.T @ xm - xm @ a0 + xm @ (m @ xm)
     return 0.5 * (r + r.T)
+
+
+def _ric_scale(form, x):
+    """max(1, |A0|_max |X|_max, |M|_max |X|²_max), the size of the terms of
+    Ric(X), for one X or a stack of them."""
+    x_max = np.abs(x).max(axis=(-2, -1))
+    a0_x = np.maximum(1.0, float(np.abs(form.A0).max()) * x_max)
+    return np.maximum(a0_x, float(np.abs(form.M).max()) * x_max ** 2)
 
 
 def _base_scale(problem):
@@ -295,30 +312,6 @@ def _hamiltonian_solution(problem, kind, tol):
 # reduction to selected blocks
 
 
-def _dtrexc_move(t, u, src, dst):
-    """Move the Schur block starting at row ``src`` to row ``dst`` (0-based)."""
-    tn, un, info = lapack.dtrexc(t, u, src + 1, dst + 1, wantq=1)
-    if info != 0:
-        raise DegenerateSpectrum(
-            "Schur block swap failed: eigenvalues too close to separate"
-        )
-    return tn, un
-
-
-def _gap_to_unselected(split, selected):
-    """Smallest eigenvalue distance between selected and unselected blocks."""
-    chosen = set(selected)
-    gap = np.inf
-    for i in selected:
-        for j, other in enumerate(split.blocks):
-            if j in chosen:
-                continue
-            for li in split.blocks[i].eigenvalues:
-                for lj in other.eigenvalues:
-                    gap = min(gap, abs(li - lj))
-    return gap
-
-
 def reduce(
     form: HomogeneousForm,
     split: SpectralSplit,
@@ -347,53 +340,39 @@ def reduce(
     if selected[0] < 0 or selected[-1] >= nblk:
         raise InvalidInput(f"block indices out of range 0..{nblk - 1}")
 
-    a0_norm = float(np.linalg.norm(form.A0, 2))
-    if len(selected) < nblk:
-        gap = _gap_to_unselected(split, selected)
-        if gap <= tol.axis * a0_norm:
-            raise DegenerateSpectrum(
-                "selected blocks share an eigenvalue with unselected ones; "
-                f"the invariant subspace is ill-defined (gap {gap:.3e})",
-                gap=gap,
-            )
+    cols = split.columns(selected)
+    eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
+    gap = _selection_gap(eigs, cols)
+    if gap <= tol.axis * form.a0_norm:
+        raise DegenerateSpectrum(
+            "selected blocks share an eigenvalue with unselected ones; "
+            f"the invariant subspace is ill-defined (gap {gap:.3e})",
+            gap=gap,
+        )
 
-    sizes = [blk.size for blk in split.blocks]
-    t, u = split.T.copy(), split.U.copy()
-    order = list(range(nblk))
-    for pos, orig in enumerate(selected):
-        cur = order.index(orig)
-        if cur != pos:
-            src = sum(sizes[b] for b in order[:cur])
-            dst = sum(sizes[b] for b in order[:pos])
-            t, u = _dtrexc_move(t, u, src, dst)
-            order.pop(cur)
-            order.insert(pos, orig)
-
-    k = sum(sizes[i] for i in selected)
+    t, u = _select_leading(split.T, split.U, cols)
+    k = len(cols)
     lk = np.array(u[:, :k])
     dk = np.array(t[:k, :k])
     mk = lk.T @ form.M @ lk
     mk = 0.5 * (mk + mk.T)
 
     inv_resid = float(np.abs(form.A0.T @ lk - lk @ dk).max())
-    if inv_resid > INVARIANCE_RTOL * max(1.0, a0_norm):
+    if inv_resid > INVARIANCE_RTOL * max(1.0, form.a0_norm):
         raise NonInvariantSelection(
             f"selected blocks are coupled to unselected ones: invariance "
             f"residual {inv_resid:.3e}"
         )
 
-    offsets = []
-    acc = 0
-    for i in selected:
-        offsets.append(acc)
-        acc += sizes[i]
+    blocks = tuple(split.blocks[i] for i in selected)
+    offsets = np.cumsum([0] + [blk.size for blk in blocks[:-1]])
     return SimplifiedEquation(
         block_set=tuple(selected),
         Dk=dk,
         Mk=mk,
         Lk=lk,
-        blocks=tuple(split.blocks[i] for i in selected),
-        offsets=tuple(offsets),
+        blocks=blocks,
+        offsets=tuple(int(o) for o in offsets),
         form=form,
     )
 
@@ -415,7 +394,10 @@ def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
     x = eqn.Lk @ lcoord @ eqn.Lk.T
     x = 0.5 * (x + x.T)
     resid = ric_residual(eqn.form, x)
-    verdict = definiteness(resid, tol.definiteness)
+    eig = np.linalg.eigvalsh(resid)
+    verdict = verdict_from_extremes(
+        float(eig[0]), float(eig[-1]),
+        tol.definiteness * float(_ric_scale(eqn.form, x)))
     return AriSolution(
         X=x,
         Lcoord=lcoord,
@@ -566,7 +548,7 @@ def schur_family(
     if not eligible:
         return solutions
 
-    labels = _clusters(split, tol.axis * float(np.linalg.norm(form.A0, 2)))
+    labels = _clusters(split, tol.axis * form.a0_norm)
     at_axis = {labels[i] for i, b in enumerate(split.blocks) if b.half_plane == AXIS}
     live = [i for i in eligible if labels[i] not in at_axis]
     members = []
@@ -595,9 +577,8 @@ def _gramian_members(eqn, labels, tol):
     same = unit_of_col[:, None] == unit_of_col[None, :]
     lam = np.where(same, np.linalg.solve(w, eqn.Dk @ w), 0.0)
     lp = eqn.Lk @ w
-    a0_norm = float(np.linalg.norm(form.A0, 2))
     inv_resid = float(np.abs(form.A0.T @ lp - lp @ lam).max())
-    if inv_resid > INVARIANCE_RTOL * max(1.0, a0_norm) * max(1.0, float(np.abs(lp).max())):
+    if inv_resid > INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, float(np.abs(lp).max())):
         raise RiccatiError(
             f"decoupled basis is not invariant: residual {inv_resid:.3e}"
         )
@@ -659,12 +640,8 @@ def _batch_members(form, ls, ys, block_sets, eigs, tol):
     rank = np.count_nonzero(sv[ok, -1:] > tol.rank * sv[ok], axis=1)
 
     r_max = np.abs(resid).max(axis=(1, 2))
-    x_max = np.abs(x).max(axis=(1, 2))
-    gate = FAMILY_RESIDUAL_RTOL * np.maximum.reduce([
-        np.ones_like(x_max),
-        float(np.abs(a0).max()) * x_max,
-        float(np.abs(m).max()) * x_max ** 2,
-    ])
+    scale = _ric_scale(form, x)
+    gate = FAMILY_RESIDUAL_RTOL * scale
     if np.any(r_max > gate):
         worst = int(np.argmax(r_max / gate))
         raise RiccatiError(
@@ -677,7 +654,7 @@ def _batch_members(form, ls, ys, block_sets, eigs, tol):
             residual=resid[j],
             residual_verdict=verdict_from_extremes(
                 float(eig[j, 0]), float(eig[j, -1]),
-                tol.definiteness * max(1.0, float(r_max[j]))),
+                tol.definiteness * float(scale[j])),
             eigenvalues=tuple(ev for i in block_set for ev in eigs[i]),
         )
         for j, block_set in enumerate(bs for bs, good in zip(block_sets, ok) if good)
@@ -823,7 +800,7 @@ def degenerate_classify(
         gen = 0.5 * (gen + gen.T)
         gen /= np.linalg.norm(gen)
         resid = float(np.abs(ric_residual(form, gen)).max())
-        if resid > 1e-8 * max(1.0, float(np.linalg.norm(form.A0, 2))):
+        if resid > 1e-8 * max(1.0, form.a0_norm):
             raise RiccatiError(
                 f"free-family generator for block {i} has residual {resid:.3e}"
             )

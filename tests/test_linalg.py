@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from ariset import (
+    DegenerateSpectrum,
     InvalidInput,
     NotHurwitz,
     SingularBlock,
@@ -16,9 +19,18 @@ from ariset import (
     sym_eig,
     symmetrize,
 )
+from ariset import linalg
 from ariset.linalg import as_matrix
 
-from conftest import LHAT, LR, LSTAR, char_poly_eigs, gauss_solve
+from conftest import (
+    LHAT,
+    LR,
+    LSTAR,
+    build_system,
+    char_poly_eigs,
+    draw_spectrum,
+    gauss_solve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,41 @@ def test_schur_ordered_random_properties():
         assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
 
 
+def _three_class_rank(lam):
+    if lam.real > 0.5:
+        return 0
+    return 1 if lam.real > -0.5 else 2
+
+
+def test_schur_ordered_is_stable_within_classes():
+    rng = np.random.default_rng(19)
+    for n in (3, 8, 15, 22, 30):
+        a = rng.standard_normal((n, n))
+        t0, _ = schur(a, output="real")
+        initial = [blk.eigenvalues[0] for blk in linalg._schur_blocks(t0)]
+        # no eigenvalue near a class boundary, so reordering cannot reclassify
+        assert min(abs(abs(lam.real) - 0.5) for lam in initial) > 1e-6
+        want = sorted(initial, key=_three_class_rank)  # sorted() is stable
+        _, _, blocks = real_schur_ordered(a, _three_class_rank)
+        got = [blk.eigenvalues[0] for blk in blocks]
+        assert len({_three_class_rank(lam) for lam in got}) == 3
+        assert len(got) == len(want)
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-8 * max(
+            1.0, np.abs(want).max()
+        )
+
+
+def test_schur_reorder_failure_carries_the_gap(monkeypatch):
+    def refuse(select, t, u, job):
+        return t, u, None, None, 0, 0.0, 0.0, 1
+
+    monkeypatch.setattr(linalg, "lapack", SimpleNamespace(dtrsen=refuse))
+    with pytest.raises(DegenerateSpectrum) as err:
+        real_schur_ordered(np.diag([3.0, -1.0, 2.5]), lambda lam: 0 if lam.real > 0 else 1)
+    # the blocks led (3, 2.5) against the one left behind (-1)
+    assert err.value.gap == pytest.approx(3.5)
+
+
 # ---------------------------------------------------------------------------
 # Sylvester
 
@@ -178,6 +225,47 @@ def test_sylvester_against_gaussian_elimination():
 def test_sylvester_rejects_shared_spectrum():
     with pytest.raises(SingularSylvester):
         solve_sylvester(np.diag([1.0, 2.0]), np.diag([-1.0, 5.0]), np.eye(2))
+
+
+def _planted(rng, entries):
+    """Non-normal matrix with the planted spectrum ``entries``."""
+    a, _ = build_system(rng, ctrl=entries, coupling=1.0)
+    return a
+
+
+def test_sylvester_matches_kronecker_oracle_non_normal():
+    rng = np.random.default_rng(23)
+    pairs = 0
+    for p, q in ((1, 1), (2, 3), (5, 4), (6, 9), (12, 7), (12, 12)):
+        f = _planted(rng, draw_spectrum(rng, p))
+        g = _planted(rng, draw_spectrum(rng, q))
+        c = rng.standard_normal((p, q))
+        wf, wg = np.linalg.eigvals(f), np.linalg.eigvals(g)
+        pairs += np.iscomplex(wf).sum() + np.iscomplex(wg).sum()
+        # spec(F) and spec(-G) are apart, so the Kronecker system is regular
+        assert np.abs(wf[:, None] + wg[None, :]).min() > 1e-3
+        x = solve_sylvester(f, g, c)
+        kron = np.kron(np.eye(q), f) + np.kron(g.T, np.eye(p))
+        oracle = gauss_solve(kron, c.flatten(order="F")).reshape((p, q), order="F")
+        assert np.abs(x - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
+    assert pairs >= 8
+
+
+def test_sylvester_rejects_one_mirrored_pair():
+    rng = np.random.default_rng(29)
+    pair = complex(0.9, 1.3)
+    f = _planted(rng, [pair, 1.7, -0.6, complex(-1.4, 0.5), 2.3, complex(0.5, 2.1), -2.0])
+    g = _planted(rng, [-pair, 1.1, complex(1.9, 0.8), -2.4, 0.7, complex(1.2, 1.6), 2.8])
+    assert f.shape == g.shape == (10, 10)
+    with pytest.raises(SingularSylvester):
+        solve_sylvester(f, g, rng.standard_normal((10, 10)))
+
+
+def test_sylvester_refuses_a_perturbed_triangular_solve():
+    # 1 - (1 - 2^-52) clears a zero separation tolerance but not LAPACK's
+    # own cutoff, so dtrsyl perturbs the solve and reports it
+    with pytest.raises(SingularSylvester, match="perturbed"):
+        solve_sylvester([[1.0]], [[-(1.0 - 2.0 ** -52)]], [[1.0]], sep_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ def test_reduce_invariance_random_subsets():
         assert np.abs(eqn.Lk.T @ eqn.Lk - np.eye(eqn.k)).max() <= 1e-10
 
 
+
+def test_reduce_moves_blocks_past_conjugate_pairs():
+    rng = np.random.default_rng(53)
+    ctrl = [complex(1.1, 0.9), complex(1.8, 0.6), 0.7, complex(-1.3, 1.2), -2.1, 2.4,
+            complex(-0.6, 2.0)]
+    a0, b = build_system(rng, ctrl=ctrl, m=2)
+    form, split = homogeneous_setup(a0, b)
+    singles = [i for i, blk in enumerate(split.blocks) if blk.size == 1]
+    # some selected block must pass an unselected pair on its way forward
+    assert any(blk.size == 2 for blk in split.blocks[:singles[-1]])
+    for subset in (singles, singles[1:], [singles[-1]]):
+        eqn = reduce(form, split, subset)
+        scale = max(1.0, np.linalg.norm(a0, 2))
+        assert np.abs(a0.T @ eqn.Lk - eqn.Lk @ eqn.Dk).max() <= 1e-9 * scale
+        assert np.abs(eqn.Lk.T @ eqn.Lk - np.eye(eqn.k)).max() <= 1e-12
+        want = sorted(split.blocks[i].eigenvalues[0].real for i in subset)
+        assert np.allclose(sorted(np.linalg.eigvals(eqn.Dk).real), want, atol=1e-9)
+
+
 def test_reduce_rejects_cluster_splitting():
     form, split = homogeneous_setup(
         np.diag([1.0, 1.0, 3.0]), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -473,6 +492,31 @@ def test_family_case_geometry():
     assert {split.blocks[i].half_plane for i in split.indices(controllable=False)} == {"RHP", "LHP"}
     _, split = homogeneous_setup(*_mixed_system())
     assert {blk.size for blk in split.blocks} == {1, 2}
+
+
+
+@pytest.mark.parametrize("seed", [6, 8, 10])
+def test_family_verdicts_of_large_exact_members(seed):
+    # members with |X|_max of 1e3 and more carry residuals far above an
+    # absolute 1e-8; scaled by the size of Ric's terms, none reads positive
+    rng = np.random.default_rng(seed)
+    form, split = homogeneous_setup(*build_system(rng, ctrl=draw_spectrum(rng, 8), m=1))
+    family = schur_family(form, split)
+    assert max(np.abs(sol.X).max() for sol in family) >= 1e3
+    kinds = {sol.residual_verdict.kind for sol in family}
+    assert not kinds & {"positive-definite", "positive-semidefinite", "indefinite"}
+    # the direct route gives the same verdict on the largest member
+    big = max(family, key=lambda sol: np.abs(sol.X).max())
+    direct = full_rank_simplified_solution(reduce(form, split, big.block_set))
+    assert direct.residual_verdict.kind in ("zero", "negative-semidefinite")
+
+
+def test_form_caches_the_a0_norm(paper):
+    _, form, _ = paper
+    assert form.a0_norm == np.linalg.norm(form.A0, 2)
+    assert form.a0_norm is form.a0_norm
+    with pytest.raises(AttributeError):
+        form.a0_norm = 1.0
 
 
 def test_family_rejects_a_perturbed_decoupling(monkeypatch):
