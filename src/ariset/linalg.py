@@ -233,6 +233,10 @@ def _selection_gap(lam, rows):
 # to max(1, ||A||_F).
 SCHUR_RESIDUAL_RTOL = 1e-9
 
+# Spectral separation below which a Sylvester solve is refused, relative to
+# max(1, rho(F) + rho(G)).
+SYLVESTER_SEP_RTOL = 1e-10
+
 
 def _select_leading(t, u, rows):
     """Reorder the real Schur form ``(U, T)`` through LAPACK ``dtrsen`` so
@@ -310,12 +314,49 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
 # Sylvester / Lyapunov solves
 
 
-def solve_sylvester(f, g, c, sep_tol=1e-10):
+def _solve_quasi_triangular(tf, tg, c, trana="N", isgn=1, sep_tol=SYLVESTER_SEP_RTOL):
+    """Solve ``op(TF) X + isgn X TG = C`` through LAPACK ``dtrsyl``.
+
+    ``TF`` and ``TG`` are quasi-upper-triangular (real Schur forms: 1x1
+    and 2x2 diagonal blocks, exact zeros below them); ``op`` is the
+    identity for ``trana="N"`` and the transpose for ``"T"``, ``isgn`` is
+    +1 or -1. The solve is refused when ``min |lambda_F + isgn lambda_G|``, read
+    from the diagonal blocks, falls below ``sep_tol * max(1, rho(F) +
+    rho(G))``.
+
+    Raises
+    ------
+    SingularSylvester
+        When the spectra are not separated within tolerance, or LAPACK had
+        to perturb the solve.
+    """
+    wf = _row_eigenvalues(tf)
+    wg = _row_eigenvalues(tg)
+    sep = float(np.abs(wf[:, None] + isgn * wg[None, :]).min())
+    scale = max(1.0, float(np.abs(wf).max()) + float(np.abs(wg).max()))
+    mirror = "-G" if isgn > 0 else "G"
+    if sep <= sep_tol * scale:
+        raise SingularSylvester(
+            f"spec(F) meets spec({mirror}): separation {sep:.3e} <= "
+            f"{sep_tol:.1e} * {scale:.3e}"
+        )
+
+    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, isgn=isgn)
+    if info < 0:
+        raise InvalidInput(f"dtrsyl rejected argument {-info}")
+    if info == 1:
+        raise SingularSylvester(
+            f"spec(F) nearly meets spec({mirror}): dtrsyl perturbed the solve"
+        )
+    return y / ysc
+
+
+def solve_sylvester(f, g, c, sep_tol=SYLVESTER_SEP_RTOL):
     """Solve ``F X + X G = C`` by the Bartels–Stewart method.
 
-    ``F`` and ``G`` are brought to real Schur form, LAPACK ``dtrsyl``
-    solves the quasi-triangular equation, and the solution is transformed
-    back.
+    ``F`` and ``G`` are brought to real Schur form, the quasi-triangular
+    equation is solved by :func:`_solve_quasi_triangular` (LAPACK
+    ``dtrsyl``), and the solution is transformed back.
 
     Parameters
     ----------
@@ -346,24 +387,8 @@ def solve_sylvester(f, g, c, sep_tol=1e-10):
 
     tf, uf = schur(fm, output="real")
     tg, ug = schur(gm, output="real")
-    wf = _row_eigenvalues(tf)
-    wg = _row_eigenvalues(tg)
-    sep = float(np.abs(wf[:, None] + wg[None, :]).min())
-    scale = max(1.0, float(np.abs(wf).max()) + float(np.abs(wg).max()))
-    if sep <= sep_tol * scale:
-        raise SingularSylvester(
-            f"spec(F) meets spec(-G): separation {sep:.3e} <= "
-            f"{sep_tol:.1e} * {scale:.3e}"
-        )
-
-    y, ysc, info = lapack.dtrsyl(tf, tg, uf.T @ cm @ ug)
-    if info < 0:
-        raise InvalidInput(f"dtrsyl rejected argument {-info}")
-    if info == 1:
-        raise SingularSylvester(
-            "spec(F) nearly meets spec(-G): dtrsyl perturbed the solve"
-        )
-    return uf @ (y / ysc) @ ug.T
+    y = _solve_quasi_triangular(tf, tg, uf.T @ cm @ ug, sep_tol=sep_tol)
+    return uf @ y @ ug.T
 
 
 def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
@@ -371,7 +396,9 @@ def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
 
     For ``C >= 0`` the unique solution is the integral of
     ``exp(F^T t) C exp(F t)`` over ``t >= 0`` and is positive
-    semidefinite.
+    semidefinite. One real Schur form ``F = U T U^T`` serves both the
+    Hurwitz check (eigenvalues read from its diagonal blocks) and the
+    solve ``T^T P' + P' T = -U^T C U``.
 
     Raises
     ------
@@ -380,13 +407,14 @@ def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
     """
     fm = as_matrix(f, name="F", square=True)
     cm = symmetrize(c, sym_tol=sym_tol, name="C")
-    w = np.linalg.eigvals(fm)
+    t, u = schur(fm, output="real")
+    w = _row_eigenvalues(t)
     margin = axis_tol * float(np.linalg.norm(fm, 2))
     if float(w.real.max()) >= -margin:
         raise NotHurwitz(
             f"F has an eigenvalue with real part {w.real.max():.3e} >= {-margin:.3e}"
         )
-    p = solve_sylvester(fm.T, fm, -cm)
+    p = u @ _solve_quasi_triangular(t, t, -(u.T @ cm @ u), trana="T") @ u.T
     return 0.5 * (p + p.T)
 
 

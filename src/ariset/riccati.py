@@ -32,10 +32,11 @@ from .linalg import (
     DefinitenessVerdict,
     _select_leading,
     _selection_gap,
+    _solve_quasi_triangular,
     as_matrix,
     definiteness,
     real_schur_ordered,
-    solve_sylvester,
+    solve_sylvester,  # noqa: F401 (bench/spans.py wraps it at this binding)
     symmetrize,
     verdict_from_extremes,
 )
@@ -414,7 +415,7 @@ def solve_reduced_gramian(eqn: SimplifiedEquation, tol: Tolerances = DEFAULT):
     """Solve ``Y Dk + Dkᵀ Y = Mk`` for the inverse of the maximal reduced
     solution. Singular spectra (axis blocks, mirrored pairs) raise
     :class:`SingularSylvester`."""
-    y = solve_sylvester(eqn.Dk.T, eqn.Dk, eqn.Mk)
+    y = _solve_quasi_triangular(eqn.Dk, eqn.Dk, eqn.Mk, trana="T")
     return 0.5 * (y + y.T)
 
 
@@ -481,16 +482,21 @@ def _clusters(split, gap_tol):
 
 
 def _decouple_blocks(d, spans, cluster):
-    """Unit upper block-triangular W such that ``W⁻¹ d W`` has no coupling
+    """Unit upper block-triangular W and ``Λ = W⁻¹ d W`` with no coupling
     between blocks of different clusters.
 
-    ``d`` is upper block-triangular with diagonal blocks ``spans`` and
+    ``d`` is quasi-upper-triangular with diagonal blocks ``spans`` and
     ``cluster[i]`` labels block i. Blocks of one cluster share eigenvalues
-    and stay coupled. Raises :class:`SingularSylvester` when two clusters
-    cannot be separated.
+    and stay coupled. ``Λ`` is the one the recurrence ``d W = W Λ`` builds:
+    ``d``'s diagonal blocks, the same-cluster coupling, and exact zeros
+    across clusters and below the block diagonal, so each cluster's part
+    of ``Λ`` is quasi-triangular. Raises :class:`SingularSylvester` when
+    two clusters cannot be separated.
     """
     w = np.eye(d.shape[0])
     lam = np.zeros_like(d)
+    for s in spans:
+        lam[s, s] = d[s, s]
     for j in range(1, len(spans)):
         sj = spans[j]
         for i in range(j - 1, -1, -1):
@@ -500,8 +506,8 @@ def _decouple_blocks(d, spans, cluster):
             if cluster[i] == cluster[j]:
                 lam[si, sj] = -rhs
             else:
-                w[si, sj] = solve_sylvester(d[si, si], -d[sj, sj], rhs)
-    return w
+                w[si, sj] = _solve_quasi_triangular(d[si, si], d[sj, sj], rhs, isgn=-1)
+    return w, lam
 
 
 def schur_family(
@@ -573,9 +579,7 @@ def _gramian_members(eqn, labels, tol):
     unit_of_col = np.repeat(unit_of_block, [blk.size for blk in eqn.blocks])
     cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
 
-    w = _decouple_blocks(eqn.Dk, spans, block_label)
-    same = unit_of_col[:, None] == unit_of_col[None, :]
-    lam = np.where(same, np.linalg.solve(w, eqn.Dk @ w), 0.0)
+    w, lam = _decouple_blocks(eqn.Dk, spans, block_label)
     lp = eqn.Lk @ w
     inv_resid = float(np.abs(form.A0.T @ lp - lp @ lam).max())
     if inv_resid > INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, float(np.abs(lp).max())):
@@ -591,8 +595,8 @@ def _gramian_members(eqn, labels, tol):
         for v in range(u, len(units)):
             cv = cols[v]
             try:
-                yuv = solve_sylvester(lam[np.ix_(cu, cu)].T, lam[np.ix_(cv, cv)],
-                                      c[np.ix_(cu, cv)])
+                yuv = _solve_quasi_triangular(lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)],
+                                              c[np.ix_(cu, cv)], trana="T")
             except SingularSylvester:
                 clash[u, v] = clash[v, u] = True
                 continue

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
-from scipy.linalg import expm, schur
+from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
 from ariset import (
     DegenerateSpectrum,
@@ -268,6 +268,58 @@ def test_sylvester_refuses_a_perturbed_triangular_solve():
         solve_sylvester([[1.0]], [[-(1.0 - 2.0 ** -52)]], [[1.0]], sep_tol=0.0)
 
 
+def _quasi_triangular(rng, n):
+    """Real Schur form of a non-normal matrix with a planted spectrum."""
+    t, _ = schur(_planted(rng, draw_spectrum(rng, n)), output="real")
+    return t
+
+
+@pytest.mark.parametrize("flags", [{}, {"trana": "T"}, {"isgn": -1}],
+                         ids=["plain", "trana-T", "isgn-minus"])
+def test_quasi_triangular_kernel_matches_kronecker_oracle(flags):
+    rng = np.random.default_rng(31)
+    trana, isgn = flags.get("trana", "N"), flags.get("isgn", 1)
+    pairs = 0
+    for p, q in ((1, 1), (2, 3), (5, 4), (6, 9), (12, 7), (12, 12)):
+        tf, tg = _quasi_triangular(rng, p), _quasi_triangular(rng, q)
+        pairs += np.count_nonzero(np.diag(tf, -1)) + np.count_nonzero(np.diag(tg, -1))
+        wf, wg = np.linalg.eigvals(tf), np.linalg.eigvals(tg)
+        # the Kronecker system below is regular
+        assert np.abs(wf[:, None] + isgn * wg[None, :]).min() > 1e-3
+        c = rng.standard_normal((p, q))
+        x = linalg._solve_quasi_triangular(tf, tg, c, **flags)
+        op_f = tf.T if trana == "T" else tf
+        kron = np.kron(np.eye(q), op_f) + isgn * np.kron(tg.T, np.eye(p))
+        oracle = gauss_solve(kron, c.flatten(order="F")).reshape((p, q), order="F")
+        assert np.abs(x - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
+    assert pairs >= 8
+
+
+@pytest.mark.parametrize("factor, refused", [(0.5, True), (2.0, False)])
+def test_kernel_refuses_a_mirrored_pair_at_the_sylvester_threshold(factor, refused):
+    # F's pair 0.9 ± 1.3i against G's -0.9 + delta ± 1.3i: the separation is
+    # delta, and max(1, rho(F) + rho(G)) = 1.7 + 2.4
+    delta = factor * linalg.SYLVESTER_SEP_RTOL * (1.7 + 2.4)
+    tf = np.array([[0.9, 1.3, 0.4], [-1.3, 0.9, -0.7], [0.0, 0.0, 1.7]])
+    tg = np.array([[delta - 0.9, 1.3, 0.5], [-1.3, delta - 0.9, 0.3], [0.0, 0.0, 2.4]])
+    rng = np.random.default_rng(37)
+    c = rng.standard_normal((3, 3))
+    qf, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    qg, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    solves = [
+        lambda: linalg._solve_quasi_triangular(tf, tg, c),
+        lambda: linalg._solve_quasi_triangular(tf, tg, c, trana="T"),
+        lambda: linalg._solve_quasi_triangular(tf, -tg, c, isgn=-1),
+        lambda: solve_sylvester(qf @ tf @ qf.T, qg @ tg @ qg.T, c),
+    ]
+    for solve in solves:
+        if refused:
+            with pytest.raises(SingularSylvester, match="separation"):
+                solve()
+        else:
+            assert np.all(np.isfinite(solve()))
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov
 
@@ -297,6 +349,17 @@ def test_lyapunov_matches_integral_and_keeps_psd():
         quad, _ = quad_vec(lambda t: expm(f.T * t) @ c @ expm(f * t), 0.0, 80.0)
         assert np.abs(p - quad).max() <= 1e-5 * max(1.0, np.abs(p).max())
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * max(1.0, np.abs(p).max())
+
+
+def test_lyapunov_matches_scipy_on_non_normal_hurwitz():
+    rng = np.random.default_rng(41)
+    for n in (1, 4, 9, 17, 30):
+        f = _planted(rng, draw_spectrum(rng, n, half_planes=("LHP",), min_gap=0.05))
+        g = rng.standard_normal((n, n))
+        c = g @ g.T
+        p = solve_lyapunov_stable(f, c)
+        want = solve_continuous_lyapunov(f.T, -c)
+        assert np.abs(p - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 def test_lyapunov_rejects_non_hurwitz():

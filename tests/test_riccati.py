@@ -20,8 +20,10 @@ from ariset import (
     ric_residual,
     schur_family,
     solve_base_are,
+    solve_lyapunov_stable,
+    spectral_split,
 )
-from ariset import riccati
+from ariset import linalg, riccati
 
 from conftest import (
     L1,
@@ -524,12 +526,71 @@ def test_family_rejects_a_perturbed_decoupling(monkeypatch):
     exact = riccati._decouple_blocks
 
     def perturbed(d, spans, cluster):
-        w = exact(d, spans, cluster)
-        return w + 1e-4 * np.triu(np.ones_like(w), 1)
+        w, lam = exact(d, spans, cluster)
+        return w + 1e-4 * np.triu(np.ones_like(w), 1), lam
 
     monkeypatch.setattr(riccati, "_decouple_blocks", perturbed)
     with pytest.raises(RiccatiError, match="not invariant"):
         schur_family(form, split)
+
+
+def test_decoupling_hands_back_the_exact_lambda(monkeypatch):
+    form, split = homogeneous_setup(*_separated_cluster_system())
+    exact = riccati._decouple_blocks
+    seen = []
+
+    def spy(d, spans, cluster):
+        w, lam = exact(d, spans, cluster)
+        seen.append((d, spans, cluster, w, lam))
+        return w, lam
+
+    monkeypatch.setattr(riccati, "_decouple_blocks", spy)
+    schur_family(form, split)
+    (d, spans, cluster, w, lam), = seen
+    gap = np.abs(lam - np.linalg.solve(w, d @ w)).max()
+    assert gap <= 1e-12 * max(1.0, np.abs(d).max()) * np.abs(w).max()
+    coupled = 0
+    for i, si in enumerate(spans):
+        for j, sj in enumerate(spans):
+            if i == j:
+                assert np.array_equal(lam[si, sj], d[si, sj])
+            elif i > j or cluster[i] != cluster[j]:
+                assert not lam[si, sj].any()
+            else:
+                coupled += np.count_nonzero(lam[si, sj])
+    # the two blocks of eigenvalue 1 share a cluster and stay coupled
+    assert coupled
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Orders of the matrices handed to the real Schur factorization."""
+    calls = []
+    factor = linalg.schur
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "schur", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_factors_no_schur_form_beyond_the_split(case, schur_calls):
+    a0, b = FAMILY_CASES[case]()
+    form = solve_base_are(RiccatiProblem(A=a0, B=b), kind="given", k0=np.zeros(a0.shape))
+    del schur_calls[:]
+    split = spectral_split(form.A0, b)
+    assert schur_calls == [a0.shape[0]]
+    schur_family(form, split)
+    assert schur_calls == [a0.shape[0]]
+
+
+def test_lyapunov_factors_one_schur_form(schur_calls):
+    f = -np.eye(5) + np.triu(np.ones((5, 5)), 1)
+    solve_lyapunov_stable(f, np.eye(5))
+    assert schur_calls == [5]
 
 
 def test_degenerate_everything_zero_and_uncontrolled():
