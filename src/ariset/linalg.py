@@ -5,6 +5,7 @@ arrays; inputs are never mutated. Symmetric matrices are validated and
 re-symmetrized on entry, so downstream code can rely on exact symmetry.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -185,38 +186,52 @@ class SchurBlock(NamedTuple):
     eigenvalues: tuple
 
 
-def _block_eigenvalues(t, offset, size):
-    if size == 1:
-        return (complex(t[offset, offset]),)
-    a = t[offset, offset]
-    b = t[offset, offset + 1]
-    c = t[offset + 1, offset]
-    d = t[offset + 1, offset + 1]
+def _pair_eigenvalues(a, b, c, d):
+    """Eigenvalues of the 2x2 block ``[[a, b], [c, d]]`` (Python floats): a
+    conjugate pair, positive imaginary part first, or two real values for a
+    non-standard block, which stays atomic."""
     mean = 0.5 * (a + d)
     disc = 0.25 * (a - d) ** 2 + b * c
     if disc < 0.0:
-        im = np.sqrt(-disc)
-        return (complex(mean, im), complex(mean, -im))
-    # non-standard block with real eigenvalues; keep it atomic
-    rt = np.sqrt(disc)
-    return (complex(mean + rt), complex(mean - rt))
+        im = math.sqrt(-disc)
+        return complex(mean, im), complex(mean, -im)
+    rt = math.sqrt(disc)
+    return complex(mean + rt), complex(mean - rt)
+
+
+def _block_spectrum(t):
+    """Offsets of the 1x1 / 2x2 diagonal blocks of a quasi-triangular matrix
+    and the eigenvalue of every row (both rows of a 2x2 block carry its
+    pair), read once from its three central diagonals."""
+    diag = t.diagonal().tolist()
+    sub = t.diagonal(-1).tolist()
+    sup = t.diagonal(1).tolist()
+    n = len(diag)
+    offsets = []
+    lam = []
+    i = 0
+    while i < n:
+        offsets.append(i)
+        if i + 1 < n and sub[i] != 0.0:
+            lam += _pair_eigenvalues(diag[i], sup[i], sub[i], diag[i + 1])
+            i += 2
+        else:
+            lam.append(complex(diag[i]))
+            i += 1
+    return offsets, lam
 
 
 def _schur_blocks(t):
     """Partition a quasi-triangular matrix into 1x1 / 2x2 diagonal blocks."""
-    blocks = []
-    i = 0
-    while i < t.shape[0]:
-        size = 2 if i + 1 < t.shape[0] and t[i + 1, i] != 0.0 else 1
-        blocks.append(SchurBlock(i, size, _block_eigenvalues(t, i, size)))
-        i += size
-    return blocks
+    offsets, lam = _block_spectrum(t)
+    ends = offsets[1:] + [len(lam)]
+    return [SchurBlock(i, j - i, tuple(lam[i:j])) for i, j in zip(offsets, ends)]
 
 
 def _row_eigenvalues(t):
     """Eigenvalue of every row of a quasi-triangular matrix, read from its
     diagonal blocks (both rows of a 2x2 block carry its pair)."""
-    return np.array([lam for blk in _schur_blocks(t) for lam in blk.eigenvalues])
+    return np.array(_block_spectrum(t)[1])
 
 
 def _selection_gap(lam, rows):

@@ -105,29 +105,37 @@ def kalman_rank(a, b, rank_tol=1e-10):
     return int(np.count_nonzero(sv > rank_tol * sv[0]))
 
 
-def _pbh_controllable(a0, b, lam, rank_tol):
-    """PBH test at the eigenvalue ``lam``: smallest singular value of
-    ``[lam I - A0, B]`` must clear the rank cutoff."""
-    n = a0.shape[0]
-    pencil = np.hstack([lam * np.eye(n) - a0, b.astype(complex)])
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    return sv[-1] > rank_tol * max(1.0, sv[0])
-
-
 def pbh_classify(a0, b, split: SpectralSplit, rank_tol=1e-10):
     """Return a copy of ``split`` with controllability tags recomputed.
 
-    A block is controllable iff the PBH test passes at each of its
-    eigenvalues; conjugate pairs share a verdict and are tagged
-    atomically.
+    A block is tagged controllable iff the PBH pencil ``[lam I - A0, B]``
+    at its representative eigenvalue ``lam`` (``eigenvalues[0]``) has full
+    row rank: its smallest singular value must exceed
+    ``rank_tol * max(1, sigma_max)``. Conjugate pairs share a verdict and
+    are tagged atomically. The pencils of all blocks are stacked and
+    factored in one batched SVD per arithmetic: real eigenvalues on real
+    pencils, conjugate pairs on complex ones.
     """
     am = as_matrix(a0, name="A0", square=True)
     bm = as_matrix(b, name="B")
-    tagged = []
-    for blk in split.blocks:
-        ok = _pbh_controllable(am, bm, blk.eigenvalues[0], rank_tol)
-        tagged.append(replace(blk, controllable=bool(ok)))
-    return replace(split, blocks=tuple(tagged))
+    n = am.shape[0]
+    lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
+    real = lam.imag == 0.0
+    tags = np.empty(lam.size, dtype=bool)
+    for chosen, shifts in ((real, lam.real), (~real, lam)):
+        shifts = shifts[chosen]
+        if shifts.size == 0:
+            continue
+        pencil = np.empty((shifts.size, n, n + bm.shape[1]), dtype=shifts.dtype)
+        pencil[:, :, :n] = -am
+        pencil[:, range(n), range(n)] += shifts[:, None]
+        pencil[:, :, n:] = bm
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        tags[chosen] = sv[:, -1] > rank_tol * np.maximum(1.0, sv[:, 0])
+    tagged = tuple(
+        replace(blk, controllable=bool(ok)) for blk, ok in zip(split.blocks, tags)
+    )
+    return replace(split, blocks=tagged)
 
 
 def spectral_split(a0, b, tol: Tolerances = DEFAULT):

@@ -196,6 +196,72 @@ def test_schur_reorder_failure_carries_the_gap(monkeypatch):
     assert err.value.gap == pytest.approx(3.5)
 
 
+def _reference_blocks(t):
+    """Diagonal blocks read entry by entry in numpy scalars: ``(offset, size,
+    eigenvalues)`` by the closed form of each 1x1 / 2x2 block."""
+    out = []
+    i = 0
+    while i < t.shape[0]:
+        if i + 1 < t.shape[0] and t[i + 1, i] != 0.0:
+            a, b, c, d = t[i, i], t[i, i + 1], t[i + 1, i], t[i + 1, i + 1]
+            mean = 0.5 * (a + d)
+            disc = 0.25 * (a - d) ** 2 + b * c
+            if disc < 0.0:
+                lam = (complex(mean, np.sqrt(-disc)), complex(mean, -np.sqrt(-disc)))
+            else:
+                lam = (complex(mean + np.sqrt(disc)), complex(mean - np.sqrt(disc)))
+            out.append((i, 2, lam))
+            i += 2
+        else:
+            out.append((i, 1, (complex(t[i, i]),)))
+            i += 1
+    return out
+
+
+def _check_block_readers(t):
+    blocks = linalg._schur_blocks(t)
+    assert [tuple(blk) for blk in blocks] == _reference_blocks(t)
+    rows = linalg._row_eigenvalues(t)
+    assert rows.tolist() == [lam for blk in blocks for lam in blk.eigenvalues]
+    want = np.sort_complex(np.linalg.eigvals(t))
+    assert np.abs(np.sort_complex(rows) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    return blocks
+
+
+def test_block_readers_agree_with_eigvals_on_real_schur_forms():
+    rng = np.random.default_rng(53)
+    sizes = set()
+    for n in range(1, 31):
+        t, _ = schur(rng.standard_normal((n, n)), output="real")
+        sizes |= {blk.size for blk in _check_block_readers(t)}
+        # all 1x1: a real spectrum
+        t, _ = schur(_planted(rng, draw_spectrum(rng, n, allow_complex=False, min_gap=0.01)),
+                     output="real")
+        assert {blk.size for blk in _check_block_readers(t)} == {1}
+        if n % 2 == 0:
+            # all 2x2: conjugate pairs only
+            pairs = [complex(rng.uniform(-2.5, 2.5), rng.uniform(0.4, 2.0)) for _ in range(n // 2)]
+            t, _ = schur(_planted(rng, pairs), output="real")
+            blocks = _check_block_readers(t)
+            assert {blk.size for blk in blocks} == {2}
+            assert all(blk.eigenvalues[0].imag > 0 for blk in blocks)
+    assert sizes == {1, 2}
+
+
+def test_block_readers_keep_a_non_standard_real_pair_atomic():
+    # the middle block [[1, 2], [0.5, 1]] has real eigenvalues 2 and 0
+    t = np.array([
+        [-3.0, 0.4, 0.7, 1.1],
+        [0.0, 1.0, 2.0, -0.2],
+        [0.0, 0.5, 1.0, 0.3],
+        [0.0, 0.0, 0.0, 4.0],
+    ])
+    blocks = _check_block_readers(t)
+    assert [(blk.offset, blk.size) for blk in blocks] == [(0, 1), (1, 2), (3, 1)]
+    assert blocks[1].eigenvalues == (2.0, 0.0)
+    assert linalg._row_eigenvalues(t).tolist() == [-3.0, 2.0, 0.0, 4.0]
+
+
 # ---------------------------------------------------------------------------
 # Sylvester
 

@@ -147,3 +147,84 @@ def test_draw_spectrum_gives_up_on_an_infeasible_request():
     # of exactly 2.1: a set of measure zero
     with pytest.raises(RuntimeError, match="no spectrum"):
         draw_spectrum(np.random.default_rng(5), 8, allow_complex=False)
+
+
+def _pbh_oracle(a0, b, lam, rank_tol=1e-10):
+    """Per-block PBH verdict on one complex pencil ``[lam I - A0, B]``."""
+    n = a0.shape[0]
+    pencil = np.hstack([lam * np.eye(n) - a0, b.astype(complex)])
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    return bool(sv[-1] > rank_tol * max(1.0, sv[0]))
+
+
+def test_pbh_batched_tags_match_the_per_block_oracle():
+    rng = np.random.default_rng(43)
+    seen = {(size, tag): 0 for size in (1, 2) for tag in (True, False)}
+    for n in (3, 6, 10, 16, 24, 30):
+        for _ in range(3):
+            entries = draw_spectrum(rng, n, min_gap=0.1)
+            real = [lam for lam in entries if not lam.imag]
+            pairs = [lam for lam in entries if lam.imag]
+            unc = real[-1:] + pairs[-1:]
+            ctrl = [lam for lam in entries if lam not in unc]
+            a0, b = build_system(rng, ctrl=ctrl, unc=unc, m=int(rng.integers(1, 4)))
+            split = spectral_split(a0, b)
+            for blk in split.blocks:
+                assert blk.controllable == _pbh_oracle(a0, b, blk.eigenvalues[0])
+                seen[blk.size, blk.controllable] += 1
+    # both stacks ran, on controllable and uncontrollable blocks
+    assert min(seen.values()) >= 10
+
+
+@pytest.mark.parametrize("factor, controllable", [(0.5, False), (2.0, True)])
+def test_pbh_flips_at_the_cutoff_on_a_real_eigenvalue(factor, controllable):
+    # at lam_i the pencil [lam_i I - diag(lam), eps e_i] has the singular
+    # values |lam_i - lam_j| (j != i) and eps; here sigma_max = 2 and the
+    # cutoff is tol.rank * 2 (default tol.rank = 1e-10)
+    lam = np.array([-2.0, -0.5, 1.0, 1.5])
+    i = 1
+    eps = factor * 1e-10 * max(1.0, np.abs(lam[i] - lam).max())
+    b = np.zeros((4, 1))
+    b[i, 0] = eps
+    split = spectral_split(np.diag(lam), b)
+    tags = {blk.eigenvalues[0].real: blk.controllable for blk in split.blocks}
+    assert tags == {-2.0: False, -0.5: controllable, 1.0: False, 1.5: False}
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_pbh_conjugate_pair_near_the_cutoff_matches_the_oracle(factor):
+    # the pair 0.7 +- 1.1i of a normal A0 gets input eps e_1; to first
+    # order the smallest singular value of its pencil is eps / sqrt(2)
+    a0 = np.zeros((4, 4))
+    a0[:2, :2] = [[0.7, 1.1], [-1.1, 0.7]]
+    a0[2, 2], a0[3, 3] = -1.8, 2.4
+    lam = complex(0.7, 1.1)
+    sigma_max = np.linalg.svd(lam * np.eye(4) - a0, compute_uv=False)[0]
+    b = np.zeros((4, 1))
+    b[0, 0] = factor * np.sqrt(2.0) * 1e-10 * max(1.0, sigma_max)
+    split = spectral_split(a0, b)
+    (pair,) = [blk for blk in split.blocks if blk.size == 2]
+    assert pair.controllable == (factor > 1.0)
+    assert pair.controllable == _pbh_oracle(a0, b, pair.eigenvalues[0])
+
+
+@pytest.mark.parametrize("entries, kinds", [
+    ([2.1, -0.7, 1.4, -1.9, 0.6], ["f"]),
+    ([complex(0.8, 1.2), complex(-1.3, 0.5), complex(2.0, 0.9)], ["c"]),
+    ([complex(0.8, 1.2), 2.1, -0.7, complex(-1.3, 0.5), 1.4, -1.9], ["f", "c"]),
+], ids=["all-real", "all-pairs", "mixed"])
+def test_pbh_makes_one_svd_call_per_arithmetic(monkeypatch, entries, kinds):
+    a0, b = build_system(np.random.default_rng(47), ctrl=entries, m=2)
+    split = spectral_split(a0, b)
+    svd = np.linalg.svd
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(np.asarray(args[0]).dtype.kind)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    retagged = pbh_classify(a0, b, split)
+    # real eigenvalues on one real stack, conjugate pairs on one complex one
+    assert seen == kinds
+    assert [blk.controllable for blk in retagged.blocks] == [True] * len(split.blocks)
