@@ -22,7 +22,7 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import definiteness, solve_lyapunov_stable, symmetrize
+from .linalg import _solve_lyapunov_schur, definiteness, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
@@ -199,16 +199,17 @@ def _ray_for_block(form, split, index, tol):
 
     Solves the block Lyapunov equation Dk P + P Dkᵀ = ±I so that
     Ric(alpha X_w) = ∓ alpha Lk Lkᵀ is negative semidefinite along the
-    feasible sign.
+    feasible sign. ``Dk`` is already in real Schur form, so the solve
+    factors nothing.
     """
     eqn = reduce_blocks(form, split, [index], tol)
     blk = split.blocks[index]
     eye = np.eye(eqn.k)
     if blk.half_plane == RHP:
-        p = solve_lyapunov_stable(-eqn.Dk.T, eye, axis_tol=tol.axis, sym_tol=tol.sym)
+        p = _solve_lyapunov_schur(-eqn.Dk, eye, tol.axis, transpose=True)
         sign = "+"
     else:
-        p = solve_lyapunov_stable(eqn.Dk.T, eye, axis_tol=tol.axis, sym_tol=tol.sym)
+        p = _solve_lyapunov_schur(eqn.Dk, eye, tol.axis, transpose=True)
         sign = "-"
     x = eqn.Lk @ p @ eqn.Lk.T
     x = 0.5 * (x + x.T)
@@ -309,7 +310,7 @@ def parametrize(
     strict = p_verdict.kind == "positive-definite"
 
     y_star = solve_reduced_gramian(eqn, tol)
-    delta = solve_lyapunov_stable(-eqn.Dk, p, axis_tol=tol.axis)
+    delta = _solve_lyapunov_schur(-eqn.Dk, p, tol.axis)
     y_hat = y_star + delta
     sv = np.linalg.svd(y_hat, compute_uv=False)
     if sv[-1] <= tol.rank * max(1.0, sv[0]):

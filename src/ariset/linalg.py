@@ -329,15 +329,16 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
 # Sylvester / Lyapunov solves
 
 
-def _solve_quasi_triangular(tf, tg, c, trana="N", isgn=1, sep_tol=SYLVESTER_SEP_RTOL):
-    """Solve ``op(TF) X + isgn X TG = C`` through LAPACK ``dtrsyl``.
+def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", isgn=1,
+                            sep_tol=SYLVESTER_SEP_RTOL):
+    """Solve ``op(TF) X + isgn X op(TG) = C`` through LAPACK ``dtrsyl``.
 
     ``TF`` and ``TG`` are quasi-upper-triangular (real Schur forms: 1x1
     and 2x2 diagonal blocks, exact zeros below them); ``op`` is the
-    identity for ``trana="N"`` and the transpose for ``"T"``, ``isgn`` is
-    +1 or -1. The solve is refused when ``min |lambda_F + isgn lambda_G|``, read
-    from the diagonal blocks, falls below ``sep_tol * max(1, rho(F) +
-    rho(G))``.
+    identity for ``trana`` / ``tranb`` = ``"N"`` and the transpose for
+    ``"T"``, ``isgn`` is +1 or -1. The solve is refused when
+    ``min |lambda_F + isgn lambda_G|``, read from the diagonal blocks,
+    falls below ``sep_tol * max(1, rho(F) + rho(G))``.
 
     Raises
     ------
@@ -356,7 +357,7 @@ def _solve_quasi_triangular(tf, tg, c, trana="N", isgn=1, sep_tol=SYLVESTER_SEP_
             f"{sep_tol:.1e} * {scale:.3e}"
         )
 
-    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, isgn=isgn)
+    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, tranb=tranb, isgn=isgn)
     if info < 0:
         raise InvalidInput(f"dtrsyl rejected argument {-info}")
     if info == 1:
@@ -412,8 +413,8 @@ def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
     For ``C >= 0`` the unique solution is the integral of
     ``exp(F^T t) C exp(F t)`` over ``t >= 0`` and is positive
     semidefinite. One real Schur form ``F = U T U^T`` serves both the
-    Hurwitz check (eigenvalues read from its diagonal blocks) and the
-    solve ``T^T P' + P' T = -U^T C U``.
+    Hurwitz check and the solve ``T^T P' + P' T = -U^T C U``
+    (:func:`_solve_lyapunov_schur`).
 
     Raises
     ------
@@ -423,13 +424,33 @@ def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
     fm = as_matrix(f, name="F", square=True)
     cm = symmetrize(c, sym_tol=sym_tol, name="C")
     t, u = schur(fm, output="real")
+    p = u @ _solve_lyapunov_schur(t, u.T @ cm @ u, axis_tol) @ u.T
+    return 0.5 * (p + p.T)
+
+
+def _solve_lyapunov_schur(t, c, axis_tol, transpose=False):
+    """Solve ``T^T P + P T = -C``, or ``T P + P T^T = -C`` when
+    ``transpose``, for a quasi-upper-triangular ``T`` and symmetric ``C``.
+
+    ``T`` must be Hurwitz: every eigenvalue, read from its diagonal
+    blocks, has real part below ``-axis_tol * ||T||_2``. Returns the
+    symmetric part of the solution.
+
+    Raises
+    ------
+    NotHurwitz
+        When some eigenvalue of ``T`` has real part >= ``-axis_tol * ||T||_2``.
+    """
     w = _row_eigenvalues(t)
-    margin = axis_tol * float(np.linalg.norm(fm, 2))
+    margin = axis_tol * float(np.linalg.norm(t, 2))
     if float(w.real.max()) >= -margin:
         raise NotHurwitz(
             f"F has an eigenvalue with real part {w.real.max():.3e} >= {-margin:.3e}"
         )
-    p = u @ _solve_quasi_triangular(t, t, -(u.T @ cm @ u), trana="T") @ u.T
+    if transpose:
+        p = _solve_quasi_triangular(t, t, -c, tranb="T")
+    else:
+        p = _solve_quasi_triangular(t, t, -c, trana="T")
     return 0.5 * (p + p.T)
 
 

@@ -14,6 +14,7 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,9 @@ from .errors import (
     SingularY,
 )
 from .linalg import (
+    SYLVESTER_SEP_RTOL,
     DefinitenessVerdict,
+    _row_eigenvalues,
     _select_leading,
     _selection_gap,
     _solve_quasi_triangular,
@@ -66,6 +69,15 @@ INVARIANCE_RTOL = 1e-8
 # Residual gate for family members: |Ric(X)|_max relative to
 # max(1, |A0|_max |X|_max, |M|_max |X|²_max), the size of Ric's terms.
 FAMILY_RESIDUAL_RTOL = 1e-8
+
+# Agreement demanded of a family member with the direct route (reduce +
+# full_rank_simplified_solution) on the same blocks: |X_family − X_direct|_max
+# relative to max(1, |X_direct|_max).
+DIRECT_ROUTE_RTOL = 1e-6
+
+# Residual gate for a free-family generator G of an axis block (unit
+# Frobenius norm): |Ric(G)|_max relative to max(1, ||A0||₂).
+GENERATOR_RESIDUAL_RTOL = 1e-8
 
 # Subsets enumerated at a time by schur_family; every family of up to 12
 # clusters is built in one chunk.
@@ -419,6 +431,21 @@ def solve_reduced_gramian(eqn: SimplifiedEquation, tol: Tolerances = DEFAULT):
     return 0.5 * (y + y.T)
 
 
+def _gramian_inverse(eqn, tol):
+    """``Y⁻¹`` (symmetrized) for the Gramian ``Y`` of
+    :func:`solve_reduced_gramian`; raises :class:`SingularY` when ``Y`` is
+    singular within ``tol.rank``."""
+    y = solve_reduced_gramian(eqn, tol)
+    sv = np.linalg.svd(y, compute_uv=False)
+    if sv[-1] <= tol.rank * max(1.0, sv[0]):
+        raise SingularY(
+            f"reduced Gramian is singular (smallest singular value {sv[-1]:.3e}); "
+            "the selected blocks admit no full-rank solution"
+        )
+    lcoord = np.linalg.inv(y)
+    return 0.5 * (lcoord + lcoord.T)
+
+
 def full_rank_simplified_solution(eqn: SimplifiedEquation, tol: Tolerances = DEFAULT):
     """Full-rank solution of the reduced equation over ``eqn.block_set``.
 
@@ -433,16 +460,7 @@ def full_rank_simplified_solution(eqn: SimplifiedEquation, tol: Tolerances = DEF
         ``Y`` is singular within rank tolerance (typical for selections
         containing uncontrollable blocks).
     """
-    y = solve_reduced_gramian(eqn, tol)
-    sv = np.linalg.svd(y, compute_uv=False)
-    if sv[-1] <= tol.rank * max(1.0, sv[0]):
-        raise SingularY(
-            f"reduced Gramian is singular (smallest singular value {sv[-1]:.3e}); "
-            "the selected blocks admit no full-rank solution"
-        )
-    lcoord = np.linalg.inv(y)
-    lcoord = 0.5 * (lcoord + lcoord.T)
-    return _solution_from_coordinates(eqn, lcoord, tol)
+    return _solution_from_coordinates(eqn, _gramian_inverse(eqn, tol), tol)
 
 
 def zero_solution(form: HomogeneousForm, tol: Tolerances = DEFAULT):
@@ -485,13 +503,13 @@ def _decouple_blocks(d, spans, cluster):
     """Unit upper block-triangular W and ``Λ = W⁻¹ d W`` with no coupling
     between blocks of different clusters.
 
-    ``d`` is quasi-upper-triangular with diagonal blocks ``spans`` and
-    ``cluster[i]`` labels block i. Blocks of one cluster share eigenvalues
-    and stay coupled. ``Λ`` is the one the recurrence ``d W = W Λ`` builds:
-    ``d``'s diagonal blocks, the same-cluster coupling, and exact zeros
-    across clusters and below the block diagonal, so each cluster's part
-    of ``Λ`` is quasi-triangular. Raises :class:`SingularSylvester` when
-    two clusters cannot be separated.
+    ``d`` is quasi-upper-triangular with contiguous diagonal blocks
+    ``spans`` and ``cluster[i]`` labels block i. Blocks of one cluster
+    share eigenvalues and stay coupled. ``Λ`` is the one the recurrence
+    ``d W = W Λ`` builds: ``d``'s diagonal blocks, the same-cluster
+    coupling, and exact zeros across clusters and below the block
+    diagonal, so each cluster's part of ``Λ`` is quasi-triangular. Raises
+    :class:`SingularSylvester` when two clusters cannot be separated.
     """
     w = np.eye(d.shape[0])
     lam = np.zeros_like(d)
@@ -501,13 +519,65 @@ def _decouple_blocks(d, spans, cluster):
         sj = spans[j]
         for i in range(j - 1, -1, -1):
             si = spans[i]
-            rhs = -sum(d[si, spans[l]] @ w[spans[l], sj] for l in range(i + 1, j + 1))
-            rhs = rhs + sum(w[si, spans[l]] @ lam[spans[l], sj] for l in range(i + 1, j))
+            # blocks i+1 .. j-1 occupy rows lo:mid, blocks i+1 .. j rows lo:hi
+            lo, mid, hi = spans[i + 1].start, sj.start, sj.stop
+            rhs = w[si, lo:mid] @ lam[lo:mid, sj] - d[si, lo:hi] @ w[lo:hi, sj]
             if cluster[i] == cluster[j]:
                 lam[si, sj] = -rhs
             else:
                 w[si, sj] = _solve_quasi_triangular(d[si, si], d[sj, sj], rhs, isgn=-1)
     return w, lam
+
+
+def _clash_table(lam, unit_of_col):
+    """Pairs of clusters whose Gramian block ``Λ_uuᵀ Y + Y Λ_vv = C`` is
+    singular: the kernel's own separation test,
+    ``min |λ_u + λ_v| <= SYLVESTER_SEP_RTOL · max(1, ρ_u + ρ_v)``, applied
+    to every pair at once on the row eigenvalues of the quasi-triangular
+    ``lam``; ``unit_of_col`` labels each row with its cluster, 0 .. C-1."""
+    order = np.argsort(unit_of_col, kind="stable")
+    starts = np.searchsorted(unit_of_col[order], np.arange(unit_of_col.max() + 1))
+    w = _row_eigenvalues(lam)[order]
+    sep = np.abs(w[:, None] + w[None, :])
+    sep = np.minimum.reduceat(np.minimum.reduceat(sep, starts, axis=0), starts, axis=1)
+    rho = np.maximum.reduceat(np.abs(w), starts)
+    return sep <= SYLVESTER_SEP_RTOL * np.maximum(1.0, rho[:, None] + rho[None, :])
+
+
+def _cluster_gramian(lam, c, cols, clash):
+    """Solve ``Y Λ + Λᵀ Y = C`` for a ``Λ`` with no coupling across clusters
+    (``cols[u]`` are cluster u's rows), leaving zero the blocks of clashing
+    cluster pairs.
+
+    Cluster u's row of Y, against every non-clashing cluster at or after
+    it, is one kernel call. The clash table has applied the kernel's
+    separation test to each pair at the pair's own scale, so the row call
+    skips it (the union's larger ρ would refuse pairs the table accepts).
+    If ``dtrsyl`` still has to perturb a row, that row is solved pair by
+    pair, and a pair it refuses is marked in ``clash``.
+    """
+    y = np.zeros_like(c)
+
+    def solve_row(u, vs):
+        cu, cv = cols[u], np.concatenate([cols[v] for v in vs])
+        yuv = _solve_quasi_triangular(lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)],
+                                      c[np.ix_(cu, cv)], trana="T", sep_tol=0.0)
+        y[np.ix_(cu, cv)] = yuv
+        y[np.ix_(cv, cu)] = yuv.T
+
+    for u in range(len(cols)):
+        partners = [v for v in range(u, len(cols)) if not clash[u, v]]
+        if not partners:
+            continue
+        try:
+            solve_row(u, partners)
+        except SingularSylvester:
+            for v in partners:
+                try:
+                    solve_row(u, [v])
+                except SingularSylvester:
+                    clash[u, v] = clash[v, u] = True
+    return y
 
 
 def schur_family(
@@ -520,14 +590,18 @@ def schur_family(
     Every solution of Ric(X) = 0 is supported on an A0ᵀ-invariant
     subspace spanned by Schur blocks. One :func:`reduce` over the
     eligible blocks gives ``A0ᵀ Lk = Lk Dk``; a similarity ``W`` makes
-    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters, and the
-    Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'`` with
-    ``L' = Lk W``) is solved block pair by block pair. The member over a
-    subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the Schur complement of
-    the maximal solution onto S. Members are built in stacked batches of
-    equal column count; each is expressed in a QR basis of ``L'_S``,
-    where the Gramian's rank test and ``rank`` read as in
-    :func:`full_rank_simplified_solution`.
+    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters. The
+    mirrored-pair clashes between clusters are decided once, from the
+    eigenvalues of ``Λ``'s diagonal blocks, by the Sylvester kernel's own
+    separation test; the Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y' =
+    L'ᵀ M L'`` with ``L' = Lk W``) is then solved by cluster, one kernel
+    call per cluster against every non-clashing cluster at or after it.
+    The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
+    Schur complement of the maximal solution onto S. Members are built in
+    stacked batches of equal column count; each is expressed in a QR
+    basis of ``L'_S``, where the Gramian's rank test and ``rank`` read as
+    in :func:`full_rank_simplified_solution`, on the moduli of its
+    eigenvalues (its singular values, as it is symmetric).
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
@@ -541,8 +615,8 @@ def schur_family(
     residual must satisfy ``|Ric(X)|_max <= FAMILY_RESIDUAL_RTOL ·
     max(1, |A0|_max |X|_max, |M|_max |X|²_max)``, and the direct route
     (:func:`reduce` + :func:`full_rank_simplified_solution`) must agree
-    on presence and on X to 1e-6 for every single block and for the
-    maximal set. Any failure raises :class:`RiccatiError`.
+    on presence and on X to ``DIRECT_ROUTE_RTOL`` for every single block
+    and for the maximal set. Any failure raises :class:`RiccatiError`.
 
     Returns
     -------
@@ -572,11 +646,12 @@ def schur_family(
 def _gramian_members(eqn, labels, tol):
     """Every present member over unions of the clusters in ``eqn``."""
     form = eqn.form
-    spans = [slice(off, off + blk.size) for off, blk in zip(eqn.offsets, eqn.blocks)]
+    sizes = [blk.size for blk in eqn.blocks]
+    spans = [slice(off, off + size) for off, size in zip(eqn.offsets, sizes)]
     block_label = [labels[i] for i in eqn.block_set]
     units = sorted(set(block_label), key=block_label.index)
     unit_of_block = np.array([units.index(lb) for lb in block_label])
-    unit_of_col = np.repeat(unit_of_block, [blk.size for blk in eqn.blocks])
+    unit_of_col = np.repeat(unit_of_block, sizes)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
 
     w, lam = _decouple_blocks(eqn.Dk, spans, block_label)
@@ -589,22 +664,11 @@ def _gramian_members(eqn, labels, tol):
 
     c = lp.T @ form.M @ lp
     c = 0.5 * (c + c.T)
-    y = np.zeros_like(c)
-    clash = np.zeros((len(units), len(units)), dtype=bool)
-    for u, cu in enumerate(cols):
-        for v in range(u, len(units)):
-            cv = cols[v]
-            try:
-                yuv = _solve_quasi_triangular(lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)],
-                                              c[np.ix_(cu, cv)], trana="T")
-            except SingularSylvester:
-                clash[u, v] = clash[v, u] = True
-                continue
-            y[np.ix_(cu, cv)] = yuv
-            y[np.ix_(cv, cu)] = yuv.T
+    clash = _clash_table(lam, unit_of_col)
+    y = _cluster_gramian(lam, c, cols, clash)
 
-    eigs = {i: blk.eigenvalues for i, blk in zip(eqn.block_set, eqn.blocks)}
-    block_ids = np.asarray(eqn.block_set)
+    block_ids = list(eqn.block_set)
+    col_eigs = list(eqn.eigenvalues)  # one per column of Lk
     members = []
     # every union of units, as rows of a membership table built in chunks
     # so that its memory stays proportional to the members emitted
@@ -617,22 +681,27 @@ def _gramian_members(eqn, labels, tol):
         for k in np.unique(ncols):
             rows = np.flatnonzero(ncols == k)
             idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-            block_sets = [tuple(block_ids[pick[row, unit_of_block]].tolist()) for row in rows]
+            supports = [
+                (tuple(compress(block_ids, on_block)), tuple(compress(col_eigs, on_col)))
+                for on_block, on_col in zip(pick[rows][:, unit_of_block].tolist(),
+                                            col_pick[rows].tolist())
+            ]
             members += _batch_members(form, lp[:, idx].transpose(1, 0, 2),
-                                      y[idx[:, :, None], idx[:, None, :]],
-                                      block_sets, eigs, tol)
+                                      y[idx[:, :, None], idx[:, None, :]], supports, tol)
     return members
 
 
-def _batch_members(form, ls, ys, block_sets, eigs, tol):
+def _batch_members(form, ls, ys, supports, tol):
     """Members for stacked supports ``ls`` (N×n×k) with Gramians ``ys``
-    (N×k×k), skipping those whose Gramian is singular."""
+    (N×k×k), skipping those whose Gramian is singular. ``supports`` holds
+    each one's ``(block_set, eigenvalues)``."""
     q, r = np.linalg.qr(ls)
     rt = np.swapaxes(r, 1, 2)
     g = np.linalg.solve(rt, np.swapaxes(np.linalg.solve(rt, ys), 1, 2))
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    sv = np.linalg.svd(g, compute_uv=False)
-    ok = sv[:, -1] > tol.rank * np.maximum(1.0, sv[:, 0])
+    sv = np.abs(np.linalg.eigvalsh(g))  # g is symmetric: its singular values
+    sv_min, sv_max = sv.min(axis=1), sv.max(axis=1)
+    ok = sv_min > tol.rank * np.maximum(1.0, sv_max)
     lcoord = np.linalg.inv(g[ok])
     lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
     x = q[ok] @ lcoord @ np.swapaxes(q[ok], 1, 2)
@@ -641,7 +710,8 @@ def _batch_members(form, ls, ys, block_sets, eigs, tol):
     resid = -a0.T @ x - x @ a0 + x @ m @ x
     resid = 0.5 * (resid + np.swapaxes(resid, 1, 2))
     eig = np.linalg.eigvalsh(resid)
-    rank = np.count_nonzero(sv[ok, -1:] > tol.rank * sv[ok], axis=1)
+    # Lcoord = g⁻¹ has singular values 1/sv: count those above tol.rank times the largest
+    rank = np.count_nonzero(sv_min[ok, None] > tol.rank * sv[ok], axis=1)
 
     r_max = np.abs(resid).max(axis=(1, 2))
     scale = _ric_scale(form, x)
@@ -652,23 +722,22 @@ def _batch_members(form, ls, ys, block_sets, eigs, tol):
             f"family member residual {r_max[worst]:.3e} exceeds {gate[worst]:.3e}"
         )
 
+    verdicts = zip(eig[:, 0].tolist(), eig[:, -1].tolist(), (tol.definiteness * scale).tolist())
     return [
         AriSolution(
-            X=x[j], Lcoord=lcoord[j], block_set=block_set, rank=int(rank[j]),
-            residual=resid[j],
-            residual_verdict=verdict_from_extremes(
-                float(eig[j, 0]), float(eig[j, -1]),
-                tol.definiteness * float(scale[j])),
-            eigenvalues=tuple(ev for i in block_set for ev in eigs[i]),
+            X=xj, Lcoord=lj, block_set=block_set, rank=rj, residual=rsj,
+            residual_verdict=verdict_from_extremes(lo, hi, cut), eigenvalues=eigenvalues,
         )
-        for j, block_set in enumerate(bs for bs, good in zip(block_sets, ok) if good)
+        for (block_set, eigenvalues), xj, lj, rj, rsj, (lo, hi, cut) in zip(
+            compress(supports, ok.tolist()), x, lcoord, rank.tolist(), resid, verdicts)
     ]
 
 
 def _check_direct_route(form, split, eligible, eqn, members, tol):
     """Compare the batch against reduce + full_rank_simplified_solution on
     every single block and on the maximal set: presence must agree and X
-    must agree to 1e-6 relative."""
+    must agree to ``DIRECT_ROUTE_RTOL``. Only X is compared, so the direct
+    solutions' residuals, verdicts and ranks are never built."""
     built = {sol.block_set: sol for sol in members}
     checks = [((i,), None) for i in eligible]
     if eqn is not None and len(eqn.block_set) > 1:
@@ -677,7 +746,7 @@ def _check_direct_route(form, split, eligible, eqn, members, tol):
         try:
             if reduced is None:
                 reduced = reduce(form, split, block_set, tol)
-            direct = full_rank_simplified_solution(reduced, tol)
+            direct = reduced.Lk @ _gramian_inverse(reduced, tol) @ reduced.Lk.T
         except (SingularSylvester, SingularY, DegenerateSpectrum):
             direct = None
         ours = built.get(block_set)
@@ -688,8 +757,8 @@ def _check_direct_route(form, split, eligible, eqn, members, tol):
             )
         if direct is None:
             continue
-        gap = float(np.abs(direct.X - ours.X).max())
-        if gap > 1e-6 * max(1.0, float(np.abs(direct.X).max())):
+        gap = float(np.abs(direct - ours.X).max())
+        if gap > DIRECT_ROUTE_RTOL * max(1.0, float(np.abs(direct).max())):
             raise RiccatiError(
                 f"family member for blocks {block_set} disagrees with the "
                 f"direct solution: gap {gap:.3e}"
@@ -804,7 +873,7 @@ def degenerate_classify(
         gen = 0.5 * (gen + gen.T)
         gen /= np.linalg.norm(gen)
         resid = float(np.abs(ric_residual(form, gen)).max())
-        if resid > 1e-8 * max(1.0, form.a0_norm):
+        if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
             raise RiccatiError(
                 f"free-family generator for block {i} has residual {resid:.3e}"
             )

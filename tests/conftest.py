@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from ariset import RiccatiProblem, solve_base_are, spectral_split
+from ariset import RiccatiProblem, linalg, solve_base_are, spectral_split
 
 # the worked 3x3 example: A = diag(1, 2, -4), B = (1,1,1)^T, Q = 0, K0 = 0
 PAPER_A = np.diag([1.0, 2.0, -4.0])
@@ -33,6 +33,20 @@ LHAT = np.array(
         [-0.576, 0.0, -2.464],
     ]
 )
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Orders of the matrices handed to the real Schur factorization."""
+    calls = []
+    factor = linalg.schur
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "schur", counting)
+    return calls
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from ariset import (
     recover_parameter,
     reduce,
     ric_residual,
+    solve_lyapunov_stable,
     verify,
 )
 
@@ -201,6 +202,32 @@ def test_bounded_below_only_complex_uncontrollable():
     assert all(_sweep_ok(form, w) for w in report.witnesses)
     for w in report.witnesses:
         assert abs(np.linalg.norm(w.direction) - 1.0) <= 1e-12
+
+
+def test_boundedness_and_parametrize_factor_no_schur_form(schur_calls):
+    # rays on an uncontrollable RHP pair and LHP mode, and a parametrized
+    # solution, all on the Schur forms reduce already hands back
+    rng = np.random.default_rng(139)
+    a0, b = build_system(rng, ctrl=[1.3, complex(0.8, 1.1), -0.9],
+                         unc=[complex(1.7, 0.6), -1.2], m=2)
+    form, split = homogeneous_setup(a0, b)
+    del schur_calls[:]
+    report = boundedness(form, split)
+    rhp = split.indices(half_plane="RHP", controllable=True)
+    eqn = reduce(form, split, rhp)
+    sol = parametrize(eqn, np.eye(eqn.k))
+    assert schur_calls == []
+    assert report.verdict == "unbounded-both"
+    assert sorted(w.sign for w in report.witnesses) == ["+", "-"]
+    assert all(_sweep_ok(form, w) for w in report.witnesses)
+    assert sol.certificate.strict and sol.certificate.passed
+    # each ray against the general Lyapunov solver on Dk P + P Dkᵀ = ±I
+    for w in report.witnesses:
+        blk_eqn = reduce(form, split, [w.block])
+        sign = 1.0 if w.sign == "+" else -1.0
+        p = solve_lyapunov_stable(-sign * blk_eqn.Dk.T, np.eye(blk_eqn.k))
+        x = blk_eqn.Lk @ p @ blk_eqn.Lk.T
+        assert np.abs(w.direction - x / np.linalg.norm(x)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

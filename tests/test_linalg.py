@@ -386,6 +386,19 @@ def test_kernel_refuses_a_mirrored_pair_at_the_sylvester_threshold(factor, refus
             assert np.all(np.isfinite(solve()))
 
 
+def test_quasi_triangular_kernel_transposes_g_on_request():
+    rng = np.random.default_rng(43)
+    for p, q in ((1, 2), (4, 5), (9, 6)):
+        tf, tg = _quasi_triangular(rng, p), _quasi_triangular(rng, q)
+        c = rng.standard_normal((p, q))
+        for trana in ("N", "T"):
+            x = linalg._solve_quasi_triangular(tf, tg, c, trana=trana, tranb="T")
+            op_f = tf.T if trana == "T" else tf
+            kron = np.kron(np.eye(q), op_f) + np.kron(tg, np.eye(p))
+            oracle = gauss_solve(kron, c.flatten(order="F")).reshape((p, q), order="F")
+            assert np.abs(x - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov
 
@@ -431,6 +444,39 @@ def test_lyapunov_matches_scipy_on_non_normal_hurwitz():
 def test_lyapunov_rejects_non_hurwitz():
     with pytest.raises(NotHurwitz):
         solve_lyapunov_stable(np.diag([-1.0, 0.5]), np.eye(2))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_lyapunov_schur_helper_matches_the_general_solver(transpose):
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 8, 15):
+        t = _quasi_triangular(rng, n)
+        t = t - (np.abs(np.linalg.eigvals(t).real).max() + 0.5) * np.eye(n)
+        g = rng.standard_normal((n, n))
+        c = g @ g.T
+        p = linalg._solve_lyapunov_schur(t, c, 1e-8, transpose=transpose)
+        want = solve_lyapunov_stable(t.T if transpose else t, c)
+        assert np.array_equal(p, p.T)
+        assert np.abs(p - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("factor, refused", [(0.5, True), (2.0, False)])
+def test_lyapunov_schur_helper_refuses_at_the_hurwitz_margin(factor, refused, transpose):
+    # the pair -1 ± 2i and a real eigenvalue -r at factor times the margin
+    # axis_tol * ||T||_2 (||T||_2 moves by at most r as r is planted)
+    axis_tol = 1e-8
+    t = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.3], [0.0, 0.0, 0.0]])
+    t[2, 2] = -factor * axis_tol * np.linalg.norm(t, 2)
+    c = np.eye(3)
+    if refused:
+        with pytest.raises(NotHurwitz):
+            linalg._solve_lyapunov_schur(t, c, axis_tol, transpose=transpose)
+        return
+    p = linalg._solve_lyapunov_schur(t, c, axis_tol, transpose=transpose)
+    op = t if transpose else t.T
+    resid = op @ p + p @ op.T + c
+    assert np.abs(resid).max() <= 1e-10 * np.abs(p).max()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from ariset import (
     solve_lyapunov_stable,
     spectral_split,
 )
-from ariset import linalg, riccati
+from ariset import DEFAULT, linalg, riccati
 
 from conftest import (
     L1,
@@ -457,9 +457,28 @@ def _direct_family(form, split):
     return found
 
 
-@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def _seeded_system(seed):
+    """A random draw with n <= 8 and m in {1, 2}; every third one plants one
+    or two uncontrollable entries (a real mode or a pair each)."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(3, 9))
+    entries = draw_spectrum(rng, n)
+    n_unc = 1 + seed % 2 if seed % 3 == 0 and len(entries) > 2 else 0
+    return build_system(rng, ctrl=entries[n_unc:], unc=entries[:n_unc], m=1 + seed % 2)
+
+
+SEEDED_CASES = {f"draw-{seed}": seed for seed in range(20)}
+
+
+def _family_case(case):
+    if case in SEEDED_CASES:
+        return _seeded_system(SEEDED_CASES[case])
+    return FAMILY_CASES[case]()
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
 def test_family_matches_direct_route_on_every_subset(case):
-    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    form, split = homogeneous_setup(*_family_case(case))
     direct = _direct_family(form, split)
     family = {sol.block_set: sol for sol in schur_family(form, split)}
     assert set(family) == set(direct) | {()}
@@ -495,6 +514,17 @@ def test_family_case_geometry():
     _, split = homogeneous_setup(*_mixed_system())
     assert {blk.size for blk in split.blocks} == {1, 2}
 
+
+
+def test_seeded_cases_cover_both_input_widths_and_uncontrollable_modes():
+    shapes = [_seeded_system(seed) for seed in SEEDED_CASES.values()]
+    assert max(a0.shape[0] for a0, _ in shapes) <= 8
+    assert {b.shape[1] for _, b in shapes} == {1, 2}
+    planted = 0
+    for a0, b in shapes:
+        _, split = homogeneous_setup(a0, b)
+        planted += bool(split.indices(controllable=False))
+    assert planted >= 5
 
 
 @pytest.mark.parametrize("seed", [6, 8, 10])
@@ -534,6 +564,28 @@ def test_family_rejects_a_perturbed_decoupling(monkeypatch):
         schur_family(form, split)
 
 
+def test_decoupling_carries_same_cluster_coupling_past_other_clusters():
+    # blocks 3 | 0.5 ± i | 1 | -2 | 1: the coupling between the two blocks
+    # of eigenvalue 1 enters the right-hand sides of the blocks above them
+    rng = np.random.default_rng(149)
+    d = np.triu(rng.standard_normal((6, 6)), 1)
+    d[np.diag_indices(6)] = [3.0, 0.5, 0.5, 1.0, -2.0, 1.0]
+    d[1, 2], d[2, 1] = 1.0, -1.0
+    spans = [slice(0, 1), slice(1, 3), slice(3, 4), slice(4, 5), slice(5, 6)]
+    cluster = [0, 1, 2, 3, 2]
+    w, lam = riccati._decouple_blocks(d, spans, cluster)
+    assert np.abs(lam - np.linalg.solve(w, d @ w)).max() <= 1e-12 * np.abs(w).max() ** 2
+    for i, si in enumerate(spans):
+        for j, sj in enumerate(spans):
+            if i == j:
+                assert np.array_equal(w[si, sj], np.eye(si.stop - si.start))
+            elif i > j or cluster[i] != cluster[j]:
+                assert not lam[si, sj].any()
+            if i > j or (i != j and cluster[i] == cluster[j]):
+                assert not w[si, sj].any()
+    assert lam[3, 5] != 0.0 and w[0, 3] != 0.0
+
+
 def test_decoupling_hands_back_the_exact_lambda(monkeypatch):
     form, split = homogeneous_setup(*_separated_cluster_system())
     exact = riccati._decouple_blocks
@@ -562,20 +614,6 @@ def test_decoupling_hands_back_the_exact_lambda(monkeypatch):
     assert coupled
 
 
-@pytest.fixture
-def schur_calls(monkeypatch):
-    """Orders of the matrices handed to the real Schur factorization."""
-    calls = []
-    factor = linalg.schur
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a)[0])
-        return factor(a, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "schur", counting)
-    return calls
-
-
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_factors_no_schur_form_beyond_the_split(case, schur_calls):
     a0, b = FAMILY_CASES[case]()
@@ -585,6 +623,158 @@ def test_family_factors_no_schur_form_beyond_the_split(case, schur_calls):
     assert schur_calls == [a0.shape[0]]
     schur_family(form, split)
     assert schur_calls == [a0.shape[0]]
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkeypatch):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    calls = {"direct": 0, "gramian": 0, "decouple": 0}
+    phase = ["direct"]
+    solve = linalg.lapack.dtrsyl
+
+    def counting(*args, **kwargs):
+        calls[phase[-1]] += 1
+        return solve(*args, **kwargs)
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            phase.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase.pop()
+        return wrapped
+
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", counting)
+    monkeypatch.setattr(riccati, "_gramian_members", in_phase("gramian", riccati._gramian_members))
+    monkeypatch.setattr(riccati, "_decouple_blocks", in_phase("decouple", riccati._decouple_blocks))
+    schur_family(form, split)
+
+    labels = riccati._clusters(split, DEFAULT.axis * form.a0_norm)
+    at_axis = {labels[i] for i, blk in enumerate(split.blocks) if blk.half_plane == "AXIS"}
+    live = [i for i, blk in enumerate(split.blocks)
+            if blk.half_plane != "AXIS" and labels[i] not in at_axis]
+    clusters = {labels[i] for i in live}
+    # pair by pair it would take C(C+1)/2 calls, more than C once C >= 2
+    assert len(clusters) >= 2
+    assert 1 <= calls["gramian"] <= len(clusters)
+    # the decoupling solves once per pair of live blocks in different clusters
+    assert calls["decouple"] == sum(labels[i] != labels[j]
+                                    for i, j in itertools.combinations(live, 2))
+    assert calls["direct"] >= 1
+
+
+def _clustered_lambda(rng, blocks, labels):
+    """Quasi-triangular matrix with the given 1x1 / 2x2 diagonal blocks and
+    random coupling above them only between blocks of one cluster; returns
+    it with the cluster of every row."""
+    sizes = [blk.shape[0] for blk in blocks]
+    lam = np.zeros((sum(sizes), sum(sizes)))
+    unit_of_col = np.repeat(labels, sizes)
+    ends = np.cumsum(sizes)
+    for blk, end, size in zip(blocks, ends, sizes):
+        lam[end - size:end, end - size:end] = blk
+        same = unit_of_col[end:] == unit_of_col[end - 1]
+        lam[end - size:end, end:] = rng.standard_normal((size, len(same))) * same
+    return lam, unit_of_col
+
+
+def _planted_clash_lambda(factor):
+    # cluster 0 {1, 2.5} meets cluster 2 {-1 + d02, -3}; cluster 1 {2 ± 1.5i}
+    # meets cluster 3 {-2 + d13 ± 1.5i, 9}; cluster 4 {0.6, -0.6 + d44}
+    # meets itself. Each d is factor times the cutoff at max(1, ρ_u + ρ_v).
+    # At factor 2, d02 is below the cutoff at cluster 0's ρ plus the
+    # largest ρ of its row, 2.5 + 9.
+    cut = riccati.SYLVESTER_SEP_RTOL
+    d02, d13, d44 = (factor * cut * scale for scale in (2.5 + 3.0, 2.5 + 9.0, 1.2))
+    pair = lambda re, im: np.array([[re, im], [-im, re]])
+    blocks = [np.array([[1.0]]), pair(2.0, 1.5), np.array([[-1.0 + d02]]), np.array([[2.5]]),
+              pair(-2.0 + d13, 1.5), np.array([[0.6]]), np.array([[-3.0]]), np.array([[9.0]]),
+              np.array([[-0.6 + d44]])]
+    labels = [0, 1, 2, 0, 3, 4, 2, 3, 4]
+    return _clustered_lambda(np.random.default_rng(113), blocks, labels)
+
+
+@pytest.mark.parametrize("factor, planted", [(0.5, {(0, 2), (1, 3), (4, 4)}), (2.0, set())])
+def test_clash_table_marks_exactly_the_pairs_the_kernel_refuses(factor, planted):
+    lam, unit_of_col = _planted_clash_lambda(factor)
+    cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
+    table = riccati._clash_table(lam, unit_of_col)
+    assert np.array_equal(table, table.T)
+    rng = np.random.default_rng(127)
+    refused = set()
+    for u, v in itertools.combinations_with_replacement(range(5), 2):
+        c = rng.standard_normal((len(cols[u]), len(cols[v])))
+        try:
+            linalg._solve_quasi_triangular(lam[np.ix_(cols[u], cols[u])],
+                                           lam[np.ix_(cols[v], cols[v])], c, trana="T")
+        except SingularSylvester:
+            refused.add((u, v))
+    assert refused == planted
+    assert {(u, v) for u, v in zip(*np.nonzero(table)) if u <= v} == refused
+
+
+def _pairwise_gramian(lam, c, cols, clash):
+    """Oracle for _cluster_gramian: every non-clashing cluster pair on its own."""
+    y = np.zeros_like(c)
+    for u, v in itertools.combinations_with_replacement(range(len(cols)), 2):
+        if not clash[u, v]:
+            cu, cv = cols[u], cols[v]
+            y[np.ix_(cu, cv)] = linalg._solve_quasi_triangular(
+                lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)], c[np.ix_(cu, cv)], trana="T")
+            y[np.ix_(cv, cu)] = y[np.ix_(cu, cv)].T
+    return y
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
+    lam, unit_of_col = _planted_clash_lambda(factor)
+    cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
+    g = np.random.default_rng(131).standard_normal((lam.shape[0], 3))
+    c = g @ g.T
+    clash = riccati._clash_table(lam, unit_of_col)
+    calls = []
+    solve = linalg.lapack.dtrsyl
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    y = riccati._cluster_gramian(lam, c, cols, clash.copy())
+    monkeypatch.undo()
+    # one call per cluster row that has a non-clashing partner
+    assert len(calls) == sum(not clash[u, u:].all() for u in range(5))
+    want = _pairwise_gramian(lam, c, cols, clash)
+    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+    solved = ~clash[np.ix_(unit_of_col, unit_of_col)]
+    resid = (y @ lam + lam.T @ y - c)[solved]
+    assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(y).max())
+    assert not y[~solved].any()
+
+
+def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
+    # dtrsyl reports a perturbation on cluster 0's whole row and on its
+    # pair with cluster 2: the row is re-solved pair by pair, and only
+    # that pair becomes a clash
+    lam, unit_of_col = _planted_clash_lambda(2.0)
+    cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
+    g = np.random.default_rng(137).standard_normal((lam.shape[0], 2))
+    c = g @ g.T
+    clash = riccati._clash_table(lam, unit_of_col)
+    assert not clash.any()
+    blocks = {u: lam[np.ix_(cu, cu)] for u, cu in enumerate(cols)}
+    solve = linalg.lapack.dtrsyl
+
+    def perturbing(tf, tg, rhs, **kwargs):
+        if np.array_equal(tf, blocks[0]) and (len(tg) > len(cols[0]) + len(cols[1])
+                                             or np.array_equal(tg, blocks[2])):
+            return rhs, 1.0, 1
+        return solve(tf, tg, rhs, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing)
+    y = riccati._cluster_gramian(lam, c, cols, clash)
+    monkeypatch.undo()
+    expected = np.zeros((5, 5), dtype=bool)
+    expected[0, 2] = expected[2, 0] = True
+    assert np.array_equal(clash, expected)
+    want = _pairwise_gramian(lam, c, cols, expected)
+    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_lyapunov_factors_one_schur_form(schur_calls):
