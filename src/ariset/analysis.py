@@ -11,7 +11,6 @@ feedback, and certified inequality verification.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     InvalidInput,
@@ -388,6 +387,9 @@ class FlipReport:
 
 
 def _match_spectra(computed, expected):
+    # scipy.optimize adds ~0.1 s to start-up and only the flip uses it
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(computed[:, None] - expected[None, :])
     rows, cols = linear_sum_assignment(cost)
     rel = [

@@ -8,9 +8,11 @@ Exit codes: 0 ok/pass, 1 verify-fail, 2 parse error, 3 numerical error,
 """
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -92,6 +94,19 @@ def _matrix_field(doc, key, path, required=True):
         )
 
 
+def _tolerance_value(value, key, location=None):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    # bool is an int subclass, but `true` is no tolerance
+    if isinstance(value, bool) or not (math.isfinite(number) and number >= 0.0):
+        raise CliParseError(
+            f"tolerance {key!r} must be a finite number >= 0", location=location
+        )
+    return number
+
+
 def _tolerances(doc, args, path):
     overrides = {}
     raw = doc.get("tolerances", {})
@@ -100,14 +115,15 @@ def _tolerances(doc, args, path):
     for key, value in raw.items():
         if key not in _TOL_KEYS:
             raise CliParseError(f"unknown tolerance {key!r}", location=path)
-        overrides[_TOL_KEYS[key]] = float(value)
+        overrides[_TOL_KEYS[key]] = _tolerance_value(value, key, path)
     # flags win over the file
-    if getattr(args, "tol_axis", None) is not None:
-        overrides["axis"] = args.tol_axis
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["rank"] = args.tol_rank
-    if getattr(args, "tol_def", None) is not None:
-        overrides["definiteness"] = args.tol_def
+    for flag, field in (("tol_axis", "axis"), ("tol_rank", "rank"),
+                        ("tol_def", "definiteness")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides[field] = _tolerance_value(
+                value, "--" + flag.replace("_", "-")
+            )
     return Tolerances().with_overrides(**overrides)
 
 
@@ -193,11 +209,10 @@ def _certificate_dict(cert):
 
 
 def _fmt_matrix(m, indent="    "):
+    # one %-format per row; "% .9g" % v is f"{v: .9g}" for every float
     arr = np.atleast_2d(np.asarray(m))
-    lines = []
-    for row in arr:
-        lines.append(indent + "  ".join(f"{v: .9g}" for v in row))
-    return "\n".join(lines)
+    fmt = indent + "  ".join(["% .9g"] * arr.shape[1])
+    return "\n".join([fmt % tuple(row) for row in arr.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +492,10 @@ def _add_common(sub):
     sub.add_argument("--tol-def", type=float, default=None)
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the tree unchanged and
+    # returns a fresh Namespace on every call
     parser = argparse.ArgumentParser(
         prog="ariset",
         description="Solution-set analysis for algebraic Riccati inequalities",

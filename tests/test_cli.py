@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ariset.cli import main
+import ariset
+from ariset.cli import _fmt_matrix, main
 
 from conftest import L1, LHAT, LL, LR, LSTAR, PAPER_A, PAPER_B
 
@@ -334,3 +339,145 @@ def test_human_output_renders(paper_file, capsys):
     assert main(["classify", paper_file]) == 0
     out = capsys.readouterr().out
     assert "block 1" in out and "bounded" in out
+
+
+# ---------------------------------------------------------------------------
+# tolerance values
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["abc", [1], {"x": 1}, None, True, -1.0, float("nan"), float("inf")],
+    ids=["string", "list", "object", "null", "bool", "negative", "nan", "inf"],
+)
+def test_bad_file_tolerance_exit_2(tmp_path, capsys, value):
+    doc = {"A": PAPER_A.tolist(), "B": PAPER_B.tolist(),
+           "tolerances": {"axisTol": value}}
+    path = _write(tmp_path, "t.json", doc)
+    assert main(["classify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and "'axisTol'" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-axis", "--tol-rank", "--tol-def"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_flag_tolerance_exit_2(paper_file, capsys, flag, value):
+    assert main(["classify", paper_file, f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and f"'{flag}'" in err
+
+
+def test_valid_tolerance_overrides(tmp_path, capsys):
+    doc = {"A": PAPER_A.tolist(), "B": PAPER_B.tolist(),
+           "K0": np.zeros((3, 3)).tolist(),
+           "tolerances": {"axisTol": 1e-6, "baseTol": 0, "rankTol": "1e-11"}}
+    path = _write(tmp_path, "ok.json", doc)
+    code, report = _run_json(capsys, ["classify", path, "--tol-axis", "1e-7"])
+    assert code == 0
+    assert report["tolerances"]["axisTol"] == 1e-7  # the flag wins
+    assert report["tolerances"]["baseTol"] == 0.0
+    assert report["tolerances"]["rankTol"] == 1e-11
+
+
+# ---------------------------------------------------------------------------
+# start-up and reuse within one process
+
+
+def _fresh_python(*args, **kwargs):
+    src = os.path.dirname(os.path.dirname(ariset.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                           text=True, timeout=120, **kwargs)
+
+
+def test_module_entry_point_runs(paper_file):
+    proc = _fresh_python("-m", "ariset", "classify", paper_file)
+    assert proc.returncode == 0, proc.stderr
+    assert "solution set: bounded" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = _fresh_python(
+        "-c", "import sys, ariset, ariset.cli; print('scipy.optimize' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_parser_is_built_once_per_process(paper_file, tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["classify", paper_file]) == 0
+    built.clear()
+    k_file = _write(tmp_path, "k.json", {"K": LHAT.tolist()})
+    assert main(["verify", paper_file, "--K", k_file]) == 0
+    assert main(["bounds", paper_file, "--json"]) == 0
+    assert built == []
+
+
+def test_reused_parser_carries_nothing_over(paper_file, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, first = _run_json(capsys, ["classify", paper_file])
+    assert code == 0
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "classify" in help_text
+
+    assert main(["parametrize", paper_file]) == 2  # --blocks is required
+    assert "--blocks" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == help_text
+
+    k_file = _write(tmp_path, "k0.json", {"K": np.zeros((3, 3)).tolist()})
+    assert main(["verify", paper_file, "--K", k_file, "--strict"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL (strict)")
+    assert main(["verify", paper_file, "--K", k_file]) == 0
+    assert capsys.readouterr().out.startswith("PASS (non-strict)")
+    code, loose = _run_json(
+        capsys, ["classify", paper_file, "--tol-axis", "1e-6", "--kind", "given"]
+    )
+    assert code == 0 and loose["tolerances"]["axisTol"] == 1e-6
+    code, again = _run_json(capsys, ["classify", paper_file])
+    assert code == 0
+    assert again == first
+
+
+# ---------------------------------------------------------------------------
+# matrix rendering
+
+
+def _fmt_matrix_per_entry(m, indent="    "):
+    arr = np.atleast_2d(np.asarray(m))
+    return "\n".join(indent + "  ".join(f"{v: .9g}" for v in row) for row in arr)
+
+
+def _render_cases():
+    rng = np.random.default_rng(20190)
+    for shape in [(1, 1), (1, 5), (5, 1), (3, 3), (8, 8), (4, 7)]:
+        scale = 10.0 ** rng.uniform(-12, 12, size=shape)
+        yield rng.standard_normal(shape) * scale
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300, 5e-324]
+    yield np.array([special])
+    yield np.array(special).reshape(-1, 1)
+    yield np.arange(-6, 6).reshape(3, 4)  # integer dtype
+    yield [[1, -2], [3, 4]]  # nested lists of ints, as the reports hold
+    yield [[0.5, -0.0], [1e-9, 2.0]]
+    yield np.zeros((3, 0))
+    yield np.zeros((0, 3))
+    yield np.zeros(0)
+    yield np.array([1.0, -2.5, 3.25])  # 1-D: one row
+    yield 7.0  # scalar: one 1x1 row
+
+
+@pytest.mark.parametrize("m", list(_render_cases()),
+                         ids=lambda m: "x".join(map(str, np.shape(m))) or "scalar")
+def test_fmt_matrix_matches_per_entry_formatting(m):
+    assert _fmt_matrix(m) == _fmt_matrix_per_entry(m)
+    assert _fmt_matrix(m, indent="") == _fmt_matrix_per_entry(m, indent="")
