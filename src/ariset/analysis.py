@@ -398,6 +398,22 @@ def _match_spectra(computed, expected):
     return float(max(rel)) if rel else 0.0
 
 
+def _flipped_spectrum(before, flipped):
+    """``before`` with each eigenvalue of ``flipped`` in turn replacing its
+    nearest entry (the first of equals) by its negative; an entry replaced
+    earlier competes with its new value."""
+    lam = np.asarray(flipped, dtype=complex)
+    if not lam.size:
+        return before.copy()
+    expected = before.astype(complex)
+    for value in lam:
+        d = expected - value
+        # hypot of the parts is abs() of a complex scalar bit for bit; np.abs
+        # on a complex array may differ from it in the last place
+        expected[np.hypot(d.real, d.imag).argmin()] = -value
+    return expected
+
+
 def feedback_flip(form: HomogeneousForm, sol: AriSolution, tol: Tolerances = DEFAULT):
     """Closed-loop matrix of an equation solution and its flipped spectrum.
 
@@ -423,12 +439,7 @@ def feedback_flip(form: HomogeneousForm, sol: AriSolution, tol: Tolerances = DEF
     before = np.linalg.eigvals(form.A0)
     after = np.linalg.eigvals(a1)
 
-    expected = list(before)
-    for lam in sol.eigenvalues:
-        idx = int(np.argmin([abs(e - lam) for e in expected]))
-        expected[idx] = -lam
-    expected = np.array(expected)
-
+    expected = _flipped_spectrum(before, sol.eigenvalues)
     mismatch = _match_spectra(after, expected)
     return a1, FlipReport(
         eig_before=tuple(before),

@@ -127,7 +127,8 @@ def _tolerances(doc, args, path):
     return Tolerances().with_overrides(**overrides)
 
 
-def _load_setup(args):
+def _load_base(args):
+    """Problem file to (form, tol, digest, kind): the base solve only."""
     doc, digest = _load_json(args.file)
     a = _matrix_field(doc, "A", args.file)
     b = _matrix_field(doc, "B", args.file)
@@ -144,7 +145,13 @@ def _load_setup(args):
             location=args.file,
         )
     form = solve_base_are(problem, kind=kind, k0=k0, tol=tol)
-    split = spectral_split(form.A0, problem.B, tol=tol)
+    return form, tol, digest, kind
+
+
+def _load_setup(args):
+    """The base solve and the ordered, PBH-tagged spectral split of A0."""
+    form, tol, digest, kind = _load_base(args)
+    split = spectral_split(form.A0, form.problem.B, tol=tol)
     return form, split, tol, digest, kind
 
 
@@ -435,7 +442,7 @@ def _render_parametrize(results):
 
 
 def _cmd_verify(args):
-    form, split, tol, digest, kind = _load_setup(args)
+    form, tol, digest, kind = _load_base(args)
     doc, _ = _load_json(args.K)
     k = _matrix_field(doc, "K", args.K)
     cert = verify(form, k, strict=args.strict, tol=tol)

@@ -35,6 +35,7 @@ from .linalg import (
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
+    _separation_refusals,
     _solve_quasi_triangular,
     as_matrix,
     definiteness,
@@ -508,25 +509,68 @@ def _decouple_blocks(d, spans, cluster):
     share eigenvalues and stay coupled. ``Λ`` is the one the recurrence
     ``d W = W Λ`` builds: ``d``'s diagonal blocks, the same-cluster
     coupling, and exact zeros across clusters and below the block
-    diagonal, so each cluster's part of ``Λ`` is quasi-triangular. Raises
+    diagonal, so each cluster's part of ``Λ`` is quasi-triangular.
+
+    Block column j is solved from the bottom up. A block of j's cluster
+    takes its coupling into ``Λ``; each maximal run of earlier blocks
+    outside the cluster is one kernel call, ``d[run, run] W[run, j] −
+    W[run, j] d[j, j] = rhs``, since ``Λ`` vanishes on the run's rows. With
+    no same-cluster predecessor that is one call per column, B − 1 in
+    all. Separation is decided pair by pair from the row eigenvalues, by
+    the kernel's own test at each pair's scale, so the run solve skips
+    the test (the run's larger ρ would refuse pairs the test accepts). A
+    column with a refused pair, or whose run ``dtrsyl`` had to perturb, is
+    solved pair by pair, and refuses exactly as that solve does: raises
     :class:`SingularSylvester` when two clusters cannot be separated.
     """
     w = np.eye(d.shape[0])
     lam = np.zeros_like(d)
     for s in spans:
         lam[s, s] = d[s, s]
+    refused = _separation_refusals(_row_eigenvalues(d), [s.start for s in spans], isgn=-1)
     for j in range(1, len(spans)):
-        sj = spans[j]
-        for i in range(j - 1, -1, -1):
-            si = spans[i]
-            # blocks i+1 .. j-1 occupy rows lo:mid, blocks i+1 .. j rows lo:hi
-            lo, mid, hi = spans[i + 1].start, sj.start, sj.stop
-            rhs = w[si, lo:mid] @ lam[lo:mid, sj] - d[si, lo:hi] @ w[lo:hi, sj]
-            if cluster[i] == cluster[j]:
-                lam[si, sj] = -rhs
-            else:
-                w[si, sj] = _solve_quasi_triangular(d[si, si], d[sj, sj], rhs, isgn=-1)
+        outside = [cluster[i] != cluster[j] for i in range(j)]
+        if not refused[:j, j][outside].any():
+            try:
+                _decouple_column(d, spans, w, lam, j, _segments(outside, runs=True),
+                                 sep_tol=0.0)
+                continue
+            except SingularSylvester:
+                pass  # dtrsyl perturbed a run
+        _decouple_column(d, spans, w, lam, j, _segments(outside, runs=False))
     return w, lam
+
+
+def _segments(outside, runs):
+    """``(first, last, coupled)`` segments of blocks ``0 .. j-1``, bottom
+    up: a block of j's cluster (``outside[i]`` false) alone, the others
+    one by one, or with ``runs`` every maximal run of them as one."""
+    segments = []
+    i = len(outside) - 1
+    while i >= 0:
+        last = i
+        while runs and outside[i] and i > 0 and outside[i - 1]:
+            i -= 1
+        segments.append((i, last, not outside[i]))
+        i -= 1
+    return segments
+
+
+def _decouple_column(d, spans, w, lam, j, segments, sep_tol=SYLVESTER_SEP_RTOL):
+    """Fill block column j of ``w`` and ``lam`` segment by segment, bottom
+    up; a coupled segment (one block of j's cluster) goes to ``lam``, any
+    other is one kernel call."""
+    sj = spans[j]
+    for first, last, coupled in segments:
+        rows = slice(spans[first].start, spans[last].stop)
+        # blocks last+1 .. j-1 occupy rows lo:mid, blocks last+1 .. j rows lo:hi
+        lo, mid, hi = rows.stop, sj.start, sj.stop
+        rhs = w[rows, lo:mid] @ lam[lo:mid, sj] - d[rows, lo:hi] @ w[lo:hi, sj]
+        if coupled:
+            lam[rows, sj] = -rhs
+        else:
+            w[rows, sj] = _solve_quasi_triangular(d[rows, rows], d[sj, sj], rhs,
+                                                  isgn=-1, sep_tol=sep_tol)
 
 
 def _clash_table(lam, unit_of_col):
@@ -537,11 +581,7 @@ def _clash_table(lam, unit_of_col):
     ``lam``; ``unit_of_col`` labels each row with its cluster, 0 .. C-1."""
     order = np.argsort(unit_of_col, kind="stable")
     starts = np.searchsorted(unit_of_col[order], np.arange(unit_of_col.max() + 1))
-    w = _row_eigenvalues(lam)[order]
-    sep = np.abs(w[:, None] + w[None, :])
-    sep = np.minimum.reduceat(np.minimum.reduceat(sep, starts, axis=0), starts, axis=1)
-    rho = np.maximum.reduceat(np.abs(w), starts)
-    return sep <= SYLVESTER_SEP_RTOL * np.maximum(1.0, rho[:, None] + rho[None, :])
+    return _separation_refusals(_row_eigenvalues(lam)[order], starts, isgn=1)
 
 
 def _cluster_gramian(lam, c, cols, clash):
@@ -590,7 +630,9 @@ def schur_family(
     Every solution of Ric(X) = 0 is supported on an A0ᵀ-invariant
     subspace spanned by Schur blocks. One :func:`reduce` over the
     eligible blocks gives ``A0ᵀ Lk = Lk Dk``; a similarity ``W`` makes
-    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters. The
+    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters, solved by
+    block column with one Sylvester kernel call per run of earlier blocks
+    outside the column's cluster (:func:`_decouple_blocks`). The
     mirrored-pair clashes between clusters are decided once, from the
     eigenvalues of ``Λ``'s diagonal blocks, by the Sylvester kernel's own
     separation test; the Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y' =
@@ -599,9 +641,10 @@ def schur_family(
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
     Schur complement of the maximal solution onto S. Members are built in
     stacked batches of equal column count; each is expressed in a QR
-    basis of ``L'_S``, where the Gramian's rank test and ``rank`` read as
-    in :func:`full_rank_simplified_solution`, on the moduli of its
-    eigenvalues (its singular values, as it is symmetric).
+    basis ``L'_S = QR``, its Gramian moved there as ``R⁻ᵀ Y'[S,S] R⁻¹``
+    with one batched inverse of R. There the Gramian's rank test and
+    ``rank`` read as in :func:`full_rank_simplified_solution`, on the
+    moduli of its eigenvalues (its singular values, as it is symmetric).
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
@@ -694,24 +737,32 @@ def _gramian_members(eqn, labels, tol):
 def _batch_members(form, ls, ys, supports, tol):
     """Members for stacked supports ``ls`` (N×n×k) with Gramians ``ys``
     (N×k×k), skipping those whose Gramian is singular. ``supports`` holds
-    each one's ``(block_set, eigenvalues)``."""
+    each one's ``(block_set, eigenvalues)``.
+
+    With ``ls = QR``, the Gramian in the basis Q is ``g = R⁻ᵀ Y R⁻¹``:
+    one batched inverse of the triangular R and two stacked products.
+    The member is ``X = Q g⁻¹ Qᵀ``, and the stacks are cut down to the
+    present members only when some are absent."""
     q, r = np.linalg.qr(ls)
-    rt = np.swapaxes(r, 1, 2)
-    g = np.linalg.solve(rt, np.swapaxes(np.linalg.solve(rt, ys), 1, 2))
+    r_inv = np.linalg.inv(r)  # one factorization serves both sides of R⁻ᵀ Y R⁻¹
+    g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
     sv = np.abs(np.linalg.eigvalsh(g))  # g is symmetric: its singular values
     sv_min, sv_max = sv.min(axis=1), sv.max(axis=1)
     ok = sv_min > tol.rank * np.maximum(1.0, sv_max)
-    lcoord = np.linalg.inv(g[ok])
+    if not ok.all():
+        q, g, sv, sv_min = q[ok], g[ok], sv[ok], sv_min[ok]
+        supports = list(compress(supports, ok.tolist()))
+    lcoord = np.linalg.inv(g)
     lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
-    x = q[ok] @ lcoord @ np.swapaxes(q[ok], 1, 2)
+    x = q @ lcoord @ np.swapaxes(q, 1, 2)
     x = 0.5 * (x + np.swapaxes(x, 1, 2))
     a0, m = form.A0, form.M
     resid = -a0.T @ x - x @ a0 + x @ m @ x
     resid = 0.5 * (resid + np.swapaxes(resid, 1, 2))
     eig = np.linalg.eigvalsh(resid)
     # Lcoord = g⁻¹ has singular values 1/sv: count those above tol.rank times the largest
-    rank = np.count_nonzero(sv_min[ok, None] > tol.rank * sv[ok], axis=1)
+    rank = np.count_nonzero(sv_min[:, None] > tol.rank * sv, axis=1)
 
     r_max = np.abs(resid).max(axis=(1, 2))
     scale = _ric_scale(form, x)
@@ -729,7 +780,7 @@ def _batch_members(form, ls, ys, supports, tol):
             residual_verdict=verdict_from_extremes(lo, hi, cut), eigenvalues=eigenvalues,
         )
         for (block_set, eigenvalues), xj, lj, rj, rsj, (lo, hi, cut) in zip(
-            compress(supports, ok.tolist()), x, lcoord, rank.tolist(), resid, verdicts)
+            supports, x, lcoord, rank.tolist(), resid, verdicts)
     ]
 
 

@@ -7,11 +7,23 @@ conjugated by a random orthogonal matrix. Uncontrollable modes are planted
 by appending decoupled blocks whose rows of B vanish in the core basis.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from ariset import RiccatiProblem, linalg, solve_base_are, spectral_split
+from ariset import (
+    DegenerateSpectrum,
+    RiccatiProblem,
+    SingularSylvester,
+    SingularY,
+    full_rank_simplified_solution,
+    linalg,
+    reduce,
+    solve_base_are,
+    spectral_split,
+)
 
 # the worked 3x3 example: A = diag(1, 2, -4), B = (1,1,1)^T, Q = 0, K0 = 0
 PAPER_A = np.diag([1.0, 2.0, -4.0])
@@ -64,6 +76,21 @@ def homogeneous_setup(a0, b):
     form = solve_base_are(problem, kind="given", k0=np.zeros((n, n)))
     split = spectral_split(form.A0, problem.B)
     return form, split
+
+
+def direct_family(form, split):
+    """Oracle for schur_family: every subset of non-axis blocks solved on
+    its own by reduce + full_rank_simplified_solution; absent subsets are
+    missing from the dict."""
+    eligible = [i for i, blk in enumerate(split.blocks) if blk.half_plane != "AXIS"]
+    found = {}
+    for r in range(1, len(eligible) + 1):
+        for subset in itertools.combinations(eligible, r):
+            try:
+                found[subset] = full_rank_simplified_solution(reduce(form, split, subset))
+            except (SingularSylvester, SingularY, DegenerateSpectrum):
+                pass
+    return found
 
 
 def _eig_block(lam):

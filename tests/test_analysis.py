@@ -18,9 +18,11 @@ from ariset import (
     recover_parameter,
     reduce,
     ric_residual,
+    schur_family,
     solve_lyapunov_stable,
     verify,
 )
+from ariset import analysis
 
 from conftest import (
     LHAT,
@@ -397,6 +399,55 @@ def test_flip_involution():
     back = np.sort_complex(np.array(report2.eig_after))
     orig = np.sort_complex(np.linalg.eigvals(a0))
     assert np.abs(back - orig).max() <= 1e-6 * max(1.0, np.abs(orig).max())
+
+
+def _flipped_by_lists(before, flipped):
+    """The flip's expected spectrum as first written: one nearest-entry
+    search over a Python list per flipped eigenvalue."""
+    expected = list(before)
+    for lam in flipped:
+        idx = int(np.argmin([abs(e - lam) for e in expected]))
+        expected[idx] = -lam
+    return np.array(expected)
+
+
+def _flip_spectra(rng):
+    """(before, flipped) pairs: generic spectra, real-only spectra, repeated
+    eigenvalues (exact ties), and flipped lists whose later entries sit on
+    earlier replacements or repeat."""
+    for n in (1, 3, 8, 30):
+        before = np.linalg.eigvals(rng.standard_normal((n, n)))
+        for k in range(n + 1):
+            yield before, [complex(v) for v in rng.permutation(before)[:k]]
+    real = np.linalg.eigvals(np.diag(rng.standard_normal(6)))
+    yield real, []
+    yield real, [complex(v) for v in real[:3]]
+    tied = np.array([1.0, 1.0, -1.0, 2.0 + 1.0j, 2.0 - 1.0j, 0.0, 0.0])
+    for flipped in ([1.0], [1.0, 1.0], [1.0, -1.0], [0.0, 0.0, 0.0], [1.5 + 0.0j],
+                    [2.0 + 1.0j, -2.0 - 1.0j], [1.0, -1.0, -1.0, 1.0], [0.5, 0.5]):
+        yield tied, [complex(v) for v in flipped]
+
+
+def test_flipped_spectrum_matches_the_list_form():
+    # the array form replaces the same entries, ties and sequential
+    # replacements included, and keeps the list form's dtype
+    for before, flipped in _flip_spectra(np.random.default_rng(89)):
+        want = _flipped_by_lists(before, flipped)
+        got = analysis._flipped_spectrum(before, flipped)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert tuple(got) == tuple(want)
+
+
+def test_flip_report_matches_the_list_form():
+    rng = np.random.default_rng(97)
+    a0, b = build_system(rng, ctrl=draw_spectrum(rng, 6), m=2)
+    form, split = homogeneous_setup(a0, b)
+    for sol in schur_family(form, split):
+        _, report = feedback_flip(form, sol)
+        want = _flipped_by_lists(np.array(report.eig_before), sol.eigenvalues)
+        assert np.array_equal(np.array(report.expected_after), want)
+        assert report.matched
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,39 @@ def test_verify_beyond_maximum_fails(paper_file, tmp_path, capsys):
     assert main(["verify", paper_file, "--K", k_file]) == 1
 
 
+def test_verify_needs_only_the_base(paper_file, tmp_path, capsys, monkeypatch):
+    # verify reads no spectral split; its report is the library's
+    # certificate on the same base
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify computed a spectral split")
+
+    monkeypatch.setattr(ariset.cli, "spectral_split", refuse)
+    doc = json.loads(open(paper_file).read())
+    problem = ariset.RiccatiProblem(A=PAPER_A, B=PAPER_B)
+    for kind, path in (("given", paper_file),
+                       ("antistabilizing", _write(tmp_path, "nok0.json",
+                                                  {k: doc[k] for k in "ABQ"}))):
+        k0 = np.zeros((3, 3)) if kind == "given" else None
+        form = ariset.solve_base_are(problem, kind=kind, k0=k0)
+        for name, k in (("lhat", LHAT), ("zero", np.zeros((3, 3))), ("beyond", 3.0 * LR)):
+            k_file = _write(tmp_path, f"{name}.json", {"K": k.tolist()})
+            for strict in (False, True):
+                cert = ariset.verify(form, k, strict=strict)
+                code, report = _run_json(
+                    capsys, ["verify", path, "--K", k_file] + ["--strict"] * strict)
+                assert code == (0 if cert.passed else 1)
+                assert report["results"] == {
+                    "kind": kind,
+                    "certificate": {
+                        "residual_max_eig": cert.residual_max_eig,
+                        "residual_min_eig": cert.residual_min_eig,
+                        "passed": cert.passed,
+                        "strict": cert.strict,
+                        "tol_used": cert.tol_used,
+                    },
+                }
+
+
 # ---------------------------------------------------------------------------
 # report contract
 

@@ -33,6 +33,7 @@ from conftest import (
     PAPER_A,
     PAPER_B,
     build_system,
+    direct_family,
     draw_spectrum,
     gauss_solve,
     homogeneous_setup,
@@ -444,19 +445,6 @@ FAMILY_CASES = {
 }
 
 
-def _direct_family(form, split):
-    """Every subset solved on its own by reduce + full_rank_simplified_solution."""
-    eligible = [i for i, blk in enumerate(split.blocks) if blk.half_plane != "AXIS"]
-    found = {}
-    for r in range(1, len(eligible) + 1):
-        for subset in itertools.combinations(eligible, r):
-            try:
-                found[subset] = full_rank_simplified_solution(reduce(form, split, subset))
-            except (SingularSylvester, SingularY, DegenerateSpectrum):
-                pass
-    return found
-
-
 def _seeded_system(seed):
     """A random draw with n <= 8 and m in {1, 2}; every third one plants one
     or two uncontrollable entries (a real mode or a pair each)."""
@@ -479,7 +467,7 @@ def _family_case(case):
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
 def test_family_matches_direct_route_on_every_subset(case):
     form, split = homogeneous_setup(*_family_case(case))
-    direct = _direct_family(form, split)
+    direct = direct_family(form, split)
     family = {sol.block_set: sol for sol in schur_family(form, split)}
     assert set(family) == set(direct) | {()}
     for block_set, want in direct.items():
@@ -586,6 +574,135 @@ def test_decoupling_carries_same_cluster_coupling_past_other_clusters():
     assert lam[3, 5] != 0.0 and w[0, 3] != 0.0
 
 
+def _pairwise_decoupling(d, spans, cluster):
+    """Oracle for _decouple_blocks: the recurrence d W = W Λ solved one pair
+    of blocks at a time, each block column from the bottom up."""
+    w = np.eye(d.shape[0])
+    lam = np.zeros_like(d)
+    for s in spans:
+        lam[s, s] = d[s, s]
+    for j in range(1, len(spans)):
+        sj = spans[j]
+        for i in range(j - 1, -1, -1):
+            si = spans[i]
+            # blocks i+1 .. j-1 occupy rows lo:mid, blocks i+1 .. j rows lo:hi
+            lo, mid, hi = spans[i + 1].start, sj.start, sj.stop
+            rhs = w[si, lo:mid] @ lam[lo:mid, sj] - d[si, lo:hi] @ w[lo:hi, sj]
+            if cluster[i] == cluster[j]:
+                lam[si, sj] = -rhs
+            else:
+                w[si, sj] = linalg._solve_quasi_triangular(d[si, si], d[sj, sj], rhs, isgn=-1)
+    return w, lam
+
+
+def _random_quasi_triangular(rng, values, cluster):
+    """Quasi-triangular d whose block i carries eigenvalue ``values[cluster[i]]``
+    (a real value or a pair), with random coupling above the blocks."""
+    blocks = []
+    for label in cluster:
+        v = complex(values[label])
+        if v.imag:
+            b = rng.uniform(0.5, 2.0)  # non-symmetric standardized pair block
+            blocks.append(np.array([[v.real, b], [-v.imag ** 2 / b, v.real]]))
+        else:
+            blocks.append(np.array([[v.real]]))
+    sizes = [blk.shape[0] for blk in blocks]
+    ends = np.cumsum(sizes)
+    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    d = np.triu(rng.standard_normal((ends[-1], ends[-1])), 1)
+    for s, blk in zip(spans, blocks):
+        d[s, s] = blk
+    return d, spans
+
+
+def _assert_same_decoupling(got, want):
+    (w, lam), (w_ref, lam_ref) = got, want
+    assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+    assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+    assert np.array_equal(lam == 0.0, lam_ref == 0.0)
+    assert np.array_equal(w == 0.0, w_ref == 0.0)
+
+
+def test_decoupling_by_block_column_matches_the_pairwise_recurrence(monkeypatch):
+    rng = np.random.default_rng(151)
+    calls = []
+    solve = linalg.lapack.dtrsyl
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    split_runs = mixed = 0
+    for _ in range(40):
+        nclusters = int(rng.integers(2, 6))
+        values = [complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0) * (rng.random() < 0.5))
+                  for _ in range(nclusters)]
+        cluster = rng.integers(nclusters, size=int(rng.integers(3, 10))).tolist()
+        d, spans = _random_quasi_triangular(rng, values, cluster)
+        del calls[:]
+        got = riccati._decouple_blocks(d, spans, cluster)
+        # one call per maximal run of earlier blocks outside a column's cluster
+        runs = sum(cluster[i] != cluster[j] and (i == 0 or cluster[i - 1] == cluster[j])
+                   for j in range(len(spans)) for i in range(j))
+        assert len(calls) == runs
+        _assert_same_decoupling(got, _pairwise_decoupling(d, spans, cluster))
+        split_runs += runs > len(spans) - 1
+        mixed += len({s.stop - s.start for s in spans}) == 2
+    # draws where a same-cluster block splits a column into several runs,
+    # and draws mixing 1x1 and 2x2 blocks
+    assert split_runs >= 10 and mixed >= 10
+
+
+def test_decoupling_runs_are_refused_only_where_a_pair_is(monkeypatch):
+    # block 0 (eigenvalue 1e3) widens the run's scale: at the run's ρ the
+    # kernel would refuse blocks 1 and 2 (1 and 1 + 1e-9), at the pair's it
+    # separates them, and column 2 is still one call
+    d = np.triu(np.random.default_rng(157).standard_normal((3, 3)), 1)
+    d[np.diag_indices(3)] = [1e3, 1.0, 1.0 + 1e-9]
+    spans = [slice(i, i + 1) for i in range(3)]
+    calls = []
+    solve = linalg.lapack.dtrsyl
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    got = riccati._decouple_blocks(d, spans, [0, 1, 2])
+    assert len(calls) == 2
+    _assert_same_decoupling(got, _pairwise_decoupling(d, spans, [0, 1, 2]))
+    # a pair below the cutoff at its own scale refuses as the pair solve does
+    d[2, 2] = 1.0 + 1e-11
+    with pytest.raises(SingularSylvester) as want:
+        _pairwise_decoupling(d, spans, [0, 1, 2])
+    with pytest.raises(SingularSylvester) as got:
+        riccati._decouple_blocks(d, spans, [0, 1, 2])
+    assert str(got.value) == str(want.value)
+
+
+def test_decoupling_solves_a_perturbed_run_pair_by_pair(monkeypatch):
+    # dtrsyl reports a perturbation on every run of two blocks or more:
+    # those columns are solved pair by pair, to the pairwise answer; a
+    # perturbed pair then refuses
+    rng = np.random.default_rng(163)
+    cluster = [0, 1, 2, 0, 3, 1]
+    d, spans = _random_quasi_triangular(rng, [1.0, 0.5 + 1.2j, -2.0, 2.5], cluster)
+    want = _pairwise_decoupling(d, spans, cluster)
+    singles = [d[s, s] for s in spans]
+    solve = linalg.lapack.dtrsyl
+    runs = []
+
+    def perturbing(tf, tg, rhs, **kwargs):
+        if not any(tf.shape == blk.shape and np.array_equal(tf, blk) for blk in singles):
+            runs.append(len(tf))
+            return rhs, 1.0, 1
+        return solve(tf, tg, rhs, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing)
+    _assert_same_decoupling(riccati._decouple_blocks(d, spans, cluster), want)
+    assert len(runs) >= 2
+
+    def perturbing_pair(tf, tg, rhs, **kwargs):
+        if np.array_equal(tf, d[spans[1], spans[1]]) and np.array_equal(tg, d[spans[2], spans[2]]):
+            return rhs, 1.0, 1
+        return perturbing(tf, tg, rhs, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing_pair)
+    with pytest.raises(SingularSylvester, match="perturbed"):
+        riccati._decouple_blocks(d, spans, cluster)
+
+
 def test_decoupling_hands_back_the_exact_lambda(monkeypatch):
     form, split = homogeneous_setup(*_separated_cluster_system())
     exact = riccati._decouple_blocks
@@ -658,9 +775,16 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
     # pair by pair it would take C(C+1)/2 calls, more than C once C >= 2
     assert len(clusters) >= 2
     assert 1 <= calls["gramian"] <= len(clusters)
-    # the decoupling solves once per pair of live blocks in different clusters
-    assert calls["decouple"] == sum(labels[i] != labels[j]
-                                    for i, j in itertools.combinations(live, 2))
+    # the decoupling solves once per maximal run of earlier blocks outside
+    # a column's cluster: B - 1 calls here, fewer than one per pair of
+    # blocks in different clusters once three blocks are live
+    runs = 0
+    for j, lj in enumerate(live):
+        outside = [labels[i] != labels[lj] for i in live[:j]]
+        runs += sum(out and (i == 0 or not outside[i - 1]) for i, out in enumerate(outside))
+    assert calls["decouple"] == runs == len(live) - 1
+    pairs = sum(labels[i] != labels[j] for i, j in itertools.combinations(live, 2))
+    assert calls["decouple"] < pairs if len(live) > 2 else calls["decouple"] == pairs
     assert calls["direct"] >= 1
 
 
