@@ -47,10 +47,6 @@ from .linalg import (
     DefinitenessVerdict,
     definiteness,
     real_schur_ordered,
-    schur_complement,
-    solve_lyapunov_stable,
-    solve_sylvester,
-    sym_eig,
     symmetrize,
 )
 from .riccati import (
@@ -71,7 +67,6 @@ from .riccati import (
 from .systems import (
     SpectralBlock,
     SpectralSplit,
-    kalman_rank,
     pbh_classify,
     spectral_split,
 )
@@ -118,7 +113,6 @@ __all__ = [
     "extremal_solutions",
     "feedback_flip",
     "full_rank_simplified_solution",
-    "kalman_rank",
     "parametrize",
     "pbh_classify",
     "rank_one_classify",
@@ -126,13 +120,9 @@ __all__ = [
     "recover_parameter",
     "reduce",
     "ric_residual",
-    "schur_complement",
     "schur_family",
     "solve_base_are",
-    "solve_lyapunov_stable",
-    "solve_sylvester",
     "spectral_split",
-    "sym_eig",
     "symmetrize",
     "verify",
     "zero_solution",

@@ -8,6 +8,7 @@ inequality solutions, the eigenvalue-flip identity of closed-loop
 feedback, and certified inequality verification.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,12 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import _solve_lyapunov_schur, definiteness, symmetrize
+from .linalg import _check_nonsingular, _solve_lyapunov_schur, definiteness, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
     SimplifiedEquation,
+    _base_scale,
     _ric_scale,
     _solution_from_coordinates,
     are_residual,
@@ -116,6 +118,15 @@ class Certificate:
     tol_used: float
 
 
+def _certificate(residual, cut, strict):
+    """Certificate of ``residual <= 0`` (``< 0`` when ``strict``) for a
+    symmetric residual at the absolute cutoff ``cut``."""
+    w = np.linalg.eigvalsh(residual)
+    passed = w[-1] < -cut if strict else w[-1] <= cut
+    return Certificate(residual_max_eig=float(w[-1]), residual_min_eig=float(w[0]),
+                       passed=bool(passed), strict=bool(strict), tol_used=cut)
+
+
 # ---------------------------------------------------------------------------
 # rank-one perturbations
 
@@ -123,10 +134,14 @@ class Certificate:
 def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT):
     """Classify the residual of the rank-one perturbation X = alpha v vᵀ.
 
-    Returns ``"semidefinite-rank<=1"`` exactly when ``v`` is an
-    eigenvector of A0ᵀ within tolerance (then Ric(X) has rank at most one
-    and a single sign); otherwise ``"indefinite"``.
+    Returns ``"semidefinite-rank<=1"`` when ``alpha`` is zero (then X and
+    Ric(X) vanish) or ``v`` is an eigenvector of A0ᵀ within tolerance
+    (then Ric(X) has rank at most one and a single sign); otherwise
+    ``"indefinite"``. A non-finite ``alpha`` raises :class:`InvalidInput`.
     """
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise InvalidInput(f"alpha must be finite, got {alpha!r}")
     vec = np.asarray(v, dtype=float).reshape(-1)
     n = form.problem.n
     if vec.shape[0] != n:
@@ -134,6 +149,8 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-8:
         raise InvalidInput(f"v must be a unit vector, got norm {norm:.6e}")
+    if alpha == 0.0:
+        return "semidefinite-rank<=1"
     w = form.A0.T @ vec
     defect = w - (vec @ w) * vec
     cut = tol.definiteness * max(1.0, form.a0_norm)
@@ -169,18 +186,14 @@ def extremal_solutions(
         raise Uncontrollable(
             f"blocks {bad} are uncontrollable; the solution set is unbounded"
         )
-    rhp = split.indices(half_plane=RHP)
-    lhp = split.indices(half_plane=LHP)
-    lr = (
-        full_rank_simplified_solution(reduce_blocks(form, split, rhp, tol), tol)
-        if rhp
-        else zero_solution(form, tol)
-    )
-    ll = (
-        full_rank_simplified_solution(reduce_blocks(form, split, lhp, tol), tol)
-        if lhp
-        else zero_solution(form, tol)
-    )
+
+    def solution_over(half_plane):
+        blocks = split.indices(half_plane=half_plane)
+        if not blocks:
+            return zero_solution(form, tol)
+        return full_rank_simplified_solution(reduce_blocks(form, split, blocks, tol), tol)
+
+    lr, ll = solution_over(RHP), solution_over(LHP)
     return ExtremalPair(
         Lr=lr,
         Ll=ll,
@@ -308,27 +321,17 @@ def parametrize(
         raise InvalidInput(f"P must be positive semidefinite, got {p_verdict.kind}")
     strict = p_verdict.kind == "positive-definite"
 
-    y_star = solve_reduced_gramian(eqn, tol)
+    y_star = solve_reduced_gramian(eqn)
     delta = _solve_lyapunov_schur(-eqn.Dk, p, tol.axis)
     y_hat = y_star + delta
-    sv = np.linalg.svd(y_hat, compute_uv=False)
-    if sv[-1] <= tol.rank * max(1.0, sv[0]):
-        raise SingularInput("perturbed Gramian is singular")
+    _check_nonsingular(y_hat, tol.rank, SingularInput, "perturbed Gramian is singular")
     lhat = np.linalg.inv(y_hat)
     lhat = 0.5 * (lhat + lhat.T)
 
     reduced = -eqn.Dk @ lhat - lhat @ eqn.Dk.T + lhat @ eqn.Mk @ lhat
     reduced = 0.5 * (reduced + reduced.T)
-    w = np.linalg.eigvalsh(reduced)
     cut = tol.definiteness * max(1.0, float(np.abs(reduced).max()))
-    passed = w[-1] < -cut if strict else w[-1] <= cut
-    cert = Certificate(
-        residual_max_eig=float(w[-1]),
-        residual_min_eig=float(w[0]),
-        passed=bool(passed),
-        strict=strict,
-        tol_used=cut,
-    )
+    cert = _certificate(reduced, cut, strict)
     return _solution_from_coordinates(eqn, lhat, tol, certificate=cert)
 
 
@@ -355,9 +358,8 @@ def recover_parameter(
     lm = symmetrize(lhat, sym_tol=tol.sym, name="Lhat")
     if lm.shape != (eqn.k, eqn.k):
         raise InvalidInput(f"Lhat must be {eqn.k}x{eqn.k}, got {lm.shape}")
-    sv = np.linalg.svd(lm, compute_uv=False)
-    if sv[-1] <= tol.rank * max(1.0, sv[0]):
-        raise SingularInput("Lhat is singular; restrict to its support blocks first")
+    _check_nonsingular(lm, tol.rank, SingularInput,
+                       "Lhat is singular; restrict to its support blocks first")
     y_hat = np.linalg.inv(lm)
     p = y_hat @ eqn.Dk + eqn.Dk.T @ y_hat - eqn.Mk
     p = 0.5 * (p + p.T)
@@ -467,26 +469,12 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     km = symmetrize(k, sym_tol=tol.sym, name="K")
     r_direct = are_residual(form.problem, km)
     r_homog = ric_residual(form, km - form.K0)
-    scale = max(
-        1.0,
-        float(np.abs(form.problem.A).max()),
-        float(np.abs(form.problem.Q).max()),
-        float(np.abs(km).max()),
-        float(np.abs(km).max()) ** 2 * float(np.abs(form.M).max()),
-    )
+    k_max = float(np.abs(km).max())
+    scale = max(_base_scale(form.problem), k_max, k_max ** 2 * float(np.abs(form.M).max()))
     gap = float(np.abs(r_direct - r_homog).max())
     if gap > 1e-8 * scale + form.base_residual:
         raise RiccatiError(
             f"residual routes disagree by {gap:.3e}; base solution is "
             "inconsistent with the problem data"
         )
-    w = np.linalg.eigvalsh(r_direct)
-    cut = tol.definiteness * scale
-    passed = w[-1] < -cut if strict else w[-1] <= cut
-    return Certificate(
-        residual_max_eig=float(w[-1]),
-        residual_min_eig=float(w[0]),
-        passed=bool(passed),
-        strict=bool(strict),
-        tol_used=cut,
-    )
+    return _certificate(r_direct, tol.definiteness * scale, strict)

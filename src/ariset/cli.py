@@ -8,6 +8,7 @@ Exit codes: 0 ok/pass, 1 verify-fail, 2 parse error, 3 numerical error,
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -25,16 +26,14 @@ from .analysis import (
 )
 from .errors import (
     BaseResidualTooLarge,
-    DegenerateSpectrum,
     InvalidInput,
     NoBaseSolution,
     NotRHPSelection,
     RiccatiError,
-    SingularSylvester,
-    SingularY,
     Uncontrollable,
 )
 from .riccati import (
+    _NO_SOLUTION,
     RiccatiProblem,
     degenerate_classify,
     full_rank_simplified_solution,
@@ -124,7 +123,7 @@ def _tolerances(doc, args, path):
             overrides[field] = _tolerance_value(
                 value, "--" + flag.replace("_", "-")
             )
-    return Tolerances().with_overrides(**overrides)
+    return dataclasses.replace(Tolerances(), **overrides)
 
 
 def _load_base(args):
@@ -286,7 +285,7 @@ def _cmd_solve(args):
         try:
             eqn = reduce_blocks(form, split, block_set, tol)
             sol = full_rank_simplified_solution(eqn, tol)
-        except (SingularY, SingularSylvester, DegenerateSpectrum) as exc:
+        except _NO_SOLUTION as exc:
             results["requested"] = [i + 1 for i in block_set]
             results["absent"] = True
             results["reason"] = type(exc).__name__
@@ -570,12 +569,7 @@ def main(argv=None):
     report = {
         "command": ["ariset"] + argv,
         "input_digest": digest,
-        "tolerances": {
-            "axisTol": tol.axis,
-            "rankTol": tol.rank,
-            "defTol": tol.definiteness,
-            "baseTol": tol.base,
-        },
+        "tolerances": {key: getattr(tol, field) for key, field in _TOL_KEYS.items()},
         "results": results,
     }
     if args.json:

@@ -29,7 +29,6 @@ __all__ = [
     "schur_complement",
     "solve_lyapunov_stable",
     "solve_sylvester",
-    "sym_eig",
     "symmetrize",
 ]
 
@@ -154,19 +153,13 @@ def verdict_from_extremes(lo, hi, cut):
     return DefinitenessVerdict(kind=kind, min_eig=lo, max_eig=hi, tol_used=cut)
 
 
-# ---------------------------------------------------------------------------
-# symmetric eigendecomposition
-
-
-def sym_eig(s, sym_tol=1e-8):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(values, vectors)`` with values ascending and
-    ``S = V diag(values) V^T`` for orthogonal ``V``.
-    """
-    m = symmetrize(s, sym_tol=sym_tol, name="S")
-    w, v = np.linalg.eigh(m)
-    return w, v
+def _check_nonsingular(m, rank_tol, error, message):
+    """Raise ``error(message)`` when the square matrix ``m`` is singular
+    within tolerance: ``σ_min <= rank_tol · max(1, σ_max)``. ``message``
+    may name the smallest singular value as ``{sv_min}``."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[-1] <= rank_tol * max(1.0, sv[0]):
+        raise error(message.format(sv_min=sv[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import (
     SYLVESTER_SEP_RTOL,
     DefinitenessVerdict,
+    _check_nonsingular,
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
@@ -79,6 +80,10 @@ DIRECT_ROUTE_RTOL = 1e-6
 # Residual gate for a free-family generator G of an axis block (unit
 # Frobenius norm): |Ric(G)|_max relative to max(1, ||A0||₂).
 GENERATOR_RESIDUAL_RTOL = 1e-8
+
+# Errors by which a block set carries no equation solution: the reduction
+# cannot separate it, or its Gramian solve or inverse is singular.
+_NO_SOLUTION = (SingularSylvester, SingularY, DegenerateSpectrum)
 
 # Subsets enumerated at a time by schur_family; every family of up to 12
 # clusters is built in one chunk.
@@ -306,12 +311,9 @@ def _hamiltonian_solution(problem, kind, tol):
         )
     u1 = u[:n, :n]
     u2 = u[n:, :n]
-    sv = np.linalg.svd(u1, compute_uv=False)
-    if sv[-1] <= tol.rank * max(1.0, sv[0]):
-        raise NoBaseSolution(
-            "invariant subspace has a singular top block; no solution of "
-            "the requested kind"
-        )
+    _check_nonsingular(u1, tol.rank, NoBaseSolution,
+                       "invariant subspace has a singular top block; no "
+                       "solution of the requested kind")
     k = np.linalg.solve(u1.T, u2.T).T
     km = 0.5 * (k + k.T)
     resid = float(np.abs(are_residual(problem, km)).max())
@@ -424,7 +426,7 @@ def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
     )
 
 
-def solve_reduced_gramian(eqn: SimplifiedEquation, tol: Tolerances = DEFAULT):
+def solve_reduced_gramian(eqn: SimplifiedEquation):
     """Solve ``Y Dk + Dkᵀ Y = Mk`` for the inverse of the maximal reduced
     solution. Singular spectra (axis blocks, mirrored pairs) raise
     :class:`SingularSylvester`."""
@@ -436,13 +438,10 @@ def _gramian_inverse(eqn, tol):
     """``Y⁻¹`` (symmetrized) for the Gramian ``Y`` of
     :func:`solve_reduced_gramian`; raises :class:`SingularY` when ``Y`` is
     singular within ``tol.rank``."""
-    y = solve_reduced_gramian(eqn, tol)
-    sv = np.linalg.svd(y, compute_uv=False)
-    if sv[-1] <= tol.rank * max(1.0, sv[0]):
-        raise SingularY(
-            f"reduced Gramian is singular (smallest singular value {sv[-1]:.3e}); "
-            "the selected blocks admit no full-rank solution"
-        )
+    y = solve_reduced_gramian(eqn)
+    _check_nonsingular(y, tol.rank, SingularY,
+                       "reduced Gramian is singular (smallest singular value "
+                       "{sv_min:.3e}); the selected blocks admit no full-rank solution")
     lcoord = np.linalg.inv(y)
     return 0.5 * (lcoord + lcoord.T)
 
@@ -798,7 +797,7 @@ def _check_direct_route(form, split, eligible, eqn, members, tol):
             if reduced is None:
                 reduced = reduce(form, split, block_set, tol)
             direct = reduced.Lk @ _gramian_inverse(reduced, tol) @ reduced.Lk.T
-        except (SingularSylvester, SingularY, DegenerateSpectrum):
+        except _NO_SOLUTION:
             direct = None
         ours = built.get(block_set)
         if (direct is None) != (ours is None):

@@ -18,7 +18,6 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "SpectralBlock",
     "SpectralSplit",
-    "kalman_rank",
     "pbh_classify",
     "spectral_split",
 ]
@@ -46,23 +45,17 @@ class SpectralBlock:
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Ordered Schur decomposition ``A0^T U = U T`` plus input geometry.
+    """Ordered Schur decomposition ``A0^T U = U T`` with tagged blocks.
 
-    Blocks are grouped AXIS, RHP, LHP in that order. ``M = U^T B B^T U``
-    is the input Gram matrix expressed in the Schur basis, and
-    ``axis_tol`` records the absolute half-width of the axis band used
-    for the grouping.
+    Blocks are grouped AXIS, RHP, LHP in that order, and ``axis_tol``
+    records the absolute half-width of the axis band used for the
+    grouping.
     """
 
     U: np.ndarray
     T: np.ndarray
     blocks: tuple
-    M: np.ndarray
     axis_tol: float
-
-    @property
-    def order(self):
-        return self.U.shape[0]
 
     def indices(self, half_plane=None, controllable=None):
         """Block indices filtered by half-plane and/or controllability."""
@@ -82,27 +75,6 @@ class SpectralSplit:
             b = self.blocks[i]
             cols.extend(range(b.offset, b.offset + b.size))
         return cols
-
-
-def kalman_rank(a, b, rank_tol=1e-10):
-    """Rank of the controllability matrix ``[B, AB, ..., A^{n-1}B]``.
-
-    Equals ``n`` exactly when (A, B) is controllable. The rank cutoff is
-    ``rank_tol`` relative to the largest singular value.
-    """
-    am = as_matrix(a, name="A", square=True)
-    bm = as_matrix(b, name="B")
-    n = am.shape[0]
-    if bm.shape[0] != n:
-        raise InvalidInput(f"B must have {n} rows, got {bm.shape[0]}")
-    cols = [bm]
-    for _ in range(n - 1):
-        cols.append(am @ cols[-1])
-    ctrb = np.hstack(cols)
-    sv = np.linalg.svd(ctrb, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rank_tol * sv[0]))
 
 
 def pbh_classify(a0, b, split: SpectralSplit, rank_tol=1e-10):
@@ -142,8 +114,8 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     """Ordered spectral decomposition of ``A0^T`` with PBH tags.
 
     Computes the real Schur form of ``A0^T``, groups the diagonal blocks
-    AXIS (|Re| within the axis band), then RHP, then LHP, attaches
-    ``M = U^T B B^T U``, and tags each block with its PBH verdict.
+    AXIS (|Re| within the axis band), then RHP, then LHP, and tags each
+    block with its PBH verdict.
 
     Parameters
     ----------
@@ -173,8 +145,6 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
         return _PLANE_ORDER[RHP] if lam.real > 0 else _PLANE_ORDER[LHP]
 
     u, t, raw = real_schur_ordered(am.T, classify)
-    gram = u.T @ (bm @ bm.T) @ u
-    gram = 0.5 * (gram + gram.T)
 
     planes = [AXIS, RHP, LHP]
     blocks = tuple(
@@ -187,5 +157,5 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
         )
         for blk in raw
     )
-    split = SpectralSplit(U=u, T=t, blocks=blocks, M=gram, axis_tol=axis_abs)
+    split = SpectralSplit(U=u, T=t, blocks=blocks, axis_tol=axis_abs)
     return pbh_classify(am, bm, split, rank_tol=tol.rank)

@@ -1,16 +1,23 @@
-"""Tolerance bundle threaded through every numerical decision.
+"""Tolerance bundle for the numerical decisions that take one.
 
 All values are relative; each operation documents the quantity they are
-scaled by. Nothing in the package reads global state: callers either pass
-a ``Tolerances`` instance or accept :data:`DEFAULT`.
+scaled by. Callers pass a ``Tolerances`` instance or accept :data:`DEFAULT`;
+the README lists the thresholds that are fixed in the code.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
+
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Relative tolerances for spectral and rank decisions.
+
+    Every field must be a finite number >= 0, else construction (by
+    ``dataclasses.replace`` too) raises :class:`InvalidInput`.
 
     Attributes
     ----------
@@ -36,10 +43,13 @@ class Tolerances:
     base: float = 1e-7
     sym: float = 1e-8
 
-    def with_overrides(self, **kwargs):
-        """Return a copy with the given fields replaced (None values ignored)."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **updates) if updates else self
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an int subclass, but True is no tolerance; NaN fails both bounds
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
+                raise InvalidInput(
+                    f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}")
 
 
 DEFAULT = Tolerances()

@@ -198,6 +198,21 @@ def build_system(rng, ctrl, unc=(), m=1, coupling=0.4, margin=1e-6,
     raise RuntimeError("failed to draw a system with the requested margins")
 
 
+def kalman_rank(a, b, rank_tol=1e-10):
+    """Rank of the controllability matrix ``[B, AB, ..., A^{n-1}B]``
+    (oracle for the PBH tags): equals ``n`` exactly when (A, B) is
+    controllable. The rank cutoff is ``rank_tol`` relative to the largest
+    singular value."""
+    am = np.atleast_2d(np.asarray(a, dtype=float))
+    cols = [np.asarray(b, dtype=float).reshape(am.shape[0], -1)]
+    for _ in range(am.shape[0] - 1):
+        cols.append(am @ cols[-1])
+    sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > rank_tol * sv[0]))
+
+
 def char_poly_eigs(s):
     """Eigenvalues through characteristic-polynomial coefficients.
 

@@ -6,6 +6,7 @@ from ariset import (
     NotAnEquationSolution,
     NotASolution,
     NotRHPSelection,
+    ParamPoint,
     SingularInput,
     Uncontrollable,
     boundedness,
@@ -19,10 +20,10 @@ from ariset import (
     reduce,
     ric_residual,
     schur_family,
-    solve_lyapunov_stable,
     verify,
 )
 from ariset import analysis
+from ariset.linalg import solve_lyapunov_stable
 
 from conftest import (
     LHAT,
@@ -78,19 +79,27 @@ def test_rank_one_agrees_with_definiteness():
             else:
                 v = rng.standard_normal(4)
                 v /= np.linalg.norm(v)
-            alpha = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
-            label = rank_one_classify(form, v, alpha)
-            verdict = definiteness(ric_residual(form, alpha * np.outer(v, v)))
-            if label == "semidefinite-rank<=1":
-                assert verdict.kind != "indefinite"
-            else:
-                assert verdict.kind == "indefinite"
+            # alpha = 0: X = 0 and Ric(X) = 0 whatever v is
+            for alpha in (float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])), 0.0):
+                label = rank_one_classify(form, v, alpha)
+                verdict = definiteness(ric_residual(form, alpha * np.outer(v, v)))
+                if label == "semidefinite-rank<=1":
+                    assert verdict.kind != "indefinite"
+                else:
+                    assert verdict.kind == "indefinite"
 
 
 def test_rank_one_requires_unit_vector(paper):
     _, form, _ = paper
     with pytest.raises(InvalidInput):
         rank_one_classify(form, [1.0, 1.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_rank_one_requires_finite_alpha(paper, alpha):
+    _, form, _ = paper
+    with pytest.raises(InvalidInput):
+        rank_one_classify(form, [1.0, 0.0, 0.0], alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +270,24 @@ def test_parametrize_identity_hand_values(paper):
     # strict feasibility of the embedded solution on its support
     reduced = eqn.Lk.T @ ric_residual(form, sol.X) @ eqn.Lk
     assert np.linalg.eigvalsh(reduced)[-1] < -1e-8
+
+
+def test_parametrize_accepts_param_point(paper):
+    _, form, split = paper
+    eqn = reduce(form, split, [0, 1])
+    p = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bound = parametrize(eqn, ParamPoint(P=p, block_set=eqn.block_set))
+    bare = parametrize(eqn, p)
+    assert np.array_equal(bound.X, bare.X)
+    assert np.array_equal(bound.Lcoord, bare.Lcoord)
+    assert bound.certificate == bare.certificate
+
+
+def test_parametrize_rejects_param_point_of_other_blocks(paper):
+    _, form, split = paper
+    eqn = reduce(form, split, [0, 1])
+    with pytest.raises(InvalidInput, match="bound to blocks"):
+        parametrize(eqn, ParamPoint(P=np.eye(2), block_set=(0,)))
 
 
 def test_parametrize_scalar_sweep_fills_interval():

@@ -1,0 +1,45 @@
+"""The public surface: exported names and the validation of Tolerances."""
+
+import dataclasses
+import importlib
+
+import numpy as np
+import pytest
+
+import ariset
+from ariset import DEFAULT, InvalidInput, Tolerances
+
+MODULES = ("analysis", "errors", "linalg", "riccati", "systems", "tolerances")
+
+# kernels that nothing in the pipeline calls; the last three stay defined in
+# ariset.linalg for the benchmark's tracer
+REMOVED = ("sym_eig", "kalman_rank", "solve_sylvester", "solve_lyapunov_stable",
+           "schur_complement")
+
+
+@pytest.mark.parametrize("module", ("",) + MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"ariset.{module}" if module else "ariset")
+    names = getattr(mod, "__all__", [])
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ names unbound {missing}"
+
+
+def test_top_level_all_is_sorted_and_unique():
+    assert ariset.__all__ == sorted(set(ariset.__all__))
+
+
+def test_removed_names_are_not_exported():
+    assert not set(REMOVED) & set(ariset.__all__)
+    assert not any(hasattr(ariset, name) for name in REMOVED)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerances_reject_invalid_values(field):
+    for bad in (np.nan, np.inf, -np.inf, -1.0, -1e-300, True, "1e-8", None):
+        with pytest.raises(InvalidInput, match=field):
+            Tolerances(**{field: bad})
+        with pytest.raises(InvalidInput, match=field):
+            dataclasses.replace(DEFAULT, **{field: bad})
+    for good in (0.0, 0, 1e-3, np.float64(2.0)):
+        assert getattr(Tolerances(**{field: good}), field) == good

@@ -20,10 +20,10 @@ from ariset import (
     ric_residual,
     schur_family,
     solve_base_are,
-    solve_lyapunov_stable,
     spectral_split,
 )
 from ariset import DEFAULT, linalg, riccati
+from ariset.linalg import solve_lyapunov_stable
 
 from conftest import (
     L1,
@@ -167,7 +167,7 @@ def test_reduce_full_selection_is_identity(paper):
     eqn = reduce(form, split, [0, 1, 2])
     assert np.array_equal(eqn.Lk, split.U)
     assert np.array_equal(eqn.Dk, split.T)
-    assert np.allclose(eqn.Mk, split.M)
+    assert np.allclose(eqn.Mk, split.U.T @ form.M @ split.U)
 
 
 def test_reduce_reorders_noncontiguous(paper):
