@@ -13,7 +13,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -43,7 +42,7 @@ from .riccati import (
     solve_base_are,
 )
 from .systems import AXIS, spectral_split
-from .tolerances import Tolerances
+from .tolerances import Tolerances, _check_tolerance
 
 _TOL_KEYS = {
     "axisTol": "axis",
@@ -94,16 +93,18 @@ def _matrix_field(doc, key, path, required=True):
 
 
 def _tolerance_value(value, key, location=None):
+    """A tolerance from the file or a flag; a number may be written as a
+    string. A bad value is a parse error naming ``key``."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    # bool is an int subclass, but `true` is no tolerance
-    if isinstance(value, bool) or not (math.isfinite(number) and number >= 0.0):
-        raise CliParseError(
-            f"tolerance {key!r} must be a finite number >= 0", location=location
-        )
-    return number
+        _check_tolerance(value, key)
+    except InvalidInput as exc:
+        raise CliParseError(str(exc), location=location)
+    return float(value)
 
 
 def _tolerances(doc, args, path):
@@ -127,7 +128,7 @@ def _tolerances(doc, args, path):
 
 
 def _load_base(args):
-    """Problem file to (form, tol, digest, kind): the base solve only."""
+    """Problem file to (form, tol, digest): the base solve only."""
     doc, digest = _load_json(args.file)
     a = _matrix_field(doc, "A", args.file)
     b = _matrix_field(doc, "B", args.file)
@@ -135,23 +136,14 @@ def _load_base(args):
     k0 = _matrix_field(doc, "K0", args.file, required=False)
     tol = _tolerances(doc, args, args.file)
     problem = RiccatiProblem(A=a, B=b, Q=q)
-    kind = getattr(args, "kind", None)
-    if kind is None:
-        kind = "given" if k0 is not None else "antistabilizing"
+    kind = args.kind or ("given" if k0 is not None else "antistabilizing")
     if kind == "given" and k0 is None:
         raise CliParseError(
             'kind "given" requires a K0 entry in the problem file',
             location=args.file,
         )
     form = solve_base_are(problem, kind=kind, k0=k0, tol=tol)
-    return form, tol, digest, kind
-
-
-def _load_setup(args):
-    """The base solve and the ordered, PBH-tagged spectral split of A0."""
-    form, tol, digest, kind = _load_base(args)
-    split = spectral_split(form.A0, form.problem.B, tol=tol)
-    return form, split, tol, digest, kind
+    return form, tol, digest
 
 
 def _parse_block_list(text, nblocks):
@@ -225,8 +217,7 @@ def _fmt_matrix(m, indent="    "):
 # commands
 
 
-def _cmd_classify(args):
-    form, split, tol, digest, kind = _load_setup(args)
+def _cmd_classify(args, form, split, tol):
     offsets = {blk.offset: i for i, blk in enumerate(split.blocks)}
     degenerate = [
         {
@@ -239,13 +230,13 @@ def _cmd_classify(args):
     bounds = boundedness(form, split, tol)
     results = {
         "order": form.problem.n,
-        "kind": kind,
+        "kind": form.kind,
         "base_residual": form.base_residual,
         "blocks": [_block_dict(i, b) for i, b in enumerate(split.blocks)],
         "degenerate": degenerate,
         "boundedness_preview": bounds.verdict,
     }
-    return results, 0, tol, digest
+    return results, 0
 
 
 def _render_classify(results):
@@ -266,9 +257,8 @@ def _render_classify(results):
     return "\n".join(lines)
 
 
-def _cmd_solve(args):
-    form, split, tol, digest, kind = _load_setup(args)
-    results = {"kind": kind}
+def _cmd_solve(args, form, split, tol):
+    results = {"kind": form.kind}
     if args.family:
         sols = schur_family(form, split, tol)
         present = {tuple(s.block_set) for s in sols}
@@ -289,9 +279,9 @@ def _cmd_solve(args):
             results["requested"] = [i + 1 for i in block_set]
             results["absent"] = True
             results["reason"] = type(exc).__name__
-            return results, 0, tol, digest
+            return results, 0
         results["solution"] = _solution_dict(sol)
-    return results, 0, tol, digest
+    return results, 0
 
 
 def _render_solve(results):
@@ -320,8 +310,7 @@ def _render_solve(results):
     return "\n".join(lines)
 
 
-def _cmd_extremal(args):
-    form, split, tol, digest, kind = _load_setup(args)
+def _cmd_extremal(args, form, split, tol):
     try:
         pair = extremal_solutions(form, split, tol)
     except Uncontrollable as exc:
@@ -329,13 +318,13 @@ def _cmd_extremal(args):
             f"{exc} (run the bounds command for the unboundedness analysis)"
         )
     results = {
-        "kind": kind,
+        "kind": form.kind,
         "Lr": _solution_dict(pair.Lr),
         "Ll": _solution_dict(pair.Ll),
         "K_max": _mat(pair.K_max),
         "K_min": _mat(pair.K_min),
     }
-    return results, 0, tol, digest
+    return results, 0
 
 
 def _render_extremal(results):
@@ -353,8 +342,7 @@ def _render_extremal(results):
 _SWEEP = (1.0, 10.0, 100.0, 1000.0)
 
 
-def _cmd_bounds(args):
-    form, split, tol, digest, kind = _load_setup(args)
+def _cmd_bounds(args, form, split, tol):
     report = boundedness(form, split, tol)
     witnesses = []
     for w in report.witnesses:
@@ -377,8 +365,8 @@ def _cmd_bounds(args):
                 "alpha_sweep": sweep,
             }
         )
-    results = {"kind": kind, "verdict": report.verdict, "witnesses": witnesses}
-    return results, 0, tol, digest
+    results = {"kind": form.kind, "verdict": report.verdict, "witnesses": witnesses}
+    return results, 0
 
 
 def _render_bounds(results):
@@ -394,8 +382,7 @@ def _render_bounds(results):
     return "\n".join(lines)
 
 
-def _cmd_parametrize(args):
-    form, split, tol, digest, kind = _load_setup(args)
+def _cmd_parametrize(args, form, split, tol):
     block_set = _parse_block_list(args.blocks, len(split.blocks))
     eqn = reduce_blocks(form, split, block_set, tol)
     if args.param is not None:
@@ -421,11 +408,11 @@ def _cmd_parametrize(args):
             }
         )
     results = {
-        "kind": kind,
+        "kind": form.kind,
         "blocks": [i + 1 for i in block_set],
         "solutions": entries,
     }
-    return results, 0, tol, digest
+    return results, 0
 
 
 def _render_parametrize(results):
@@ -440,13 +427,12 @@ def _render_parametrize(results):
     return "\n".join(lines)
 
 
-def _cmd_verify(args):
-    form, tol, digest, kind = _load_base(args)
+def _cmd_verify(args, form, split, tol):
     doc, _ = _load_json(args.K)
     k = _matrix_field(doc, "K", args.K)
     cert = verify(form, k, strict=args.strict, tol=tol)
-    results = {"kind": kind, "certificate": _certificate_dict(cert)}
-    return results, 0 if cert.passed else 1, tol, digest
+    results = {"kind": form.kind, "certificate": _certificate_dict(cert)}
+    return results, 0 if cert.passed else 1
 
 
 def _render_verify(results):
@@ -460,42 +446,40 @@ def _render_verify(results):
     )
 
 
-_RENDERERS = {
-    "classify": _render_classify,
-    "solve": _render_solve,
-    "extremal": _render_extremal,
-    "bounds": _render_bounds,
-    "parametrize": _render_parametrize,
-    "verify": _render_verify,
-}
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "solve": _cmd_solve,
-    "extremal": _cmd_extremal,
-    "bounds": _cmd_bounds,
-    "parametrize": _cmd_parametrize,
-    "verify": _cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("file", help="problem file (JSON with A, B, optional Q, K0)")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument(
+def _command(sub, name, help, handler, render, needs_split=True):
+    """Add the subcommand ``name`` with the options every command takes;
+    ``main`` runs ``handler`` (on a spectral split only when
+    ``needs_split``) and prints its results through ``render``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler, render=render, needs_split=needs_split)
+    p.add_argument("file", help="problem file (JSON with A, B, optional Q, K0)")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument(
         "--kind",
         choices=["stabilizing", "antistabilizing", "given"],
         default=None,
         help="base solution kind (default: given if the file has K0, "
         "else antistabilizing)",
     )
-    sub.add_argument("--tol-axis", type=float, default=None)
-    sub.add_argument("--tol-rank", type=float, default=None)
-    sub.add_argument("--tol-def", type=float, default=None)
+    p.add_argument("--tol-axis", type=float, default=None)
+    p.add_argument("--tol-rank", type=float, default=None)
+    p.add_argument("--tol-def", type=float, default=None)
+    return p
+
+
+def _int_at_least(low):
+    """argparse type for an integer >= ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 @functools.cache
@@ -508,31 +492,32 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="spectral split and controllability")
-    _add_common(p)
+    _command(sub, "classify", "spectral split and controllability",
+             _cmd_classify, _render_classify)
 
-    p = sub.add_parser("solve", help="equation solutions on block subsets")
-    _add_common(p)
+    p = _command(sub, "solve", "equation solutions on block subsets",
+                 _cmd_solve, _render_solve)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rank-set", help="comma-separated 1-based block indices")
     group.add_argument("--family", action="store_true", help="enumerate all subsets")
 
-    p = sub.add_parser("extremal", help="maximum/minimum solutions and K bounds")
-    _add_common(p)
+    _command(sub, "extremal", "maximum/minimum solutions and K bounds",
+             _cmd_extremal, _render_extremal)
 
-    p = sub.add_parser("bounds", help="boundedness verdict with witness rays")
-    _add_common(p)
+    _command(sub, "bounds", "boundedness verdict with witness rays",
+             _cmd_bounds, _render_bounds)
 
-    p = sub.add_parser("parametrize", help="solutions from PSD parameters")
-    _add_common(p)
+    p = _command(sub, "parametrize", "solutions from PSD parameters",
+                 _cmd_parametrize, _render_parametrize)
     p.add_argument("--blocks", required=True, help="1-based RHP block indices")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--param", help="JSON file with the parameter under key P")
-    group.add_argument("--sample", type=int, help="number of random PD parameters")
-    p.add_argument("--seed", type=int, default=0, help="seed for --sample")
+    group.add_argument("--sample", type=_int_at_least(1),
+                       help="number of random PD parameters")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for --sample")
 
-    p = sub.add_parser("verify", help="certify a candidate K against the ARI")
-    _add_common(p)
+    p = _command(sub, "verify", "certify a candidate K against the ARI",
+                 _cmd_verify, _render_verify, needs_split=False)
     p.add_argument("--K", required=True, help="JSON file with the matrix under key K")
     p.add_argument("--strict", action="store_true", help="require strict negativity")
 
@@ -548,7 +533,9 @@ def main(argv=None):
         return int(exc.code or 0)
 
     try:
-        results, code, tol, digest = _HANDLERS[args.command](args)
+        form, tol, digest = _load_base(args)
+        split = spectral_split(form.A0, form.problem.B, tol=tol) if args.needs_split else None
+        results, code = args.handler(args, form, split, tol)
     except CliParseError as exc:
         loc = f" at {exc.location}" if exc.location else ""
         print(f"error: parse: {exc}{loc}", file=sys.stderr)
@@ -575,7 +562,7 @@ def main(argv=None):
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(_RENDERERS[args.command](results))
+        print(args.render(results))
     return code
 
 

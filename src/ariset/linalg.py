@@ -153,12 +153,18 @@ def verdict_from_extremes(lo, hi, cut):
     return DefinitenessVerdict(kind=kind, min_eig=lo, max_eig=hi, tol_used=cut)
 
 
+def _full_rank(sv_min, sv_max, rank_tol):
+    """The rank rule ``σ_min > rank_tol · max(1, σ_max)``, on the extreme
+    singular values of one matrix or of a stack (arrays)."""
+    return sv_min > rank_tol * np.maximum(1.0, sv_max)
+
+
 def _check_nonsingular(m, rank_tol, error, message):
-    """Raise ``error(message)`` when the square matrix ``m`` is singular
-    within tolerance: ``σ_min <= rank_tol · max(1, σ_max)``. ``message``
-    may name the smallest singular value as ``{sv_min}``."""
+    """Raise ``error(message)`` when the square matrix ``m`` fails
+    :func:`_full_rank`. ``message`` may name the smallest singular value
+    as ``{sv_min}``."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= rank_tol * max(1.0, sv[0]):
+    if not _full_rank(sv[-1], sv[0], rank_tol):
         raise error(message.format(sv_min=sv[-1]))
 
 

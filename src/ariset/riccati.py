@@ -12,6 +12,7 @@ solutions through Schur complements of the maximal one, and classifies the
 degenerate axis blocks (zero / purely imaginary eigenvalues).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -33,6 +34,7 @@ from .linalg import (
     SYLVESTER_SEP_RTOL,
     DefinitenessVerdict,
     _check_nonsingular,
+    _full_rank,
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
@@ -84,10 +86,6 @@ GENERATOR_RESIDUAL_RTOL = 1e-8
 # Errors by which a block set carries no equation solution: the reduction
 # cannot separate it, or its Gramian solve or inverse is singular.
 _NO_SOLUTION = (SingularSylvester, SingularY, DegenerateSpectrum)
-
-# Subsets enumerated at a time by schur_family; every family of up to 12
-# clusters is built in one chunk.
-_SUBSET_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -328,6 +326,22 @@ def _hamiltonian_solution(problem, kind, tol):
 # reduction to selected blocks
 
 
+def _block_index(i):
+    """``i`` as a block index: a Python or numpy integer, not a bool."""
+    if isinstance(i, bool) or not hasattr(i, "__index__"):
+        raise InvalidInput(f"block index {i!r} is not an integer")
+    return operator.index(i)
+
+
+def _check_invariant(form, basis, d, error, message):
+    """Raise ``error(message)`` unless ``A0ᵀ L = L D`` holds for ``L =
+    basis``: ``|A0ᵀL − LD|_max <= INVARIANCE_RTOL · max(1, ||A0||₂) ·
+    max(1, |L|_max)``. ``message`` may name the residual as ``{resid}``."""
+    resid = float(np.abs(form.A0.T @ basis - basis @ d).max())
+    if resid > INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, float(np.abs(basis).max())):
+        raise error(message.format(resid=resid))
+
+
 def reduce(
     form: HomogeneousForm,
     split: SpectralSplit,
@@ -349,7 +363,7 @@ def reduce(
     NonInvariantSelection
         The extracted columns fail the invariance residual check.
     """
-    selected = sorted(set(int(i) for i in block_set))
+    selected = sorted({_block_index(i) for i in block_set})
     nblk = len(split.blocks)
     if not selected:
         raise InvalidInput("block_set must select at least one block")
@@ -373,12 +387,9 @@ def reduce(
     mk = lk.T @ form.M @ lk
     mk = 0.5 * (mk + mk.T)
 
-    inv_resid = float(np.abs(form.A0.T @ lk - lk @ dk).max())
-    if inv_resid > INVARIANCE_RTOL * max(1.0, form.a0_norm):
-        raise NonInvariantSelection(
-            f"selected blocks are coupled to unselected ones: invariance "
-            f"residual {inv_resid:.3e}"
-        )
+    _check_invariant(form, lk, dk, NonInvariantSelection,
+                     "selected blocks are coupled to unselected ones: "
+                     "invariance residual {resid:.3e}")
 
     blocks = tuple(split.blocks[i] for i in selected)
     offsets = np.cumsum([0] + [blk.size for blk in blocks[:-1]])
@@ -698,11 +709,8 @@ def _gramian_members(eqn, labels, tol):
 
     w, lam = _decouple_blocks(eqn.Dk, spans, block_label)
     lp = eqn.Lk @ w
-    inv_resid = float(np.abs(form.A0.T @ lp - lp @ lam).max())
-    if inv_resid > INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, float(np.abs(lp).max())):
-        raise RiccatiError(
-            f"decoupled basis is not invariant: residual {inv_resid:.3e}"
-        )
+    _check_invariant(form, lp, lam, RiccatiError,
+                     "decoupled basis is not invariant: residual {resid:.3e}")
 
     c = lp.T @ form.M @ lp
     c = 0.5 * (c + c.T)
@@ -711,25 +719,23 @@ def _gramian_members(eqn, labels, tol):
 
     block_ids = list(eqn.block_set)
     col_eigs = list(eqn.eigenvalues)  # one per column of Lk
+    # every union of non-clashing units, one row each of a membership table
+    masks = np.arange(1, 2 ** len(units))
+    pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
+    pick = pick[~np.any((pick @ clash) & pick, axis=1)]
+    col_pick = pick[:, unit_of_col]
+    ncols = col_pick.sum(axis=1)
     members = []
-    # every union of units, as rows of a membership table built in chunks
-    # so that its memory stays proportional to the members emitted
-    for start in range(1, 2 ** len(units), _SUBSET_CHUNK):
-        masks = np.arange(start, min(start + _SUBSET_CHUNK, 2 ** len(units)))
-        pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
-        pick = pick[~np.any((pick @ clash) & pick, axis=1)]
-        col_pick = pick[:, unit_of_col]
-        ncols = col_pick.sum(axis=1)
-        for k in np.unique(ncols):
-            rows = np.flatnonzero(ncols == k)
-            idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-            supports = [
-                (tuple(compress(block_ids, on_block)), tuple(compress(col_eigs, on_col)))
-                for on_block, on_col in zip(pick[rows][:, unit_of_block].tolist(),
-                                            col_pick[rows].tolist())
-            ]
-            members += _batch_members(form, lp[:, idx].transpose(1, 0, 2),
-                                      y[idx[:, :, None], idx[:, None, :]], supports, tol)
+    for k in np.unique(ncols):
+        rows = np.flatnonzero(ncols == k)
+        idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
+        supports = [
+            (tuple(compress(block_ids, on_block)), tuple(compress(col_eigs, on_col)))
+            for on_block, on_col in zip(pick[rows][:, unit_of_block].tolist(),
+                                        col_pick[rows].tolist())
+        ]
+        members += _batch_members(form, lp[:, idx].transpose(1, 0, 2),
+                                  y[idx[:, :, None], idx[:, None, :]], supports, tol)
     return members
 
 
@@ -748,7 +754,7 @@ def _batch_members(form, ls, ys, supports, tol):
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
     sv = np.abs(np.linalg.eigvalsh(g))  # g is symmetric: its singular values
     sv_min, sv_max = sv.min(axis=1), sv.max(axis=1)
-    ok = sv_min > tol.rank * np.maximum(1.0, sv_max)
+    ok = _full_rank(sv_min, sv_max, tol.rank)
     if not ok.all():
         q, g, sv, sv_min = q[ok], g[ok], sv[ok], sv_min[ok]
         supports = list(compress(supports, ok.tolist()))
@@ -837,11 +843,8 @@ def _uncontrollable_zero_directions(form, tol):
     """Orthonormal kernel of the stacked map [A0ᵀ; Bᵀ]: directions v with
     A0ᵀ v = 0 and Bᵀ v = 0."""
     stacked = np.vstack([form.A0.T, form.problem.B.T])
-    _, sv, vt = np.linalg.svd(stacked)
-    scale = max(1.0, sv[0] if sv.size else 0.0)
-    null = [vt[i] for i in range(vt.shape[0])
-            if i >= sv.size or sv[i] <= tol.rank * scale]
-    return null
+    _, sv, vt = np.linalg.svd(stacked)  # n singular values: the stack has n + m rows
+    return list(vt[~_full_rank(sv, sv[0], tol.rank)])
 
 
 def _imaginary_pair_generator(eqn):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import as_matrix, real_schur_ordered
+from .linalg import _full_rank, as_matrix, real_schur_ordered
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -47,15 +47,12 @@ class SpectralBlock:
 class SpectralSplit:
     """Ordered Schur decomposition ``A0^T U = U T`` with tagged blocks.
 
-    Blocks are grouped AXIS, RHP, LHP in that order, and ``axis_tol``
-    records the absolute half-width of the axis band used for the
-    grouping.
+    Blocks are grouped AXIS, RHP, LHP in that order.
     """
 
     U: np.ndarray
     T: np.ndarray
     blocks: tuple
-    axis_tol: float
 
     def indices(self, half_plane=None, controllable=None):
         """Block indices filtered by half-plane and/or controllability."""
@@ -82,11 +79,11 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=1e-10):
 
     A block is tagged controllable iff the PBH pencil ``[lam I - A0, B]``
     at its representative eigenvalue ``lam`` (``eigenvalues[0]``) has full
-    row rank: its smallest singular value must exceed
-    ``rank_tol * max(1, sigma_max)``. Conjugate pairs share a verdict and
-    are tagged atomically. The pencils of all blocks are stacked and
-    factored in one batched SVD per arithmetic: real eigenvalues on real
-    pencils, conjugate pairs on complex ones.
+    row rank by the rank rule, ``sigma_min > rank_tol * max(1, sigma_max)``.
+    Conjugate pairs share a verdict and are tagged atomically. The pencils
+    of all blocks are stacked and factored in one batched SVD per
+    arithmetic: real eigenvalues on real pencils, conjugate pairs on
+    complex ones.
     """
     am = as_matrix(a0, name="A0", square=True)
     bm = as_matrix(b, name="B")
@@ -103,7 +100,7 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=1e-10):
         pencil[:, range(n), range(n)] += shifts[:, None]
         pencil[:, :, n:] = bm
         sv = np.linalg.svd(pencil, compute_uv=False)
-        tags[chosen] = sv[:, -1] > rank_tol * np.maximum(1.0, sv[:, 0])
+        tags[chosen] = _full_rank(sv[:, -1], sv[:, 0], rank_tol)
     tagged = tuple(
         replace(blk, controllable=bool(ok)) for blk, ok in zip(split.blocks, tags)
     )
@@ -157,5 +154,5 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
         )
         for blk in raw
     )
-    split = SpectralSplit(U=u, T=t, blocks=blocks, axis_tol=axis_abs)
+    split = SpectralSplit(U=u, T=t, blocks=blocks)
     return pbh_classify(am, bm, split, rank_tol=tol.rank)

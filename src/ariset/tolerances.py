@@ -45,11 +45,15 @@ class Tolerances:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            # bool is an int subclass, but True is no tolerance; NaN fails both bounds
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
-                raise InvalidInput(
-                    f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}")
+            _check_tolerance(getattr(self, field.name), field.name)
+
+
+def _check_tolerance(value, label):
+    """Raise :class:`InvalidInput` unless ``value`` is a finite real number
+    >= 0; ``label`` names it in the message."""
+    # bool is an int subclass, but True is no tolerance; NaN fails both bounds
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
+        raise InvalidInput(f"tolerance {label!r} must be a finite number >= 0, got {value!r}")
 
 
 DEFAULT = Tolerances()

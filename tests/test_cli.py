@@ -264,6 +264,15 @@ def test_parametrize_lhp_selection_exits_5(paper_file, tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--sample", "0"),
+                                        ("--sample", "-3")])
+def test_parametrize_bad_integer_flags_exit_2(paper_file, capsys, flag, value):
+    argv = ["parametrize", paper_file, "--blocks", "1", "--sample", "2", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -319,6 +328,25 @@ def test_verify_needs_only_the_base(paper_file, tmp_path, capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # report contract
+
+
+@pytest.mark.parametrize("kind", ["stabilizing", "antistabilizing", "given"])
+@pytest.mark.parametrize("command", [
+    ["classify"], ["solve", "--family"], ["solve", "--rank-set", "1,3"],
+    ["extremal"], ["bounds"], ["parametrize", "--blocks", "1", "--sample", "2"],
+    ["verify"],
+], ids=lambda c: " ".join(c[:2]))
+def test_every_command_reports_the_base_kind(paper_file, tmp_path, capsys,
+                                             command, kind):
+    if command == ["verify"]:
+        command = ["verify", "--K", _write(tmp_path, "k.json", {"K": LHAT.tolist()})]
+    argv = [command[0], paper_file, *command[1:], "--kind", kind]
+    if command[0] == "parametrize" and kind == "stabilizing":
+        assert main(argv) == 5  # a stabilizing base leaves no RHP block
+        return
+    code, report = _run_json(capsys, argv)
+    assert code == 0
+    assert report["results"]["kind"] == kind
 
 
 def test_json_report_roundtrip(paper_file, tmp_path, capsys):

@@ -232,6 +232,19 @@ def test_reduce_rejects_bad_block_sets(paper):
         reduce(form, split, [5])
 
 
+@pytest.mark.parametrize("index", [0.7, 1.9, True, "1", np.float64(2.0)],
+                         ids=repr)
+def test_reduce_rejects_non_integer_indices(paper, index):
+    _, form, split = paper
+    with pytest.raises(InvalidInput, match="not an integer"):
+        reduce(form, split, [index])
+
+
+def test_reduce_accepts_numpy_integers(paper):
+    _, form, split = paper
+    assert reduce(form, split, [np.int64(1)]).block_set == (1,)
+
+
 # ---------------------------------------------------------------------------
 # full-rank reduced solutions
 
