@@ -22,7 +22,7 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import _check_nonsingular, _solve_lyapunov_schur, definiteness, symmetrize
+from .linalg import _check_nonsingular, _solve_lyapunov_schur, as_matrix, definiteness, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
@@ -142,7 +142,7 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InvalidInput(f"alpha must be finite, got {alpha!r}")
-    vec = np.asarray(v, dtype=float).reshape(-1)
+    vec = as_matrix(v, name="v").reshape(-1)
     n = form.problem.n
     if vec.shape[0] != n:
         raise InvalidInput(f"v must have length {n}")

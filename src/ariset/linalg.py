@@ -34,7 +34,8 @@ __all__ = [
 
 
 def as_matrix(a, name="matrix", square=False):
-    """Coerce to a 2-D float array and reject non-finite entries.
+    """Coerce to a 2-D float array, rejecting with :class:`InvalidInput`
+    ragged, complex, non-numeric and non-finite input.
 
     Parameters
     ----------
@@ -51,7 +52,16 @@ def as_matrix(a, name="matrix", square=False):
     numpy.ndarray
         A fresh ``float64`` array of shape (rows, cols).
     """
-    m = np.array(a, dtype=float, copy=True)
+    try:
+        raw = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInput(f"{name} is not a rectangular array: {exc}") from None
+    if np.iscomplexobj(raw):
+        raise InvalidInput(f"{name} must be real, got complex entries")
+    try:
+        m = raw.astype(float)  # always a fresh copy
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} has entries that are not real numbers: {exc}") from None
     if m.ndim == 0:
         m = m.reshape(1, 1)
     elif m.ndim == 1:
@@ -328,16 +338,15 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
 # Sylvester / Lyapunov solves
 
 
-def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", isgn=1,
-                            sep_tol=SYLVESTER_SEP_RTOL):
-    """Solve ``op(TF) X + isgn X op(TG) = C`` through LAPACK ``dtrsyl``.
+def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", sep_tol=SYLVESTER_SEP_RTOL):
+    """Solve ``op(TF) X + X op(TG) = C`` through LAPACK ``dtrsyl``.
 
     ``TF`` and ``TG`` are quasi-upper-triangular (real Schur forms: 1x1
     and 2x2 diagonal blocks, exact zeros below them); ``op`` is the
     identity for ``trana`` / ``tranb`` = ``"N"`` and the transpose for
-    ``"T"``, ``isgn`` is +1 or -1. The solve is refused when
-    ``min |lambda_F + isgn lambda_G|``, read from the diagonal blocks,
-    falls below ``sep_tol * max(1, rho(F) + rho(G))``.
+    ``"T"``. The solve is refused when ``min |lambda_F + lambda_G|``, read
+    from the diagonal blocks, falls below ``sep_tol * max(1, rho(F) +
+    rho(G))``.
 
     Raises
     ------
@@ -347,32 +356,29 @@ def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", isgn=1,
     """
     wf = _row_eigenvalues(tf)
     wg = _row_eigenvalues(tg)
-    sep = float(np.abs(wf[:, None] + isgn * wg[None, :]).min())
+    sep = float(np.abs(wf[:, None] + wg[None, :]).min())
     scale = max(1.0, float(np.abs(wf).max()) + float(np.abs(wg).max()))
-    mirror = "-G" if isgn > 0 else "G"
     if sep <= sep_tol * scale:
         raise SingularSylvester(
-            f"spec(F) meets spec({mirror}): separation {sep:.3e} <= "
+            f"spec(F) meets spec(-G): separation {sep:.3e} <= "
             f"{sep_tol:.1e} * {scale:.3e}"
         )
 
-    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, tranb=tranb, isgn=isgn)
+    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, tranb=tranb)
     if info < 0:
         raise InvalidInput(f"dtrsyl rejected argument {-info}")
     if info == 1:
-        raise SingularSylvester(
-            f"spec(F) nearly meets spec({mirror}): dtrsyl perturbed the solve"
-        )
+        raise SingularSylvester("spec(F) nearly meets spec(-G): dtrsyl perturbed the solve")
     return y / ysc
 
 
-def _separation_refusals(w, starts, isgn):
+def _separation_refusals(w, starts):
     """The separation test of :func:`_solve_quasi_triangular` for every
     pair of row groups at once: ``w`` holds row eigenvalues, group u is
     rows ``starts[u]`` up to the next start, and entry (u, v) is true when
-    ``min |λ_u + isgn λ_v| <= SYLVESTER_SEP_RTOL · max(1, ρ_u + ρ_v)``,
-    the refusal of the solve ``F X + isgn X G = C`` on that pair."""
-    sep = np.abs(w[:, None] + isgn * w[None, :])
+    ``min |λ_u + λ_v| <= SYLVESTER_SEP_RTOL · max(1, ρ_u + ρ_v)``, the
+    refusal of the solve ``F X + X G = C`` on that pair."""
+    sep = np.abs(w[:, None] + w[None, :])
     sep = np.minimum.reduceat(np.minimum.reduceat(sep, starts, axis=0), starts, axis=1)
     rho = np.maximum.reduceat(np.abs(w), starts)
     return sep <= SYLVESTER_SEP_RTOL * np.maximum(1.0, rho[:, None] + rho[None, :])

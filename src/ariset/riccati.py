@@ -15,7 +15,7 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
     SingularY,
 )
 from .linalg import (
-    SYLVESTER_SEP_RTOL,
     DefinitenessVerdict,
     _check_nonsingular,
     _full_rank,
@@ -141,8 +140,8 @@ class SimplifiedEquation:
     """The Riccati data restricted to selected invariant Schur blocks.
 
     ``Lk`` has orthonormal columns spanning an A0ᵀ-invariant subspace with
-    ``A0ᵀ Lk = Lk Dk``; ``Mk = Lkᵀ B Bᵀ Lk``. ``offsets`` gives each
-    selected block's first local coordinate inside ``Dk``.
+    ``A0ᵀ Lk = Lk Dk``; ``Mk = Lkᵀ B Bᵀ Lk``. ``Dk`` is quasi-upper-
+    triangular with the selected ``blocks`` along its diagonal, in order.
     """
 
     block_set: tuple
@@ -150,7 +149,6 @@ class SimplifiedEquation:
     Mk: np.ndarray
     Lk: np.ndarray
     blocks: tuple
-    offsets: tuple
     form: HomogeneousForm
 
     @property
@@ -297,12 +295,7 @@ def _hamiltonian_solution(problem, kind, tol):
         return 0 if in_rhp == want_rhp_first else 2
 
     u, _, blocks = real_schur_ordered(ham, classify)
-    covered = 0
-    for blk in blocks:
-        if covered == n:
-            break
-        covered += blk.size
-    if covered != n:
+    if n not in accumulate(blk.size for blk in blocks):
         raise NoBaseSolution(
             "a complex-conjugate pair straddles the invariant-subspace "
             "boundary; no real solution of the requested kind"
@@ -391,15 +384,12 @@ def reduce(
                      "selected blocks are coupled to unselected ones: "
                      "invariance residual {resid:.3e}")
 
-    blocks = tuple(split.blocks[i] for i in selected)
-    offsets = np.cumsum([0] + [blk.size for blk in blocks[:-1]])
     return SimplifiedEquation(
         block_set=tuple(selected),
         Dk=dk,
         Mk=mk,
         Lk=lk,
-        blocks=blocks,
-        offsets=tuple(int(o) for o in offsets),
+        blocks=tuple(split.blocks[i] for i in selected),
         form=form,
     )
 
@@ -510,77 +500,26 @@ def _clusters(split, gap_tol):
     return reach.argmax(axis=1)  # the first block of each cluster
 
 
-def _decouple_blocks(d, spans, cluster):
-    """Unit upper block-triangular W and ``Λ = W⁻¹ d W`` with no coupling
-    between blocks of different clusters.
+def _cluster_bases(eqn, cols):
+    """Orthonormal bases ``L'`` of the clusters' invariant subspaces and
+    the ``Λ`` with ``A0ᵀ L' = L' Λ`` and no coupling across clusters.
 
-    ``d`` is quasi-upper-triangular with contiguous diagonal blocks
-    ``spans`` and ``cluster[i]`` labels block i. Blocks of one cluster
-    share eigenvalues and stay coupled. ``Λ`` is the one the recurrence
-    ``d W = W Λ`` builds: ``d``'s diagonal blocks, the same-cluster
-    coupling, and exact zeros across clusters and below the block
-    diagonal, so each cluster's part of ``Λ`` is quasi-triangular.
-
-    Block column j is solved from the bottom up. A block of j's cluster
-    takes its coupling into ``Λ``; each maximal run of earlier blocks
-    outside the cluster is one kernel call, ``d[run, run] W[run, j] −
-    W[run, j] d[j, j] = rhs``, since ``Λ`` vanishes on the run's rows. With
-    no same-cluster predecessor that is one call per column, B − 1 in
-    all. Separation is decided pair by pair from the row eigenvalues, by
-    the kernel's own test at each pair's scale, so the run solve skips
-    the test (the run's larger ρ would refuse pairs the test accepts). A
-    column with a refused pair, or whose run ``dtrsyl`` had to perturb, is
-    solved pair by pair, and refuses exactly as that solve does: raises
-    :class:`SingularSylvester` when two clusters cannot be separated.
+    One :func:`_select_leading` call per cluster moves its columns
+    ``cols[u]`` of ``Dk`` to the front: the leading Schur vectors, mapped
+    through ``Lk``, fill ``L'[:, cols[u]]`` and the leading diagonal block
+    fills ``Λ[cols[u], cols[u]]``, so ``Λ`` keeps ``Dk``'s 1×1 / 2×2
+    layout. Raises :class:`DegenerateSpectrum` when ``dtrsen`` cannot
+    separate a cluster from the rest.
     """
-    w = np.eye(d.shape[0])
-    lam = np.zeros_like(d)
-    for s in spans:
-        lam[s, s] = d[s, s]
-    refused = _separation_refusals(_row_eigenvalues(d), [s.start for s in spans], isgn=-1)
-    for j in range(1, len(spans)):
-        outside = [cluster[i] != cluster[j] for i in range(j)]
-        if not refused[:j, j][outside].any():
-            try:
-                _decouple_column(d, spans, w, lam, j, _segments(outside, runs=True),
-                                 sep_tol=0.0)
-                continue
-            except SingularSylvester:
-                pass  # dtrsyl perturbed a run
-        _decouple_column(d, spans, w, lam, j, _segments(outside, runs=False))
-    return w, lam
-
-
-def _segments(outside, runs):
-    """``(first, last, coupled)`` segments of blocks ``0 .. j-1``, bottom
-    up: a block of j's cluster (``outside[i]`` false) alone, the others
-    one by one, or with ``runs`` every maximal run of them as one."""
-    segments = []
-    i = len(outside) - 1
-    while i >= 0:
-        last = i
-        while runs and outside[i] and i > 0 and outside[i - 1]:
-            i -= 1
-        segments.append((i, last, not outside[i]))
-        i -= 1
-    return segments
-
-
-def _decouple_column(d, spans, w, lam, j, segments, sep_tol=SYLVESTER_SEP_RTOL):
-    """Fill block column j of ``w`` and ``lam`` segment by segment, bottom
-    up; a coupled segment (one block of j's cluster) goes to ``lam``, any
-    other is one kernel call."""
-    sj = spans[j]
-    for first, last, coupled in segments:
-        rows = slice(spans[first].start, spans[last].stop)
-        # blocks last+1 .. j-1 occupy rows lo:mid, blocks last+1 .. j rows lo:hi
-        lo, mid, hi = rows.stop, sj.start, sj.stop
-        rhs = w[rows, lo:mid] @ lam[lo:mid, sj] - d[rows, lo:hi] @ w[lo:hi, sj]
-        if coupled:
-            lam[rows, sj] = -rhs
-        else:
-            w[rows, sj] = _solve_quasi_triangular(d[rows, rows], d[sj, sj], rhs,
-                                                  isgn=-1, sep_tol=sep_tol)
+    k = eqn.k
+    lp = np.empty_like(eqn.Lk)
+    lam = np.zeros((k, k))
+    for cu in cols:
+        t, q = _select_leading(eqn.Dk, np.eye(k), cu)
+        m = len(cu)
+        lp[:, cu] = eqn.Lk @ q[:, :m]
+        lam[np.ix_(cu, cu)] = t[:m, :m]
+    return lp, lam
 
 
 def _clash_table(lam, unit_of_col):
@@ -591,7 +530,7 @@ def _clash_table(lam, unit_of_col):
     ``lam``; ``unit_of_col`` labels each row with its cluster, 0 .. C-1."""
     order = np.argsort(unit_of_col, kind="stable")
     starts = np.searchsorted(unit_of_col[order], np.arange(unit_of_col.max() + 1))
-    return _separation_refusals(_row_eigenvalues(lam)[order], starts, isgn=1)
+    return _separation_refusals(_row_eigenvalues(lam)[order], starts)
 
 
 def _cluster_gramian(lam, c, cols, clash):
@@ -639,15 +578,16 @@ def schur_family(
 
     Every solution of Ric(X) = 0 is supported on an A0ᵀ-invariant
     subspace spanned by Schur blocks. One :func:`reduce` over the
-    eligible blocks gives ``A0ᵀ Lk = Lk Dk``; a similarity ``W`` makes
-    ``Λ = W⁻¹ Dk W`` block-diagonal across eigenvalue clusters, solved by
-    block column with one Sylvester kernel call per run of earlier blocks
-    outside the column's cluster (:func:`_decouple_blocks`). The
-    mirrored-pair clashes between clusters are decided once, from the
-    eigenvalues of ``Λ``'s diagonal blocks, by the Sylvester kernel's own
-    separation test; the Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y' =
-    L'ᵀ M L'`` with ``L' = Lk W``) is then solved by cluster, one kernel
-    call per cluster against every non-clashing cluster at or after it.
+    eligible blocks gives ``A0ᵀ Lk = Lk Dk``. Each eigenvalue cluster then
+    gets an orthonormal basis of its own invariant subspace from one Schur
+    reordering of ``Dk`` (:func:`_cluster_bases`): together they form
+    ``L'`` with ``A0ᵀ L' = L' Λ``, where ``Λ`` is quasi-triangular with no
+    coupling across clusters. The mirrored-pair clashes between clusters
+    are decided once, from the eigenvalues of ``Λ``'s diagonal blocks, by
+    the Sylvester kernel's own separation test; the Gramian ``Y'`` of
+    ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'``) is then solved by cluster, one
+    kernel call per cluster against every non-clashing cluster at or
+    after it.
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
     Schur complement of the maximal solution onto S. Members are built in
     stacked batches of equal column count; each is expressed in a QR
@@ -669,7 +609,9 @@ def schur_family(
     max(1, |A0|_max |X|_max, |M|_max |X|²_max)``, and the direct route
     (:func:`reduce` + :func:`full_rank_simplified_solution`) must agree
     on presence and on X to ``DIRECT_ROUTE_RTOL`` for every single block
-    and for the maximal set. Any failure raises :class:`RiccatiError`.
+    and for the maximal set. Any failure raises :class:`RiccatiError`;
+    two clusters the reordering cannot separate raise
+    :class:`DegenerateSpectrum`.
 
     Returns
     -------
@@ -700,17 +642,15 @@ def _gramian_members(eqn, labels, tol):
     """Every present member over unions of the clusters in ``eqn``."""
     form = eqn.form
     sizes = [blk.size for blk in eqn.blocks]
-    spans = [slice(off, off + size) for off, size in zip(eqn.offsets, sizes)]
     block_label = [labels[i] for i in eqn.block_set]
     units = sorted(set(block_label), key=block_label.index)
     unit_of_block = np.array([units.index(lb) for lb in block_label])
     unit_of_col = np.repeat(unit_of_block, sizes)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
 
-    w, lam = _decouple_blocks(eqn.Dk, spans, block_label)
-    lp = eqn.Lk @ w
+    lp, lam = _cluster_bases(eqn, cols)
     _check_invariant(form, lp, lam, RiccatiError,
-                     "decoupled basis is not invariant: residual {resid:.3e}")
+                     "cluster basis is not invariant: residual {resid:.3e}")
 
     c = lp.T @ form.M @ lp
     c = 0.5 * (c + c.T)

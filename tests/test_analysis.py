@@ -95,6 +95,15 @@ def test_rank_one_requires_unit_vector(paper):
         rank_one_classify(form, [1.0, 1.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], np.array([1.0 + 0.5j, 0.0, 0.0])],
+                         ids=["nan", "complex"])
+def test_rank_one_requires_a_real_finite_vector(paper, v):
+    # NaN slips past a norm test, and the complex v's real part is a unit vector
+    _, form, _ = paper
+    with pytest.raises(InvalidInput, match="^v "):
+        rank_one_classify(form, v, 1.0)
+
+
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
 def test_rank_one_requires_finite_alpha(paper, alpha):
     _, form, _ = paper

@@ -9,6 +9,7 @@ from ariset import (
     DegenerateSpectrum,
     InvalidInput,
     NotHurwitz,
+    RiccatiProblem,
     SingularBlock,
     SingularSylvester,
     definiteness,
@@ -48,6 +49,17 @@ def test_as_matrix_rejects_inf_and_shape():
         as_matrix([[np.inf]])
     with pytest.raises(InvalidInput):
         as_matrix([[1.0, 2.0]], square=True)
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}, np.array([[1 + 2j]]),
+                                 [[1, 0], [0, "x"]]],
+                         ids=["string", "ragged", "dict", "complex", "non-numeric-entry"])
+@pytest.mark.filterwarnings("error")
+def test_as_matrix_rejects_what_is_not_a_real_array(bad):
+    with pytest.raises(InvalidInput, match="^A "):
+        as_matrix(bad, name="A")
+    with pytest.raises(InvalidInput, match="^A "):
+        RiccatiProblem(A=bad, B=1)
 
 
 def test_symmetrize_checks_and_averages():
@@ -318,22 +330,21 @@ def _quasi_triangular(rng, n):
     return t
 
 
-@pytest.mark.parametrize("flags", [{}, {"trana": "T"}, {"isgn": -1}],
-                         ids=["plain", "trana-T", "isgn-minus"])
+@pytest.mark.parametrize("flags", [{}, {"trana": "T"}], ids=["plain", "trana-T"])
 def test_quasi_triangular_kernel_matches_kronecker_oracle(flags):
     rng = np.random.default_rng(31)
-    trana, isgn = flags.get("trana", "N"), flags.get("isgn", 1)
+    trana = flags.get("trana", "N")
     pairs = 0
     for p, q in ((1, 1), (2, 3), (5, 4), (6, 9), (12, 7), (12, 12)):
         tf, tg = _quasi_triangular(rng, p), _quasi_triangular(rng, q)
         pairs += np.count_nonzero(np.diag(tf, -1)) + np.count_nonzero(np.diag(tg, -1))
         wf, wg = np.linalg.eigvals(tf), np.linalg.eigvals(tg)
         # the Kronecker system below is regular
-        assert np.abs(wf[:, None] + isgn * wg[None, :]).min() > 1e-3
+        assert np.abs(wf[:, None] + wg[None, :]).min() > 1e-3
         c = rng.standard_normal((p, q))
         x = linalg._solve_quasi_triangular(tf, tg, c, **flags)
         op_f = tf.T if trana == "T" else tf
-        kron = np.kron(np.eye(q), op_f) + isgn * np.kron(tg.T, np.eye(p))
+        kron = np.kron(np.eye(q), op_f) + np.kron(tg.T, np.eye(p))
         oracle = gauss_solve(kron, c.flatten(order="F")).reshape((p, q), order="F")
         assert np.abs(x - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
     assert pairs >= 8
@@ -353,7 +364,6 @@ def test_kernel_refuses_a_mirrored_pair_at_the_sylvester_threshold(factor, refus
     solves = [
         lambda: linalg._solve_quasi_triangular(tf, tg, c),
         lambda: linalg._solve_quasi_triangular(tf, tg, c, trana="T"),
-        lambda: linalg._solve_quasi_triangular(tf, -tg, c, isgn=-1),
         lambda: solve_sylvester(qf @ tf @ qf.T, qg @ tg @ qg.T, c),
     ]
     for solve in solves:

@@ -71,3 +71,27 @@ def test_family_equals_the_per_subset_solutions(system):
         size = np.abs(want.X).max()
         gap = np.abs(got.X - want.X).max()
         assert gap <= max(X_RTOL, X_EPS_GROWTH * size) * max(1.0, size)
+
+
+def _by_spectrum(family):
+    """Members keyed by their eigenvalues, which tell the members of a
+    drawn system apart (its blocks are at least 0.4 apart)."""
+    return {tuple(np.round(np.sort_complex(sol.eigenvalues), 6)): sol for sol in family}
+
+
+@PROPERTY_SETTINGS
+@given(family_systems(), st.integers(0, 2 ** 32 - 1))
+def test_family_follows_an_orthogonal_change_of_state(system, seed):
+    # Ric for (SᵀA0S, SᵀB) at SᵀXS is Sᵀ Ric(X) S, so the family moves with S
+    a0, b = system
+    s, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(a0.shape))
+    family = _by_spectrum(schur_family(*homogeneous_setup(a0, b)))
+    moved = _by_spectrum(schur_family(*homogeneous_setup(s.T @ a0 @ s, s.T @ b)))
+    assert set(moved) == set(family)
+    for key, sol in family.items():
+        want = s.T @ sol.X @ s
+        got = moved[key]
+        assert got.rank == sol.rank
+        size = np.abs(want).max()
+        gap = np.abs(got.X - want).max()
+        assert gap <= max(X_RTOL, X_EPS_GROWTH * size) * max(1.0, size)

@@ -1,7 +1,8 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
-
-import itertools
 
 from ariset import (
     BaseResidualTooLarge,
@@ -23,6 +24,7 @@ from ariset import (
     spectral_split,
 )
 from ariset import DEFAULT, linalg, riccati
+from ariset.cli import main
 from ariset.linalg import solve_lyapunov_stable
 
 from conftest import (
@@ -554,194 +556,56 @@ def test_form_caches_the_a0_norm(paper):
 
 def test_family_rejects_a_perturbed_decoupling(monkeypatch):
     form, split = homogeneous_setup(*_mixed_system())
-    exact = riccati._decouple_blocks
+    exact = riccati._cluster_bases
 
-    def perturbed(d, spans, cluster):
-        w, lam = exact(d, spans, cluster)
-        return w + 1e-4 * np.triu(np.ones_like(w), 1), lam
+    def perturbed(eqn, cols):
+        lp, lam = exact(eqn, cols)
+        return lp + 1e-4 * np.triu(np.ones_like(lp), 1), lam
 
-    monkeypatch.setattr(riccati, "_decouple_blocks", perturbed)
+    monkeypatch.setattr(riccati, "_cluster_bases", perturbed)
     with pytest.raises(RiccatiError, match="not invariant"):
         schur_family(form, split)
 
 
-def test_decoupling_carries_same_cluster_coupling_past_other_clusters():
-    # blocks 3 | 0.5 ± i | 1 | -2 | 1: the coupling between the two blocks
-    # of eigenvalue 1 enters the right-hand sides of the blocks above them
-    rng = np.random.default_rng(149)
-    d = np.triu(rng.standard_normal((6, 6)), 1)
-    d[np.diag_indices(6)] = [3.0, 0.5, 0.5, 1.0, -2.0, 1.0]
-    d[1, 2], d[2, 1] = 1.0, -1.0
-    spans = [slice(0, 1), slice(1, 3), slice(3, 4), slice(4, 5), slice(5, 6)]
-    cluster = [0, 1, 2, 3, 2]
-    w, lam = riccati._decouple_blocks(d, spans, cluster)
-    assert np.abs(lam - np.linalg.solve(w, d @ w)).max() <= 1e-12 * np.abs(w).max() ** 2
-    for i, si in enumerate(spans):
-        for j, sj in enumerate(spans):
-            if i == j:
-                assert np.array_equal(w[si, sj], np.eye(si.stop - si.start))
-            elif i > j or cluster[i] != cluster[j]:
-                assert not lam[si, sj].any()
-            if i > j or (i != j and cluster[i] == cluster[j]):
-                assert not w[si, sj].any()
-    assert lam[3, 5] != 0.0 and w[0, 3] != 0.0
-
-
-def _pairwise_decoupling(d, spans, cluster):
-    """Oracle for _decouple_blocks: the recurrence d W = W Λ solved one pair
-    of blocks at a time, each block column from the bottom up."""
-    w = np.eye(d.shape[0])
-    lam = np.zeros_like(d)
-    for s in spans:
-        lam[s, s] = d[s, s]
-    for j in range(1, len(spans)):
-        sj = spans[j]
-        for i in range(j - 1, -1, -1):
-            si = spans[i]
-            # blocks i+1 .. j-1 occupy rows lo:mid, blocks i+1 .. j rows lo:hi
-            lo, mid, hi = spans[i + 1].start, sj.start, sj.stop
-            rhs = w[si, lo:mid] @ lam[lo:mid, sj] - d[si, lo:hi] @ w[lo:hi, sj]
-            if cluster[i] == cluster[j]:
-                lam[si, sj] = -rhs
-            else:
-                w[si, sj] = linalg._solve_quasi_triangular(d[si, si], d[sj, sj], rhs, isgn=-1)
-    return w, lam
-
-
-def _random_quasi_triangular(rng, values, cluster):
-    """Quasi-triangular d whose block i carries eigenvalue ``values[cluster[i]]``
-    (a real value or a pair), with random coupling above the blocks."""
-    blocks = []
-    for label in cluster:
-        v = complex(values[label])
-        if v.imag:
-            b = rng.uniform(0.5, 2.0)  # non-symmetric standardized pair block
-            blocks.append(np.array([[v.real, b], [-v.imag ** 2 / b, v.real]]))
-        else:
-            blocks.append(np.array([[v.real]]))
-    sizes = [blk.shape[0] for blk in blocks]
-    ends = np.cumsum(sizes)
-    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
-    d = np.triu(rng.standard_normal((ends[-1], ends[-1])), 1)
-    for s, blk in zip(spans, blocks):
-        d[s, s] = blk
-    return d, spans
-
-
-def _assert_same_decoupling(got, want):
-    (w, lam), (w_ref, lam_ref) = got, want
-    assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
-    assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
-    assert np.array_equal(lam == 0.0, lam_ref == 0.0)
-    assert np.array_equal(w == 0.0, w_ref == 0.0)
-
-
-def test_decoupling_by_block_column_matches_the_pairwise_recurrence(monkeypatch):
-    rng = np.random.default_rng(151)
-    calls = []
-    solve = linalg.lapack.dtrsyl
-    monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    split_runs = mixed = 0
-    for _ in range(40):
-        nclusters = int(rng.integers(2, 6))
-        values = [complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0) * (rng.random() < 0.5))
-                  for _ in range(nclusters)]
-        cluster = rng.integers(nclusters, size=int(rng.integers(3, 10))).tolist()
-        d, spans = _random_quasi_triangular(rng, values, cluster)
-        del calls[:]
-        got = riccati._decouple_blocks(d, spans, cluster)
-        # one call per maximal run of earlier blocks outside a column's cluster
-        runs = sum(cluster[i] != cluster[j] and (i == 0 or cluster[i - 1] == cluster[j])
-                   for j in range(len(spans)) for i in range(j))
-        assert len(calls) == runs
-        _assert_same_decoupling(got, _pairwise_decoupling(d, spans, cluster))
-        split_runs += runs > len(spans) - 1
-        mixed += len({s.stop - s.start for s in spans}) == 2
-    # draws where a same-cluster block splits a column into several runs,
-    # and draws mixing 1x1 and 2x2 blocks
-    assert split_runs >= 10 and mixed >= 10
-
-
-def test_decoupling_runs_are_refused_only_where_a_pair_is(monkeypatch):
-    # block 0 (eigenvalue 1e3) widens the run's scale: at the run's ρ the
-    # kernel would refuse blocks 1 and 2 (1 and 1 + 1e-9), at the pair's it
-    # separates them, and column 2 is still one call
-    d = np.triu(np.random.default_rng(157).standard_normal((3, 3)), 1)
-    d[np.diag_indices(3)] = [1e3, 1.0, 1.0 + 1e-9]
-    spans = [slice(i, i + 1) for i in range(3)]
-    calls = []
-    solve = linalg.lapack.dtrsyl
-    monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    got = riccati._decouple_blocks(d, spans, [0, 1, 2])
-    assert len(calls) == 2
-    _assert_same_decoupling(got, _pairwise_decoupling(d, spans, [0, 1, 2]))
-    # a pair below the cutoff at its own scale refuses as the pair solve does
-    d[2, 2] = 1.0 + 1e-11
-    with pytest.raises(SingularSylvester) as want:
-        _pairwise_decoupling(d, spans, [0, 1, 2])
-    with pytest.raises(SingularSylvester) as got:
-        riccati._decouple_blocks(d, spans, [0, 1, 2])
-    assert str(got.value) == str(want.value)
-
-
-def test_decoupling_solves_a_perturbed_run_pair_by_pair(monkeypatch):
-    # dtrsyl reports a perturbation on every run of two blocks or more:
-    # those columns are solved pair by pair, to the pairwise answer; a
-    # perturbed pair then refuses
-    rng = np.random.default_rng(163)
-    cluster = [0, 1, 2, 0, 3, 1]
-    d, spans = _random_quasi_triangular(rng, [1.0, 0.5 + 1.2j, -2.0, 2.5], cluster)
-    want = _pairwise_decoupling(d, spans, cluster)
-    singles = [d[s, s] for s in spans]
-    solve = linalg.lapack.dtrsyl
-    runs = []
-
-    def perturbing(tf, tg, rhs, **kwargs):
-        if not any(tf.shape == blk.shape and np.array_equal(tf, blk) for blk in singles):
-            runs.append(len(tf))
-            return rhs, 1.0, 1
-        return solve(tf, tg, rhs, **kwargs)
-
-    monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing)
-    _assert_same_decoupling(riccati._decouple_blocks(d, spans, cluster), want)
-    assert len(runs) >= 2
-
-    def perturbing_pair(tf, tg, rhs, **kwargs):
-        if np.array_equal(tf, d[spans[1], spans[1]]) and np.array_equal(tg, d[spans[2], spans[2]]):
-            return rhs, 1.0, 1
-        return perturbing(tf, tg, rhs, **kwargs)
-
-    monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing_pair)
-    with pytest.raises(SingularSylvester, match="perturbed"):
-        riccati._decouple_blocks(d, spans, cluster)
-
-
-def test_decoupling_hands_back_the_exact_lambda(monkeypatch):
-    form, split = homogeneous_setup(*_separated_cluster_system())
-    exact = riccati._decouple_blocks
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_cluster_bases_are_orthonormal_invariant_and_uncoupled(case, monkeypatch):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    exact = riccati._cluster_bases
     seen = []
 
-    def spy(d, spans, cluster):
-        w, lam = exact(d, spans, cluster)
-        seen.append((d, spans, cluster, w, lam))
-        return w, lam
+    def spy(eqn, cols):
+        lp, lam = exact(eqn, cols)
+        seen.append((eqn, cols, lp, lam))
+        return lp, lam
 
-    monkeypatch.setattr(riccati, "_decouple_blocks", spy)
+    monkeypatch.setattr(riccati, "_cluster_bases", spy)
     schur_family(form, split)
-    (d, spans, cluster, w, lam), = seen
-    gap = np.abs(lam - np.linalg.solve(w, d @ w)).max()
-    assert gap <= 1e-12 * max(1.0, np.abs(d).max()) * np.abs(w).max()
-    coupled = 0
-    for i, si in enumerate(spans):
-        for j, sj in enumerate(spans):
-            if i == j:
-                assert np.array_equal(lam[si, sj], d[si, sj])
-            elif i > j or cluster[i] != cluster[j]:
-                assert not lam[si, sj].any()
-            else:
-                coupled += np.count_nonzero(lam[si, sj])
-    # the two blocks of eigenvalue 1 share a cluster and stay coupled
-    assert coupled
+    (eqn, cols, lp, lam), = seen
+    assert len(cols) >= 2
+    for u, cu in enumerate(cols):
+        assert np.abs(lp[:, cu].T @ lp[:, cu] - np.eye(len(cu))).max() <= 1e-12
+        # Λ's part on the cluster carries the cluster's eigenvalues
+        want = np.sort_complex(linalg._row_eigenvalues(eqn.Dk)[cu])
+        got = np.sort_complex(linalg._row_eigenvalues(lam[np.ix_(cu, cu)]))
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        for v, cv in enumerate(cols):
+            if u != v:
+                assert not lam[np.ix_(cu, cv)].any()
+    resid = np.abs(form.A0.T @ lp - lp @ lam).max()
+    assert resid <= riccati.INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, np.abs(lp).max())
+    # Dk's 1x1 / 2x2 layout, and nothing below it
+    starts = linalg._block_spectrum(eqn.Dk)[0]
+    assert linalg._block_spectrum(lam)[0] == starts
+    pairs = [i for i, blk in zip(starts, eqn.blocks) if blk.size == 2]
+    below = np.tril(lam, -1)
+    below[[i + 1 for i in pairs], pairs] = 0.0
+    assert not below.any()
+    if case == "separated-cluster":
+        # the cluster of eigenvalue 1 is not contiguous in Dk, and keeps its coupling
+        (cu,) = [cu for cu in cols if len(cu) == 2]
+        assert cu[1] - cu[0] == 2 and lam[cu[0], cu[1]] != 0.0
+    if case == "mixed":
+        assert pairs
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
@@ -758,13 +622,15 @@ def test_family_factors_no_schur_form_beyond_the_split(case, schur_calls):
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkeypatch):
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
-    calls = {"direct": 0, "gramian": 0, "decouple": 0}
+    sylvester = {"direct": 0, "gramian": 0, "bases": 0, "cluster-gramian": 0}
+    reorder = dict.fromkeys(sylvester, 0)
     phase = ["direct"]
-    solve = linalg.lapack.dtrsyl
 
-    def counting(*args, **kwargs):
-        calls[phase[-1]] += 1
-        return solve(*args, **kwargs)
+    def counting(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls[phase[-1]] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     def in_phase(name, fn):
         def wrapped(*args, **kwargs):
@@ -775,9 +641,12 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
                 phase.pop()
         return wrapped
 
-    monkeypatch.setattr(linalg.lapack, "dtrsyl", counting)
-    monkeypatch.setattr(riccati, "_gramian_members", in_phase("gramian", riccati._gramian_members))
-    monkeypatch.setattr(riccati, "_decouple_blocks", in_phase("decouple", riccati._decouple_blocks))
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", counting(sylvester, linalg.lapack.dtrsyl))
+    monkeypatch.setattr(linalg.lapack, "dtrsen", counting(reorder, linalg.lapack.dtrsen))
+    phases = {"_gramian_members": "gramian", "_cluster_bases": "bases",
+              "_cluster_gramian": "cluster-gramian"}
+    for name, label in phases.items():
+        monkeypatch.setattr(riccati, name, in_phase(label, getattr(riccati, name)))
     schur_family(form, split)
 
     labels = riccati._clusters(split, DEFAULT.axis * form.a0_norm)
@@ -787,18 +656,35 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
     clusters = {labels[i] for i in live}
     # pair by pair it would take C(C+1)/2 calls, more than C once C >= 2
     assert len(clusters) >= 2
-    assert 1 <= calls["gramian"] <= len(clusters)
-    # the decoupling solves once per maximal run of earlier blocks outside
-    # a column's cluster: B - 1 calls here, fewer than one per pair of
-    # blocks in different clusters once three blocks are live
-    runs = 0
-    for j, lj in enumerate(live):
-        outside = [labels[i] != labels[lj] for i in live[:j]]
-        runs += sum(out and (i == 0 or not outside[i - 1]) for i, out in enumerate(outside))
-    assert calls["decouple"] == runs == len(live) - 1
-    pairs = sum(labels[i] != labels[j] for i, j in itertools.combinations(live, 2))
-    assert calls["decouple"] < pairs if len(live) > 2 else calls["decouple"] == pairs
-    assert calls["direct"] >= 1
+    assert 1 <= sylvester["cluster-gramian"] <= len(clusters)
+    # each cluster's subspace is one Schur reordering, and nothing else
+    # in the family's Gramian route solves a Sylvester equation
+    assert reorder["bases"] == len(clusters)
+    assert reorder["gramian"] == reorder["cluster-gramian"] == 0
+    assert sylvester["gramian"] == sylvester["bases"] == 0
+    assert sylvester["direct"] >= 1
+
+
+def test_family_refuses_clusters_the_reordering_cannot_separate(monkeypatch, tmp_path, capsys):
+    # dtrsen reports a failed swap whenever it reorders a cluster out of
+    # the identity basis, which only the cluster bases start from
+    a0, b = _mixed_system()
+    form, split = homogeneous_setup(a0, b)
+    assert np.abs(np.abs(split.U) - np.eye(len(a0))).max() > 0.1
+    reorder = linalg.lapack.dtrsen
+
+    def failing(select, t, q, **kwargs):
+        out = reorder(select, t, q, **kwargs)
+        return out[:-1] + (1,) if np.array_equal(q, np.eye(len(q))) else out
+
+    monkeypatch.setattr(linalg.lapack, "dtrsen", failing)
+    with pytest.raises(DegenerateSpectrum, match="reordering failed"):
+        schur_family(form, split)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"A": a0.tolist(), "B": b.tolist(),
+                                "K0": np.zeros(a0.shape).tolist()}))
+    assert main(["solve", str(path), "--family"]) == 3
+    assert "error: DegenerateSpectrum" in capsys.readouterr().err
 
 
 def _clustered_lambda(rng, blocks, labels):
@@ -822,7 +708,7 @@ def _planted_clash_lambda(factor):
     # meets itself. Each d is factor times the cutoff at max(1, ρ_u + ρ_v).
     # At factor 2, d02 is below the cutoff at cluster 0's ρ plus the
     # largest ρ of its row, 2.5 + 9.
-    cut = riccati.SYLVESTER_SEP_RTOL
+    cut = linalg.SYLVESTER_SEP_RTOL
     d02, d13, d44 = (factor * cut * scale for scale in (2.5 + 3.0, 2.5 + 9.0, 1.2))
     pair = lambda re, im: np.array([[re, im], [-im, re]])
     blocks = [np.array([[1.0]]), pair(2.0, 1.5), np.array([[-1.0 + d02]]), np.array([[2.5]]),
