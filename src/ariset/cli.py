@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Reads problems from JSON files, runs the analyses, and emits reports in a
-human-readable table (default) or machine-readable JSON (``--json``).
+human-readable table (default) or machine-readable JSON, one compact line
+per report (``--json``).
 
 Exit codes: 0 ok/pass, 1 verify-fail, 2 parse error, 3 numerical error,
 4 no base solution, 5 precondition violated.
@@ -74,6 +75,12 @@ def _load_json(path):
         raise CliParseError(
             exc.msg, location=f"{path}:{exc.lineno}:{exc.colno}"
         )
+    except UnicodeDecodeError as exc:
+        raise CliParseError(
+            f"not UTF-8 text ({exc.reason}, byte {exc.start})", location=path
+        )
+    except RecursionError:
+        raise CliParseError("JSON nested too deeply to parse", location=path)
     if not isinstance(doc, dict):
         raise CliParseError("top-level value must be an object", location=path)
     return doc, hashlib.sha256(raw).hexdigest()
@@ -560,7 +567,8 @@ def main(argv=None):
         "results": results,
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        # no indent: an indent would take json's pure-Python encoder
+        print(json.dumps(report))
     else:
         print(args.render(results))
     return code

@@ -19,6 +19,7 @@ from .errors import (
     SingularBlock,
     SingularSylvester,
 )
+from .tolerances import DEFAULT
 
 __all__ = [
     "DefinitenessVerdict",
@@ -77,7 +78,7 @@ def as_matrix(a, name="matrix", square=False):
     return m
 
 
-def symmetrize(s, sym_tol=1e-8, name="matrix"):
+def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):
     """Validate symmetry within tolerance and return the exact symmetric part.
 
     The deviation |S - S^T|_max must not exceed ``sym_tol * max(1, ||S||_max)``;
@@ -123,7 +124,7 @@ class DefinitenessVerdict:
         return self.kind in ("negative-definite", "negative-semidefinite", "zero")
 
 
-def definiteness(s, tol=1e-8, sym_tol=1e-8):
+def definiteness(s, tol=DEFAULT.definiteness, sym_tol=DEFAULT.sym):
     """Classify the sign of a symmetric matrix.
 
     Parameters

@@ -74,7 +74,7 @@ class SpectralSplit:
         return cols
 
 
-def pbh_classify(a0, b, split: SpectralSplit, rank_tol=1e-10):
+def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     """Return a copy of ``split`` with controllability tags recomputed.
 
     A block is tagged controllable iff the PBH pencil ``[lam I - A0, B]``

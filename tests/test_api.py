@@ -1,7 +1,9 @@
-"""The public surface: exported names and the validation of Tolerances."""
+"""The public surface: exported names, the validation of Tolerances and the
+default tolerances of the public kernels."""
 
 import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -43,3 +45,15 @@ def test_tolerances_reject_invalid_values(field):
             dataclasses.replace(DEFAULT, **{field: bad})
     for good in (0.0, 0, 1e-3, np.float64(2.0)):
         assert getattr(Tolerances(**{field: good}), field) == good
+
+
+@pytest.mark.parametrize("func,param,field", [
+    ("linalg.symmetrize", "sym_tol", "sym"),
+    ("linalg.definiteness", "tol", "definiteness"),
+    ("linalg.definiteness", "sym_tol", "sym"),
+    ("systems.pbh_classify", "rank_tol", "rank"),
+])
+def test_default_tolerances_come_from_default(func, param, field):
+    module, name = func.split(".")
+    fn = getattr(importlib.import_module(f"ariset.{module}"), name)
+    assert inspect.signature(fn).parameters[param].default == getattr(DEFAULT, field)

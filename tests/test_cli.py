@@ -360,6 +360,35 @@ def test_json_report_roundtrip(paper_file, tmp_path, capsys):
     assert np.abs(parsed - LR).max() <= 1e-12  # full precision survives JSON
 
 
+@pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                    reason="json has no C encoder in this build")
+def test_json_reports_take_the_c_encoder(paper_file, tmp_path, capsys, monkeypatch):
+    # _make_iterencode is json's pure-Python encoder; an indent would route
+    # every report through it
+    k_file = _write(tmp_path, "k0.json", {"K": np.zeros((3, 3)).tolist()})
+    commands = [
+        ["classify", paper_file], ["solve", paper_file, "--family"],
+        ["solve", paper_file, "--rank-set", "1,3"], ["extremal", paper_file],
+        ["bounds", paper_file],
+        ["parametrize", paper_file, "--blocks", "1,2", "--sample", "2"],
+        ["verify", paper_file, "--K", k_file],
+        ["verify", paper_file, "--K", k_file, "--strict"],
+    ]
+    expected = []
+    for argv in commands:
+        code = main(argv + ["--json"])
+        expected.append((code, capsys.readouterr().out))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report went through the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for argv, (code, out) in zip(commands, expected):
+        assert main(argv + ["--json"]) == code, argv
+        assert capsys.readouterr().out == out == json.dumps(json.loads(out)) + "\n"
+    assert [code for code, _ in expected] == [0] * 7 + [1]
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -374,6 +403,24 @@ def test_missing_matrix_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(capsys):
     assert main(["classify", "/nonexistent/problem.json"]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    ('{"A": ' + "[" * 100000 + "]" * 100000 + "}").encode(),
+], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("role", ["problem", "K", "param"])
+def test_undecodable_json_exit_2(paper_file, tmp_path, capsys, content, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "problem": ["classify", str(bad)],
+        "K": ["verify", paper_file, "--K", str(bad)],
+        "param": ["parametrize", paper_file, "--blocks", "1", "--param", str(bad)],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and err.endswith(f" at {bad}\n")
 
 
 def test_kind_given_without_k0_exit_2(tmp_path, capsys):
@@ -451,10 +498,21 @@ def _fresh_python(*args, **kwargs):
                            text=True, timeout=120, **kwargs)
 
 
-def test_module_entry_point_runs(paper_file):
+def test_module_entry_point_runs(paper_file, capsys):
     proc = _fresh_python("-m", "ariset", "classify", paper_file)
     assert proc.returncode == 0, proc.stderr
     assert "solution set: bounded" in proc.stdout
+
+    # the compact report piped through json.tool, as the README shows
+    argv = ["solve", paper_file, "--family", "--json"]
+    proc = _fresh_python("-m", "ariset", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1
+    pretty = _fresh_python("-m", "json.tool", input=proc.stdout)
+    assert pretty.returncode == 0, pretty.stderr
+    assert pretty.stdout.count("\n") > 1
+    assert main(argv) == 0
+    assert json.loads(pretty.stdout) == json.loads(capsys.readouterr().out)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -567,6 +567,21 @@ def test_family_rejects_a_perturbed_decoupling(monkeypatch):
         schur_family(form, split)
 
 
+def test_family_rejects_a_member_over_its_residual_gate(monkeypatch):
+    rng = np.random.default_rng(6)
+    form, split = homogeneous_setup(*build_system(rng, ctrl=draw_spectrum(rng, 5), m=1))
+    assert len(schur_family(form, split)) > 1
+    exact = riccati._cluster_gramian
+
+    def perturbed(lam, c, cols, clash):
+        y = exact(lam, c, cols, clash)
+        return (1 + 1e-4) * y + 1e-4 * np.abs(y).max() * np.eye(len(y))
+
+    monkeypatch.setattr(riccati, "_cluster_gramian", perturbed)
+    with pytest.raises(RiccatiError, match="family member residual .* exceeds"):
+        schur_family(form, split)
+
+
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_cluster_bases_are_orthonormal_invariant_and_uncoupled(case, monkeypatch):
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
