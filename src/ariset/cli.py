@@ -32,6 +32,7 @@ from .errors import (
     RiccatiError,
     Uncontrollable,
 )
+from .linalg import _is_real_numeric
 from .riccati import (
     _NO_SOLUTION,
     RiccatiProblem,
@@ -92,11 +93,14 @@ def _matrix_field(doc, key, path, required=True):
             raise CliParseError(f"missing required key {key!r}", location=path)
         return None
     try:
-        return np.array(doc[key], dtype=float)
-    except (TypeError, ValueError):
+        raw = np.asarray(doc[key])
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or not _is_real_numeric(raw):
         raise CliParseError(
             f"key {key!r} is not a rectangular numeric array", location=path
         )
+    return raw.astype(float)
 
 
 def _tolerance_value(value, key, location=None):

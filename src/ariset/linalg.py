@@ -59,10 +59,10 @@ def as_matrix(a, name="matrix", square=False):
         raise InvalidInput(f"{name} is not a rectangular array: {exc}") from None
     if np.iscomplexobj(raw):
         raise InvalidInput(f"{name} must be real, got complex entries")
-    try:
-        m = raw.astype(float)  # always a fresh copy
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} has entries that are not real numbers: {exc}") from None
+    if not _is_real_numeric(raw):
+        raise InvalidInput(f"{name} has entries that are not real numbers "
+                           f"(array of dtype {raw.dtype})")
+    m = raw.astype(float)  # always a fresh copy
     if m.ndim == 0:
         m = m.reshape(1, 1)
     elif m.ndim == 1:
@@ -76,6 +76,12 @@ def as_matrix(a, name="matrix", square=False):
     if square and m.shape[0] != m.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _is_real_numeric(raw):
+    """Whether the array ``raw`` holds integers or floats only: a string,
+    a boolean or any other object is not read as a number."""
+    return raw.dtype.kind in "iuf"
 
 
 def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):

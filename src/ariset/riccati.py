@@ -15,7 +15,7 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
     SingularY,
 )
 from .linalg import (
-    DefinitenessVerdict,
     _check_nonsingular,
     _full_rank,
     _row_eigenvalues,
@@ -40,7 +39,6 @@ from .linalg import (
     _separation_refusals,
     _solve_quasi_triangular,
     as_matrix,
-    definiteness,
     real_schur_ordered,
     solve_sylvester,  # noqa: F401 (bench/spans.py wraps it at this binding)
     symmetrize,
@@ -170,10 +168,11 @@ class AriSolution:
     :class:`SimplifiedEquation`, a QR basis for a :func:`schur_family`
     member. Bases of one support differ by an orthogonal factor, and so
     do their ``Lcoord``; ``X`` and ``rank`` do not depend on the basis.
-    ``residual`` is Ric(X) and ``residual_verdict`` its sign
-    classification (never positive for an emitted solution), at the
-    cutoff ``tol.definiteness`` times the size of Ric's terms,
-    max(1, |A0|_max |X|_max, |M|_max |X|²_max).
+    ``residual`` is Ric(X), and ``residual_cut`` the cutoff of its sign
+    classification: ``tol.definiteness`` times the size of Ric's terms,
+    max(1, |A0|_max |X|_max, |M|_max |X|²_max). ``residual_verdict``, that
+    classification (never positive for an emitted solution), is computed
+    from ``residual`` and ``residual_cut`` on first read and then kept.
     ``certificate``, when present, summarizes strictness on the support
     subspace.
     """
@@ -183,9 +182,14 @@ class AriSolution:
     block_set: tuple
     rank: int
     residual: np.ndarray
-    residual_verdict: DefinitenessVerdict
+    residual_cut: float
     eigenvalues: tuple = ()
     certificate: object = None
+
+    @cached_property
+    def residual_verdict(self):
+        eig = np.linalg.eigvalsh(self.residual)
+        return verdict_from_extremes(float(eig[0]), float(eig[-1]), self.residual_cut)
 
 
 def are_residual(problem: RiccatiProblem, k):
@@ -410,18 +414,13 @@ def _matrix_rank(m, rank_tol):
 def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
     x = eqn.Lk @ lcoord @ eqn.Lk.T
     x = 0.5 * (x + x.T)
-    resid = ric_residual(eqn.form, x)
-    eig = np.linalg.eigvalsh(resid)
-    verdict = verdict_from_extremes(
-        float(eig[0]), float(eig[-1]),
-        tol.definiteness * float(_ric_scale(eqn.form, x)))
     return AriSolution(
         X=x,
         Lcoord=lcoord,
         block_set=eqn.block_set,
         rank=_matrix_rank(lcoord, tol.rank),
-        residual=resid,
-        residual_verdict=verdict,
+        residual=ric_residual(eqn.form, x),
+        residual_cut=tol.definiteness * float(_ric_scale(eqn.form, x)),
         eigenvalues=eqn.eigenvalues,
         certificate=certificate,
     )
@@ -474,7 +473,7 @@ def zero_solution(form: HomogeneousForm, tol: Tolerances = DEFAULT):
         block_set=(),
         rank=0,
         residual=zero,
-        residual_verdict=definiteness(zero, tol.definiteness),
+        residual_cut=tol.definiteness,  # Ric's terms have size max(1, 0) at X = 0
         eigenvalues=(),
     )
 
@@ -589,12 +588,16 @@ def schur_family(
     kernel call per cluster against every non-clashing cluster at or
     after it.
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
-    Schur complement of the maximal solution onto S. Members are built in
-    stacked batches of equal column count; each is expressed in a QR
-    basis ``L'_S = QR``, its Gramian moved there as ``R⁻ᵀ Y'[S,S] R⁻¹``
-    with one batched inverse of R. There the Gramian's rank test and
-    ``rank`` read as in :func:`full_rank_simplified_solution`, on the
-    moduli of its eigenvalues (its singular values, as it is symmetric).
+    Schur complement of the maximal solution onto S. Members' coordinates
+    are built in stacked batches of equal column count; each is expressed
+    in a QR basis ``L'_S = QR``, its Gramian moved there as
+    ``R⁻ᵀ Y'[S,S] R⁻¹`` with one batched inverse of R. There the Gramian's
+    rank test and ``rank`` read as in :func:`full_rank_simplified_solution`,
+    on the moduli of its eigenvalues (its singular values, as it is
+    symmetric). Every present member's X then goes into one stack, and
+    one stacked pass computes all residuals Ric(X) and applies the
+    residual gate; each member's ``residual_verdict`` waits until it is
+    read.
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
@@ -657,37 +660,55 @@ def _gramian_members(eqn, labels, tol):
     clash = _clash_table(lam, unit_of_col)
     y = _cluster_gramian(lam, c, cols, clash)
 
-    block_ids = list(eqn.block_set)
-    col_eigs = list(eqn.eigenvalues)  # one per column of Lk
     # every union of non-clashing units, one row each of a membership table
     masks = np.arange(1, 2 ** len(units))
     pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
     pick = pick[~np.any((pick @ clash) & pick, axis=1)]
     col_pick = pick[:, unit_of_col]
     ncols = col_pick.sum(axis=1)
-    members = []
+    present, batches = [], []
     for k in np.unique(ncols):
         rows = np.flatnonzero(ncols == k)
         idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-        supports = [
-            (tuple(compress(block_ids, on_block)), tuple(compress(col_eigs, on_col)))
-            for on_block, on_col in zip(pick[rows][:, unit_of_block].tolist(),
-                                        col_pick[rows].tolist())
-        ]
-        members += _batch_members(form, lp[:, idx].transpose(1, 0, 2),
-                                  y[idx[:, :, None], idx[:, None, :]], supports, tol)
-    return members
+        ok, q, lcoord, rank = _batch_coordinates(lp[:, idx].transpose(1, 0, 2),
+                                                 y[idx[:, :, None], idx[:, None, :]], tol)
+        present.append(rows[ok])
+        batches.append((q, lcoord, rank))
+    present = np.concatenate(present)
+
+    # every member's X = Q g⁻¹ Qᵀ in its slice of one stack
+    x = np.empty((len(present), len(lp), len(lp)))
+    start = 0
+    for q, lcoord, _ in batches:
+        np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
+        start += len(q)
+    x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
+    x *= 0.5
+    resid, scale = _gated_residuals(form, x)
+
+    block_sets = _rows_as_tuples(np.array(eqn.block_set), pick[present][:, unit_of_block])
+    # one eigenvalue per column of Lk, kept as the Python numbers they are
+    eigenvalues = _rows_as_tuples(np.array(eqn.eigenvalues, dtype=object), col_pick[present])
+    lcoords = chain.from_iterable(lcoord for _, lcoord, _ in batches)
+    ranks = np.concatenate([rank for _, _, rank in batches]).tolist()
+    cuts = (tol.definiteness * scale).tolist()
+    return [
+        AriSolution(X=xj, Lcoord=lj, block_set=block_set, rank=rj, residual=rsj,
+                    residual_cut=cut, eigenvalues=eigs)
+        for xj, lj, block_set, rj, rsj, cut, eigs in zip(
+            x, lcoords, block_sets, ranks, resid, cuts, eigenvalues)
+    ]
 
 
-def _batch_members(form, ls, ys, supports, tol):
-    """Members for stacked supports ``ls`` (N×n×k) with Gramians ``ys``
-    (N×k×k), skipping those whose Gramian is singular. ``supports`` holds
-    each one's ``(block_set, eigenvalues)``.
+def _batch_coordinates(ls, ys, tol):
+    """Coordinates of the members over stacked supports ``ls`` (N×n×k)
+    with Gramians ``ys`` (N×k×k): ``(ok, q, lcoord, rank)``. ``ok`` marks
+    the supports whose Gramian is nonsingular; ``q``, ``lcoord`` and
+    ``rank`` hold those members only.
 
     With ``ls = QR``, the Gramian in the basis Q is ``g = R⁻ᵀ Y R⁻¹``:
     one batched inverse of the triangular R and two stacked products.
-    The member is ``X = Q g⁻¹ Qᵀ``, and the stacks are cut down to the
-    present members only when some are absent."""
+    The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``."""
     q, r = np.linalg.qr(ls)
     r_inv = np.linalg.inv(r)  # one factorization serves both sides of R⁻ᵀ Y R⁻¹
     g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
@@ -697,18 +718,20 @@ def _batch_members(form, ls, ys, supports, tol):
     ok = _full_rank(sv_min, sv_max, tol.rank)
     if not ok.all():
         q, g, sv, sv_min = q[ok], g[ok], sv[ok], sv_min[ok]
-        supports = list(compress(supports, ok.tolist()))
     lcoord = np.linalg.inv(g)
     lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
-    x = q @ lcoord @ np.swapaxes(q, 1, 2)
-    x = 0.5 * (x + np.swapaxes(x, 1, 2))
+    # Lcoord = g⁻¹ has singular values 1/sv: count those above tol.rank times the largest
+    rank = np.count_nonzero(sv_min[:, None] > tol.rank * sv, axis=1)
+    return ok, q, lcoord, rank
+
+
+def _gated_residuals(form, x):
+    """Ric(X) for a stack ``x`` of members and the size of Ric's terms for
+    each; raises :class:`RiccatiError` when some member's |Ric(X)|_max
+    exceeds ``FAMILY_RESIDUAL_RTOL`` times that size."""
     a0, m = form.A0, form.M
     resid = -a0.T @ x - x @ a0 + x @ m @ x
     resid = 0.5 * (resid + np.swapaxes(resid, 1, 2))
-    eig = np.linalg.eigvalsh(resid)
-    # Lcoord = g⁻¹ has singular values 1/sv: count those above tol.rank times the largest
-    rank = np.count_nonzero(sv_min[:, None] > tol.rank * sv, axis=1)
-
     r_max = np.abs(resid).max(axis=(1, 2))
     scale = _ric_scale(form, x)
     gate = FAMILY_RESIDUAL_RTOL * scale
@@ -717,16 +740,14 @@ def _batch_members(form, ls, ys, supports, tol):
         raise RiccatiError(
             f"family member residual {r_max[worst]:.3e} exceeds {gate[worst]:.3e}"
         )
+    return resid, scale
 
-    verdicts = zip(eig[:, 0].tolist(), eig[:, -1].tolist(), (tol.definiteness * scale).tolist())
-    return [
-        AriSolution(
-            X=xj, Lcoord=lj, block_set=block_set, rank=rj, residual=rsj,
-            residual_verdict=verdict_from_extremes(lo, hi, cut), eigenvalues=eigenvalues,
-        )
-        for (block_set, eigenvalues), xj, lj, rj, rsj, (lo, hi, cut) in zip(
-            supports, x, lcoord, rank.tolist(), resid, verdicts)
-    ]
+
+def _rows_as_tuples(values, table):
+    """``tuple(values[row])`` for every boolean row of ``table``."""
+    flat = values[np.nonzero(table)[1]].tolist()
+    ends = np.cumsum(table.sum(axis=1)).tolist()
+    return [tuple(flat[i:j]) for i, j in zip([0] + ends, ends)]
 
 
 def _check_direct_route(form, split, eligible, eqn, members, tol):

@@ -423,6 +423,37 @@ def test_undecodable_json_exit_2(paper_file, tmp_path, capsys, content, role):
     assert err.startswith("error: parse:") and err.endswith(f" at {bad}\n")
 
 
+def _spoiled(matrix, how):
+    """``matrix`` as JSON rows of strings or booleans, or with one entry a string."""
+    rows = np.asarray(matrix, dtype=float).tolist()
+    if how == "strings":
+        return [[str(v) for v in row] for row in rows]
+    if how == "booleans":
+        return [[bool(v) for v in row] for row in rows]
+    rows[0][0] = str(rows[0][0])
+    return rows
+
+
+@pytest.mark.parametrize("how", ["strings", "booleans", "mixed"])
+@pytest.mark.parametrize("role", ["problem", "K", "param"])
+def test_non_numeric_matrix_exit_2(paper_file, tmp_path, capsys, how, role):
+    # numbers written as strings, or booleans, are not read as numbers
+    doc = json.loads(open(paper_file).read())
+    if role == "problem":
+        doc["A"] = _spoiled(PAPER_A, how)
+        argv, key = ["classify", _write(tmp_path, "p.json", doc)], "A"
+    elif role == "K":
+        k_file = _write(tmp_path, "k.json", {"K": _spoiled(LR, how)})
+        argv, key = ["verify", paper_file, "--K", k_file], "K"
+    else:
+        p_file = _write(tmp_path, "p.json", {"P": _spoiled(np.eye(2), how)})
+        argv, key = ["parametrize", paper_file, "--blocks", "1,2", "--param", p_file], "P"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:")
+    assert f"key {key!r} is not a rectangular numeric array" in err
+
+
 def test_kind_given_without_k0_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "nk.json", {"A": [[1.0]], "B": [[1.0]]})
     assert main(["classify", path, "--kind", "given"]) == 2

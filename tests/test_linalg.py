@@ -52,8 +52,11 @@ def test_as_matrix_rejects_inf_and_shape():
 
 
 @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}, np.array([[1 + 2j]]),
-                                 [[1, 0], [0, "x"]]],
-                         ids=["string", "ragged", "dict", "complex", "non-numeric-entry"])
+                                 [[1, 0], [0, "x"]], [["1", "2"]], [[True, False]],
+                                 np.eye(2, dtype=bool), [[1.5, "2"]]],
+                         ids=["string", "ragged", "dict", "complex", "non-numeric-entry",
+                              "numeric-strings", "booleans", "boolean-array",
+                              "numeric-string-entry"])
 @pytest.mark.filterwarnings("error")
 def test_as_matrix_rejects_what_is_not_a_real_array(bad):
     with pytest.raises(InvalidInput, match="^A "):

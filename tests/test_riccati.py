@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -22,6 +23,7 @@ from ariset import (
     schur_family,
     solve_base_are,
     spectral_split,
+    zero_solution,
 )
 from ariset import DEFAULT, linalg, riccati
 from ariset.cli import main
@@ -580,6 +582,115 @@ def test_family_rejects_a_member_over_its_residual_gate(monkeypatch):
     monkeypatch.setattr(riccati, "_cluster_gramian", perturbed)
     with pytest.raises(RiccatiError, match="family member residual .* exceeds"):
         schur_family(form, split)
+
+
+def _unions(cols, clash):
+    """Every union of non-clashing clusters, as its columns."""
+    for r in range(1, len(cols) + 1):
+        for units in itertools.combinations(range(len(cols)), r):
+            if not clash[np.ix_(units, units)].any():
+                yield np.concatenate([cols[u] for u in units])
+
+
+def test_family_gates_members_of_a_middle_column_count(monkeypatch):
+    # a small perturbation of one cluster's diagonal block of the Gramian
+    # breaks only that cluster's own two-column member, while the present
+    # members have one to six columns: the gate covers every batch
+    form, split = homogeneous_setup(*_seeded_system(14))
+    bases, gramian = riccati._cluster_bases, riccati._cluster_gramian
+    seen = {}
+
+    def spy(eqn, cols):
+        seen["lp"], lam = bases(eqn, cols)
+        return seen["lp"], lam
+
+    def perturbed(lam, c, cols, clash):
+        y = gramian(lam, c, cols, clash)
+        eigs = linalg._row_eigenvalues(lam)
+        (cu,) = [cu for cu in cols if len(cu) == 2 and eigs[cu[0]].real < 0]
+        y[np.ix_(cu, cu)] += 4e-9 * np.abs(y).max() * np.eye(2)
+        seen.update(y=y, cols=cols, clash=clash)
+        return y
+
+    monkeypatch.setattr(riccati, "_cluster_bases", spy)
+    monkeypatch.setattr(riccati, "_cluster_gramian", perturbed)
+    with pytest.raises(RiccatiError, match="family member residual .* exceeds"):
+        schur_family(form, split)
+
+    lp, y = seen["lp"], seen["y"]
+    present, broken = set(), set()
+    for idx in _unions(seen["cols"], seen["clash"]):
+        sv = np.linalg.svd(y[np.ix_(idx, idx)], compute_uv=False)
+        if not linalg._full_rank(sv[-1], sv[0], DEFAULT.rank):
+            continue
+        present.add(len(idx))
+        x = lp[:, idx] @ np.linalg.inv(y[np.ix_(idx, idx)]) @ lp[:, idx].T
+        gate = riccati.FAMILY_RESIDUAL_RTOL * riccati._ric_scale(form, x)
+        if np.abs(ric_residual(form, x)).max() > gate:
+            broken.add(len(idx))
+    assert present == {1, 2, 3, 4, 5, 6}
+    assert broken == {2}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_takes_one_eigvalsh_per_column_count(case, monkeypatch):
+    # one per Gramian stack of equal column count; the residual verdicts
+    # wait until they are read
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    gramian, seen, calls = riccati._cluster_gramian, {}, []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(lam, c, cols, clash):
+        y = gramian(lam, c, cols, clash)
+        seen.update(cols=cols, clash=clash)
+        return y
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "_cluster_gramian", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    schur_family(form, split)
+    counts = sorted({len(idx) for idx in _unions(seen["cols"], seen["clash"])})
+    assert [shape[1:] for shape in calls] == [(k, k) for k in counts]
+
+
+def _verdict_now(form, sol):
+    """``sol``'s residual verdict, computed eagerly from its definition."""
+    x_max = np.abs(sol.X).max()
+    cut = DEFAULT.definiteness * max(1.0, np.abs(form.A0).max() * x_max,
+                                     np.abs(form.M).max() * x_max ** 2)
+    eig = np.linalg.eigvalsh(sol.residual)
+    return linalg.verdict_from_extremes(float(eig[0]), float(eig[-1]), cut)
+
+
+def _assert_verdict_on_read(form, sol):
+    assert "residual_verdict" not in vars(sol)
+    verdict = sol.residual_verdict
+    assert verdict == _verdict_now(form, sol)
+    assert sol.residual_verdict is verdict
+    # a copy with another X keeps the residual, and reads its verdict anew
+    moved = dataclasses.replace(sol, X=sol.X + 1e-3 * np.eye(len(sol.X)))
+    assert "residual_verdict" not in vars(moved)
+    assert moved.residual_verdict == verdict
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_verdicts_are_computed_on_first_read(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    family = schur_family(form, split)
+    assert not any("residual_verdict" in vars(sol) for sol in family)
+    for sol in family:
+        _assert_verdict_on_read(form, sol)
+
+
+def test_direct_and_zero_verdicts_are_computed_on_first_read(paper):
+    _, form, split = paper
+    _assert_verdict_on_read(form, full_rank_simplified_solution(reduce(form, split, [0, 1])))
+    zero = zero_solution(form)
+    _assert_verdict_on_read(form, zero)
+    assert zero.residual_verdict.kind == "zero"
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
