@@ -55,6 +55,7 @@ from .riccati import (
     HomogeneousForm,
     RiccatiProblem,
     SimplifiedEquation,
+    SolutionFamily,
     are_residual,
     degenerate_classify,
     full_rank_simplified_solution,
@@ -101,6 +102,7 @@ __all__ = [
     "SingularInput",
     "SingularSylvester",
     "SingularY",
+    "SolutionFamily",
     "SpectralBlock",
     "SpectralSplit",
     "Tolerances",

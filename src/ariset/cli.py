@@ -32,7 +32,7 @@ from .errors import (
     RiccatiError,
     Uncontrollable,
 )
-from .linalg import _is_real_numeric
+from .linalg import _real_array
 from .riccati import (
     _NO_SOLUTION,
     RiccatiProblem,
@@ -93,14 +93,9 @@ def _matrix_field(doc, key, path, required=True):
             raise CliParseError(f"missing required key {key!r}", location=path)
         return None
     try:
-        raw = np.asarray(doc[key])
-    except ValueError:  # ragged nesting
-        raw = None
-    if raw is None or not _is_real_numeric(raw):
-        raise CliParseError(
-            f"key {key!r} is not a rectangular numeric array", location=path
-        )
-    return raw.astype(float)
+        return _real_array(doc[key], f"key {key!r}")
+    except InvalidInput as exc:
+        raise CliParseError(str(exc), location=path)
 
 
 def _tolerance_value(value, key, location=None):
@@ -271,15 +266,17 @@ def _render_classify(results):
 def _cmd_solve(args, form, split, tol):
     results = {"kind": form.kind}
     if args.family:
-        sols = schur_family(form, split, tol)
-        present = {tuple(s.block_set) for s in sols}
+        family, present = [], set()
+        for sol in schur_family(form, split, tol):
+            present.add(sol.block_set)
+            family.append(_solution_dict(sol))
+        results["family"] = family
         eligible = [i for i, b in enumerate(split.blocks) if b.half_plane != AXIS]
         absent = []
         for r in range(1, len(eligible) + 1):
             for subset in itertools.combinations(eligible, r):
                 if subset not in present:
                     absent.append([i + 1 for i in subset])
-        results["family"] = [_solution_dict(s) for s in sols]
         results["absent"] = absent
     else:
         block_set = _parse_block_list(args.rank_set, len(split.blocks))

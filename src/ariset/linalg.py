@@ -53,16 +53,7 @@ def as_matrix(a, name="matrix", square=False):
     numpy.ndarray
         A fresh ``float64`` array of shape (rows, cols).
     """
-    try:
-        raw = np.asarray(a)
-    except ValueError as exc:  # ragged nesting
-        raise InvalidInput(f"{name} is not a rectangular array: {exc}") from None
-    if np.iscomplexobj(raw):
-        raise InvalidInput(f"{name} must be real, got complex entries")
-    if not _is_real_numeric(raw):
-        raise InvalidInput(f"{name} has entries that are not real numbers "
-                           f"(array of dtype {raw.dtype})")
-    m = raw.astype(float)  # always a fresh copy
+    m = _real_array(a, name)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     elif m.ndim == 1:
@@ -78,10 +69,45 @@ def as_matrix(a, name="matrix", square=False):
     return m
 
 
-def _is_real_numeric(raw):
-    """Whether the array ``raw`` holds integers or floats only: a string,
-    a boolean or any other object is not read as a number."""
-    return raw.dtype.kind in "iuf"
+# Entry types read as real numbers (bool, a subclass of int, is not)
+_REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
+def _real_array(a, name):
+    """``a`` as a fresh ``float64`` array of any shape, when it is a
+    rectangular array of real numbers: integers, of any size a float
+    holds, and floats. Booleans, strings, complex numbers and other
+    objects raise :class:`InvalidInput`, also where numpy would read them
+    as numbers (a boolean among numbers becomes 0 or 1). The input rule
+    of :func:`as_matrix` and of the CLI's matrix files; messages start
+    with ``name``."""
+    if isinstance(a, np.ndarray) and a.dtype.kind != "O":
+        if a.dtype.kind == "c":
+            raise InvalidInput(f"{name} must be real, got complex entries")
+        real = a.dtype.kind in "iuf"
+    else:
+        # judge the entries themselves, as numpy's numeric conversion
+        # coerces booleans and keeps integers beyond 64 bits as objects
+        try:
+            a = np.asarray(a, dtype=object)
+        except ValueError:  # ragged nesting
+            raise InvalidInput(f"{name} is not a rectangular numeric array: "
+                               "its rows differ in shape") from None
+        real = all(issubclass(t, _REAL_SCALARS) and not issubclass(t, (bool, np.bool_))
+                   for t in set(map(type, a.flat)))
+    if not real:
+        raise InvalidInput(f"{name} is not a rectangular numeric array: it has "
+                           "entries that are not real numbers")
+    try:
+        return a.astype(float)  # always a fresh copy
+    except OverflowError:
+        raise InvalidInput(f"{name} has an integer too large for a float") from None
+
+
+def _norm2(m):
+    """``||m||₂``: the largest singular value, by the LAPACK call that
+    ``np.linalg.norm(m, 2)`` makes, without its axis handling."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):
@@ -466,7 +492,7 @@ def _solve_lyapunov_schur(t, c, axis_tol, transpose=False):
         When some eigenvalue of ``T`` has real part >= ``-axis_tol * ||T||_2``.
     """
     w = _row_eigenvalues(t)
-    margin = axis_tol * float(np.linalg.norm(t, 2))
+    margin = axis_tol * _norm2(t)
     if float(w.real.max()) >= -margin:
         raise NotHurwitz(
             f"F has an eigenvalue with real part {w.real.max():.3e} >= {-margin:.3e}"
@@ -506,7 +532,7 @@ def schur_complement(s, keep: Sequence[int], rank_tol=1e-10, sym_tol=1e-8):
         return head
     block = m[np.ix_(drop, drop)]
     sv = np.linalg.svd(block, compute_uv=False)
-    cut = rank_tol * max(1.0, float(np.linalg.norm(m, 2)))
+    cut = rank_tol * max(1.0, _norm2(m))
     if sv[-1] <= cut:
         raise SingularBlock(
             f"eliminated block is singular: smallest singular value "

@@ -13,10 +13,11 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 """
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
 from .linalg import (
     _check_nonsingular,
     _full_rank,
+    _norm2,
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
@@ -53,6 +55,7 @@ __all__ = [
     "HomogeneousForm",
     "RiccatiProblem",
     "SimplifiedEquation",
+    "SolutionFamily",
     "are_residual",
     "degenerate_classify",
     "full_rank_simplified_solution",
@@ -130,7 +133,7 @@ class HomogeneousForm:
 
     @cached_property
     def a0_norm(self):
-        return float(np.linalg.norm(self.A0, 2))
+        return _norm2(self.A0)
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,12 @@ class AriSolution:
     support, the invariant subspace of the generating block set: the
     reduced basis ``Lk`` for a solution built from a
     :class:`SimplifiedEquation`, a QR basis for a :func:`schur_family`
-    member. Bases of one support differ by an orthogonal factor, and so
-    do their ``Lcoord``; ``X`` and ``rank`` do not depend on the basis.
-    ``residual`` is Ric(X), and ``residual_cut`` the cutoff of its sign
-    classification: ``tol.definiteness`` times the size of Ric's terms,
+    member. A family member is built when it is first read from its
+    :class:`SolutionFamily`, with ``X`` and ``residual`` as views into
+    the family's stacks. Bases of one support differ by an orthogonal
+    factor, and so do their ``Lcoord``; ``X`` and ``rank`` do not depend
+    on the basis. ``residual`` is Ric(X), and ``residual_cut`` the cutoff
+    of its sign classification: ``tol.definiteness`` times the size of Ric's terms,
     max(1, |A0|_max |X|_max, |M|_max |X|²_max). ``residual_verdict``, that
     classification (never positive for an emitted solution), is computed
     from ``residual`` and ``residual_cut`` on first read and then kept.
@@ -289,7 +294,7 @@ def _hamiltonian_solution(problem, kind, tol):
     a, b, q = problem.A, problem.B, problem.Q
     n = problem.n
     ham = np.block([[a, -b @ b.T], [-q, -a.T]])
-    axis_abs = tol.axis * float(np.linalg.norm(ham, 2))
+    axis_abs = tol.axis * _norm2(ham)
     want_rhp_first = kind == "antistabilizing"
 
     def classify(lam):
@@ -568,6 +573,81 @@ def _cluster_gramian(lam, c, cols, clash):
     return y
 
 
+class _Members(NamedTuple):
+    """The present members of a family over ``eqn``, one row each, in the
+    order they were computed."""
+
+    x: np.ndarray  # (N, n, n) stack of X
+    residual: np.ndarray  # (N, n, n) stack of Ric(X)
+    cut: np.ndarray  # (N,) residual cuts
+    rank: np.ndarray  # (N,)
+    lcoords: list  # Lcoord batches of equal column count, in row order
+    block_ids: np.ndarray  # eqn.block_set
+    block_rows: np.ndarray  # (N, len(block_ids)) membership of the blocks
+    eigenvalues: np.ndarray  # eqn.eigenvalues as an object array
+    col_rows: np.ndarray  # (N, eqn.k) membership of the columns of Lk
+    order: np.ndarray  # the rows sorted by (rank, block_set)
+
+
+class SolutionFamily(Sequence):
+    """The equation solutions of :func:`schur_family`: an immutable
+    sequence of :class:`AriSolution`, sorted by ``(rank, block_set)``.
+
+    Member 0 is the zero solution. The others stay in the stacked arrays
+    the family was computed in (X, Ric(X), residual cuts, ranks, Lcoord
+    and boolean rows of block and column membership), and a member's
+    :class:`AriSolution` is built on its first read, by index, slice or
+    iteration, and then kept, so ``family[i] is family[i]``. Its ``X``
+    and ``residual`` are views into the stacks. The Python fields of all
+    members (the ``block_set`` and ``eigenvalues`` tuples, ranks and
+    cuts) are built together, in one pass over the rows, on the first
+    read of any member but the zero solution. A slice returns a list.
+    """
+
+    def __init__(self, form, tol, members=None):
+        self._form, self._tol = form, tol
+        self._members = members
+        self._built = [None] * (1 + (0 if members is None else len(members.x)))
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._member(j) for j in range(*i.indices(len(self)))]
+        j = operator.index(i)
+        if not -len(self) <= j < len(self):
+            raise IndexError(f"family member {i} out of range for {len(self)} members")
+        return self._member(j % len(self))
+
+    def __iter__(self):
+        return map(self._member, range(len(self)))
+
+    def _member(self, i):
+        sol = self._built[i]
+        if sol is None:
+            sol = self._built[i] = self._build(i)
+        return sol
+
+    def _build(self, i):
+        if i == 0:
+            return zero_solution(self._form, self._tol)
+        order, lcoords, block_sets, ranks, cuts, eigenvalues = self._python_fields
+        p = order[i - 1]
+        m = self._members
+        return AriSolution(m.x[p], lcoords[p], block_sets[p], ranks[p], m.residual[p],
+                           cuts[p], eigenvalues[p])
+
+    @cached_property
+    def _python_fields(self):
+        """Per row: the sort order and Lcoord, block_set, rank, residual
+        cut and eigenvalues as the Python objects a member holds."""
+        m = self._members
+        return (m.order.tolist(), list(chain.from_iterable(m.lcoords)),
+                _rows_as_tuples(m.block_ids, m.block_rows), m.rank.tolist(),
+                m.cut.tolist(), _rows_as_tuples(m.eigenvalues, m.col_rows))
+
+
 def schur_family(
     form: HomogeneousForm,
     split: SpectralSplit,
@@ -596,8 +676,9 @@ def schur_family(
     on the moduli of its eigenvalues (its singular values, as it is
     symmetric). Every present member's X then goes into one stack, and
     one stacked pass computes all residuals Ric(X) and applies the
-    residual gate; each member's ``residual_verdict`` waits until it is
-    read.
+    residual gate. The members stay in those stacks: each member's
+    :class:`AriSolution` is built when it is first read, and its
+    ``residual_verdict`` when that is read.
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
@@ -612,37 +693,34 @@ def schur_family(
     max(1, |A0|_max |X|_max, |M|_max |X|²_max)``, and the direct route
     (:func:`reduce` + :func:`full_rank_simplified_solution`) must agree
     on presence and on X to ``DIRECT_ROUTE_RTOL`` for every single block
-    and for the maximal set. Any failure raises :class:`RiccatiError`;
-    two clusters the reordering cannot separate raise
-    :class:`DegenerateSpectrum`.
+    and for the maximal set. All of it runs before this returns. Any
+    failure raises :class:`RiccatiError`; two clusters the reordering
+    cannot separate raise :class:`DegenerateSpectrum`.
 
     Returns
     -------
-    list of AriSolution
-        Sorted by (rank, block_set); always contains the zero solution.
+    SolutionFamily
+        A sequence of :class:`AriSolution` sorted by (rank, block_set),
+        with the zero solution first; members are built when read.
     """
     eligible = [i for i, b in enumerate(split.blocks) if b.half_plane != AXIS]
-    solutions = [zero_solution(form, tol)]
     if not eligible:
-        return solutions
+        return SolutionFamily(form, tol)
 
     labels = _clusters(split, tol.axis * form.a0_norm)
     at_axis = {labels[i] for i, b in enumerate(split.blocks) if b.half_plane == AXIS}
     live = [i for i in eligible if labels[i] not in at_axis]
-    members = []
-    eqn = None
+    members = eqn = None
     if live:
         eqn = reduce(form, split, live, tol)
         members = _gramian_members(eqn, labels, tol)
     _check_direct_route(form, split, eligible, eqn, members, tol)
-
-    solutions.extend(members)
-    solutions.sort(key=lambda s: (s.rank, s.block_set))
-    return solutions
+    return SolutionFamily(form, tol, members)
 
 
 def _gramian_members(eqn, labels, tol):
-    """Every present member over unions of the clusters in ``eqn``."""
+    """Every present member over unions of the clusters in ``eqn``, as a
+    :class:`_Members`."""
     form = eqn.form
     sizes = [blk.size for blk in eqn.blocks]
     block_label = [labels[i] for i in eqn.block_set]
@@ -686,18 +764,18 @@ def _gramian_members(eqn, labels, tol):
     x *= 0.5
     resid, scale = _gated_residuals(form, x)
 
-    block_sets = _rows_as_tuples(np.array(eqn.block_set), pick[present][:, unit_of_block])
-    # one eigenvalue per column of Lk, kept as the Python numbers they are
-    eigenvalues = _rows_as_tuples(np.array(eqn.eigenvalues, dtype=object), col_pick[present])
-    lcoords = chain.from_iterable(lcoord for _, lcoord, _ in batches)
-    ranks = np.concatenate([rank for _, _, rank in batches]).tolist()
-    cuts = (tol.definiteness * scale).tolist()
-    return [
-        AriSolution(X=xj, Lcoord=lj, block_set=block_set, rank=rj, residual=rsj,
-                    residual_cut=cut, eigenvalues=eigs)
-        for xj, lj, block_set, rj, rsj, cut, eigs in zip(
-            x, lcoords, block_sets, ranks, resid, cuts, eigenvalues)
-    ]
+    block_ids = np.array(eqn.block_set)
+    block_rows = pick[present][:, unit_of_block]
+    rank = np.concatenate([rank for _, _, rank in batches])
+    # sort by (rank, block_set) as tuples compare: each row's blocks
+    # ascending, then padded with −1 so that a prefix sorts first
+    past = int(block_ids.max()) + 1
+    padded = np.sort(np.where(block_rows, block_ids, past), axis=1)
+    padded[padded == past] = -1
+    order = np.lexsort([*padded.T[::-1], rank])
+    return _Members(x, resid, tol.definiteness * scale, rank,
+                    [lcoord for _, lcoord, _ in batches], block_ids, block_rows,
+                    np.array(eqn.eigenvalues, dtype=object), col_pick[present], order)
 
 
 def _batch_coordinates(ls, ys, tol):
@@ -753,9 +831,14 @@ def _rows_as_tuples(values, table):
 def _check_direct_route(form, split, eligible, eqn, members, tol):
     """Compare the batch against reduce + full_rank_simplified_solution on
     every single block and on the maximal set: presence must agree and X
-    must agree to ``DIRECT_ROUTE_RTOL``. Only X is compared, so the direct
-    solutions' residuals, verdicts and ranks are never built."""
-    built = {sol.block_set: sol for sol in members}
+    must agree to ``DIRECT_ROUTE_RTOL``. Only X is compared, read from the
+    rows of ``members`` with one block or all of them, so neither route
+    builds an :class:`AriSolution`."""
+    built = {}
+    if members is not None:
+        count = members.block_rows.sum(axis=1)
+        for p in np.flatnonzero((count == 1) | (count == len(members.block_ids))):
+            built[tuple(members.block_ids[members.block_rows[p]].tolist())] = members.x[p]
     checks = [((i,), None) for i in eligible]
     if eqn is not None and len(eqn.block_set) > 1:
         checks.append((eqn.block_set, eqn))
@@ -774,7 +857,7 @@ def _check_direct_route(form, split, eligible, eqn, members, tol):
             )
         if direct is None:
             continue
-        gap = float(np.abs(direct - ours.X).max())
+        gap = float(np.abs(direct - ours).max())
         if gap > DIRECT_ROUTE_RTOL * max(1.0, float(np.abs(direct).max())):
             raise RiccatiError(
                 f"family member for blocks {block_set} disagrees with the "

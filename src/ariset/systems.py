@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _full_rank, as_matrix, real_schur_ordered
+from .linalg import _full_rank, _norm2, as_matrix, real_schur_ordered
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -134,7 +134,7 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
         raise InvalidInput(
             f"B must have {am.shape[0]} rows, got {bm.shape[0]}"
         )
-    axis_abs = tol.axis * float(np.linalg.norm(am, 2))
+    axis_abs = tol.axis * _norm2(am)
 
     def classify(lam):
         if abs(lam.real) <= axis_abs:

@@ -1,18 +1,32 @@
-"""The benchmark's family check on its first problems, so that a change in
-the family's output shows in the test suite without a benchmark run. The
-bench/ sources are imported, never modified."""
+"""The benchmark's family check on its first problems and on every problem
+with a planted uncontrollable block, so that a change in the family's
+output, its absent subsets included, shows in the test suite without a
+benchmark run. The bench/ sources are imported, never modified."""
 
 from pathlib import Path
+
+import pytest
 
 import ariset
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_bench_family_check_passes_on_the_first_problems(monkeypatch, tmp_path):
+@pytest.fixture
+def family(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    family = workloads.Family(ariset, 1, tmp_path)
+    return workloads.Family(ariset, 1, tmp_path)
+
+
+def test_bench_family_check_passes_on_the_first_problems(family):
     for case in family.cases[:5]:
+        assert family.check(case, family.run(case)) == [], case.label
+
+
+def test_bench_family_check_passes_on_the_uncontrollable_problems(family):
+    uncontrollable = [case for case in family.cases if "-unc" in case.label]
+    assert uncontrollable
+    for case in uncontrollable:
         assert family.check(case, family.run(case)) == [], case.label

@@ -424,34 +424,63 @@ def test_undecodable_json_exit_2(paper_file, tmp_path, capsys, content, role):
 
 
 def _spoiled(matrix, how):
-    """``matrix`` as JSON rows of strings or booleans, or with one entry a string."""
+    """``matrix`` as JSON rows of strings or booleans, with one entry a
+    string or a boolean among floats or integers, or with one entry an
+    integer beyond 64 bits (``big``) or beyond the range of a float
+    (``huge``)."""
     rows = np.asarray(matrix, dtype=float).tolist()
     if how == "strings":
         return [[str(v) for v in row] for row in rows]
     if how == "booleans":
         return [[bool(v) for v in row] for row in rows]
-    rows[0][0] = str(rows[0][0])
+    if how in ("integer-boolean", "big", "huge"):
+        rows = [[int(v) for v in row] for row in rows]
+    rows[0][0] = {"mixed": str(rows[0][0]), "big": 10 ** 20, "huge": 10 ** 400}.get(how, True)
     return rows
 
 
-@pytest.mark.parametrize("how", ["strings", "booleans", "mixed"])
-@pytest.mark.parametrize("role", ["problem", "K", "param"])
-def test_non_numeric_matrix_exit_2(paper_file, tmp_path, capsys, how, role):
-    # numbers written as strings, or booleans, are not read as numbers
+def _spoiled_argv(paper_file, tmp_path, how, role):
+    """The command line reading a spoiled matrix in ``role``, and its key."""
     doc = json.loads(open(paper_file).read())
     if role == "problem":
         doc["A"] = _spoiled(PAPER_A, how)
-        argv, key = ["classify", _write(tmp_path, "p.json", doc)], "A"
-    elif role == "K":
+        return ["classify", _write(tmp_path, "p.json", doc)], "A"
+    if role == "K":
         k_file = _write(tmp_path, "k.json", {"K": _spoiled(LR, how)})
-        argv, key = ["verify", paper_file, "--K", k_file], "K"
-    else:
-        p_file = _write(tmp_path, "p.json", {"P": _spoiled(np.eye(2), how)})
-        argv, key = ["parametrize", paper_file, "--blocks", "1,2", "--param", p_file], "P"
+        return ["verify", paper_file, "--K", k_file], "K"
+    p_file = _write(tmp_path, "p.json", {"P": _spoiled(np.eye(2), how)})
+    return ["parametrize", paper_file, "--blocks", "1,2", "--param", p_file], "P"
+
+
+@pytest.mark.parametrize("how", ["strings", "booleans", "mixed", "float-boolean",
+                                 "integer-boolean"])
+@pytest.mark.parametrize("role", ["problem", "K", "param"])
+def test_non_numeric_matrix_exit_2(paper_file, tmp_path, capsys, how, role):
+    # numbers written as strings, or booleans, even among numbers, are not
+    # read as numbers
+    argv, key = _spoiled_argv(paper_file, tmp_path, how, role)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert f"key {key!r} is not a rectangular numeric array" in err
+
+
+@pytest.mark.parametrize("role", ["problem", "K", "param"])
+def test_integers_beyond_64_bits_are_read_as_floats(paper_file, tmp_path, capsys, role):
+    argv, key = _spoiled_argv(paper_file, tmp_path, "big", role)
+    path = argv[1] if role == "problem" else argv[-1]
+    doc = json.loads(open(path).read())
+    assert ariset.cli._matrix_field(doc, key, path)[0, 0] == 1e20
+    assert main(argv) != 2
+    assert "error: parse:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["problem", "K", "param"])
+def test_integer_too_large_for_a_float_exit_2(paper_file, tmp_path, capsys, role):
+    argv, key = _spoiled_argv(paper_file, tmp_path, "huge", role)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: key {key!r} has an integer too large for a float")
 
 
 def test_kind_given_without_k0_exit_2(tmp_path, capsys):

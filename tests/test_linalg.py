@@ -53,16 +53,38 @@ def test_as_matrix_rejects_inf_and_shape():
 
 @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"a": 1}, np.array([[1 + 2j]]),
                                  [[1, 0], [0, "x"]], [["1", "2"]], [[True, False]],
-                                 np.eye(2, dtype=bool), [[1.5, "2"]]],
+                                 np.eye(2, dtype=bool), [[1.5, "2"]], [[1.0, True]],
+                                 [[1, True]], [[np.float64(1.0), np.bool_(False)]],
+                                 [[10 ** 400]], [[10 ** 20, True]]],
                          ids=["string", "ragged", "dict", "complex", "non-numeric-entry",
                               "numeric-strings", "booleans", "boolean-array",
-                              "numeric-string-entry"])
+                              "numeric-string-entry", "float-boolean", "integer-boolean",
+                              "numpy-boolean", "too-large-integer", "big-integer-boolean"])
 @pytest.mark.filterwarnings("error")
 def test_as_matrix_rejects_what_is_not_a_real_array(bad):
     with pytest.raises(InvalidInput, match="^A "):
         as_matrix(bad, name="A")
     with pytest.raises(InvalidInput, match="^A "):
         RiccatiProblem(A=bad, B=1)
+
+
+def test_as_matrix_reads_integers_beyond_64_bits_as_floats():
+    got = as_matrix([[10 ** 20, 1], [2.5, -(10 ** 30)]])
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [[1e20, 1.0], [2.5, -1e30]])
+    assert np.array_equal(as_matrix(np.array([10 ** 20], dtype=object)), [[1e20]])
+
+
+def test_norm2_is_numpys_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(61)
+    cases = [rng.standard_normal((n, n)) * 10.0 ** rng.integers(-5, 6) for n in range(1, 31)]
+    cases += [rng.standard_normal((4, 7)), rng.standard_normal((7, 4)), np.array([[-3.0]]),
+              np.zeros((3, 3))]
+    low = rng.standard_normal((6, 2))
+    cases.append(low @ low.T)  # rank 2
+    for m in cases:
+        assert linalg._norm2(m) == float(np.linalg.norm(m, 2))
+        assert type(linalg._norm2(m)) is float
 
 
 def test_symmetrize_checks_and_averages():

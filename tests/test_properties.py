@@ -87,11 +87,37 @@ def test_family_follows_an_orthogonal_change_of_state(system, seed):
     s, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(a0.shape))
     family = _by_spectrum(schur_family(*homogeneous_setup(a0, b)))
     moved = _by_spectrum(schur_family(*homogeneous_setup(s.T @ a0 @ s, s.T @ b)))
-    assert set(moved) == set(family)
-    for key, sol in family.items():
-        want = s.T @ sol.X @ s
-        got = moved[key]
-        assert got.rank == sol.rank
-        size = np.abs(want).max()
-        gap = np.abs(got.X - want).max()
+    _assert_same_members(moved, lambda sol: s.T @ sol.X @ s, family)
+
+
+def _assert_same_members(got, want_x, want):
+    """``got`` and ``want`` hold the same members, by spectrum; ``want_x``
+    maps a member of ``want`` to the X expected in ``got``."""
+    assert set(got) == set(want)
+    for key, sol in want.items():
+        expected = want_x(sol)
+        assert got[key].rank == sol.rank
+        size = np.abs(expected).max()
+        gap = np.abs(got[key].X - expected).max()
         assert gap <= max(X_RTOL, X_EPS_GROWTH * size) * max(1.0, size)
+
+
+@PROPERTY_SETTINGS
+@given(family_systems(), st.integers(0, 2 ** 32 - 1))
+def test_family_ignores_an_orthogonal_change_of_input(system, seed):
+    # BV with V orthogonal has the same M = BBᵀ, and so the same family
+    a0, b = system
+    v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((b.shape[1],) * 2))
+    family = _by_spectrum(schur_family(*homogeneous_setup(a0, b)))
+    turned = _by_spectrum(schur_family(*homogeneous_setup(a0, b @ v)))
+    _assert_same_members(turned, lambda sol: sol.X, family)
+
+
+@PROPERTY_SETTINGS
+@given(family_systems(), st.sampled_from((0.5, 3.0, 10.0)))
+def test_family_scales_with_the_input_gain(system, c):
+    # Ric for cB at X/c² is Ric(X)/c², so every member scales by 1/c²
+    a0, b = system
+    family = _by_spectrum(schur_family(*homogeneous_setup(a0, b)))
+    scaled = _by_spectrum(schur_family(*homogeneous_setup(a0, c * b)))
+    _assert_same_members(scaled, lambda sol: sol.X / c ** 2, family)

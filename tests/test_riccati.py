@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ariset import (
+    AriSolution,
     BaseResidualTooLarge,
     DegenerateSpectrum,
     InvalidInput,
@@ -691,6 +692,100 @@ def test_direct_and_zero_verdicts_are_computed_on_first_read(paper):
     zero = zero_solution(form)
     _assert_verdict_on_read(form, zero)
     assert zero.residual_verdict.kind == "zero"
+
+
+def _eager_family(form, family):
+    """The family as a list built field by field from the stacks the
+    family keeps, sorted by Python's tuple order."""
+    m = family._members
+    lcoords = [lc for batch in m.lcoords for lc in batch]
+    members = [
+        AriSolution(X=m.x[p], Lcoord=lcoords[p],
+                    block_set=tuple(int(i) for i in m.block_ids[m.block_rows[p]]),
+                    rank=int(m.rank[p]), residual=m.residual[p], residual_cut=float(m.cut[p]),
+                    eigenvalues=tuple(m.eigenvalues[m.col_rows[p]]))
+        for p in range(len(m.x))
+    ]
+    return [zero_solution(form)] + sorted(members, key=lambda s: (s.rank, s.block_set))
+
+
+def _same_member(got, want):
+    for field in ("X", "Lcoord", "residual"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    for field in ("block_set", "rank", "residual_cut", "eigenvalues", "certificate"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b and type(a) is type(b), field
+    for a, b in zip(got.block_set + got.eigenvalues, want.block_set + want.eigenvalues):
+        assert type(a) is type(b)
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_is_sorted_by_rank_and_block_set(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    members = list(schur_family(form, split))
+    ordered = sorted(members, key=lambda s: (s.rank, s.block_set))
+    assert all(a is b for a, b in zip(members, ordered))
+    assert members[0].block_set == () and members[0].rank == 0
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_reads_as_an_immutable_sequence(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    family = schur_family(form, split)
+    assert isinstance(family, riccati.SolutionFamily)
+    members = list(family)
+    n = len(family)
+    assert n == len(members) > 1
+    assert all(family[i] is sol and family[i - n] is sol for i, sol in enumerate(members))
+    for cut in (slice(None, -1), slice(1, 3), slice(None, None, -2), slice(n, None)):
+        part = family[cut]
+        assert type(part) is list and len(part) == len(members[cut])
+        assert all(a is b for a, b in zip(part, members[cut]))
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            family[bad]
+    with pytest.raises(TypeError):
+        family[1.0]
+    with pytest.raises(TypeError):
+        family[0] = members[0]
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_builds_each_member_on_its_first_read(case, monkeypatch):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(AriSolution(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(riccati, "AriSolution", counting)
+    family = schur_family(form, split)
+    assert not built
+    last = family[-1]
+    assert len(built) == 1 and built[0] is last
+    assert family[-1] is last and family[len(family) - 1] is last
+    first = family[0]
+    assert len(built) == 2 and built[1] is first and family[0] is first
+    members = list(family)
+    assert len(built) == len(family)
+    assert all(a is b for a, b in zip(list(family), members))
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_members_equal_an_eager_reference(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    family = schur_family(form, split)
+    eager = _eager_family(form, family)
+    assert len(family) == len(eager)
+    for got, want in zip(family, eager):
+        _same_member(got, want)
+        assert got.residual_verdict == want.residual_verdict
+    top = family[-1]
+    moved = dataclasses.replace(top, X=top.X + 1.0)
+    assert np.array_equal(moved.X, top.X + 1.0) and moved.block_set == top.block_set
+    assert family[-1] is top
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
