@@ -161,19 +161,22 @@ class SimplifiedEquation:
         return tuple(lam for b in self.blocks for lam in b.eigenvalues)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AriSolution:
     """A symmetric solution X of Ric(X) ≤ 0 with its support certificate.
 
     ``X = L · Lcoord · Lᵀ`` where ``L`` is an orthonormal basis of the
     support, the invariant subspace of the generating block set: the
     reduced basis ``Lk`` for a solution built from a
-    :class:`SimplifiedEquation`, a QR basis for a :func:`schur_family`
-    member. A family member is built when it is first read from its
-    :class:`SolutionFamily`, with ``X`` and ``residual`` as views into
-    the family's stacks. Bases of one support differ by an orthogonal
-    factor, and so do their ``Lcoord``; ``X`` and ``rank`` do not depend
-    on the basis. ``residual`` is Ric(X), and ``residual_cut`` the cutoff
+    :class:`SimplifiedEquation`, and ``L'_S R⁻¹`` for a
+    :func:`schur_family` member, from the R factor of its cluster bases
+    ``L'_S`` (orthonormal to rounding). A family member is built when it
+    is first read from its :class:`SolutionFamily`, with ``X`` and
+    ``residual`` as views into the family's stacks. Bases of one support
+    differ by an orthogonal factor, and so do their ``Lcoord``; ``X`` and
+    ``rank`` do not depend on the basis. Solutions compare equal only to
+    themselves, so a family answers ``index``, ``count`` and ``in`` by
+    identity. ``residual`` is Ric(X), and ``residual_cut`` the cutoff
     of its sign classification: ``tol.definiteness`` times the size of Ric's terms,
     max(1, |A0|_max |X|_max, |M|_max |X|²_max). ``residual_verdict``, that
     classification (never positive for an emitted solution), is computed
@@ -542,13 +545,21 @@ def _cluster_gramian(lam, c, cols, clash):
     (``cols[u]`` are cluster u's rows), leaving zero the blocks of clashing
     cluster pairs.
 
-    Cluster u's row of Y, against every non-clashing cluster at or after
-    it, is one kernel call. The clash table has applied the kernel's
-    separation test to each pair at the pair's own scale, so the row call
-    skips it (the union's larger ρ would refuse pairs the table accepts).
-    If ``dtrsyl`` still has to perturb a row, that row is solved pair by
-    pair, and a pair it refuses is marked in ``clash``.
+    The clash table has applied the kernel's separation test to each pair
+    at the pair's own scale, so every call here skips it (a union's larger
+    ρ would refuse pairs the table accepts). With no clash, the whole of
+    Y is one kernel call. Otherwise, or if ``dtrsyl`` has to perturb that
+    call, cluster u's row of Y, against every non-clashing cluster at or
+    after it, is one call; if ``dtrsyl`` still has to perturb a row, that
+    row is solved pair by pair, and a pair it refuses is marked in
+    ``clash``.
     """
+    if not clash.any():
+        try:
+            y = _solve_quasi_triangular(lam, lam, c, trana="T", sep_tol=0.0)
+            return 0.5 * (y + y.T)
+        except SingularSylvester:
+            pass
     y = np.zeros_like(c)
 
     def solve_row(u, vs):
@@ -664,19 +675,23 @@ def schur_family(
     coupling across clusters. The mirrored-pair clashes between clusters
     are decided once, from the eigenvalues of ``Λ``'s diagonal blocks, by
     the Sylvester kernel's own separation test; the Gramian ``Y'`` of
-    ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'``) is then solved by cluster, one
-    kernel call per cluster against every non-clashing cluster at or
-    after it.
+    ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'``) is then one kernel call when no
+    pair clashes, and otherwise one call per cluster against every
+    non-clashing cluster at or after it.
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
     Schur complement of the maximal solution onto S. Members' coordinates
-    are built in stacked batches of equal column count; each is expressed
-    in a QR basis ``L'_S = QR``, its Gramian moved there as
-    ``R⁻ᵀ Y'[S,S] R⁻¹`` with one batched inverse of R. There the Gramian's
-    rank test and ``rank`` read as in :func:`full_rank_simplified_solution`,
-    on the moduli of its eigenvalues (its singular values, as it is
-    symmetric). Every present member's X then goes into one stack, and
-    one stacked pass computes all residuals Ric(X) and applies the
-    residual gate. The members stay in those stacks: each member's
+    are built in stacked batches of equal column count, fewest columns
+    first; only the R of ``L'_S = QR`` is factored, the Gramian moved to
+    the basis ``Q = L'_S R⁻¹`` as ``R⁻ᵀ Y'[S,S] R⁻¹`` with one batched
+    inverse of R. There the Gramian's rank test reads as in
+    :func:`full_rank_simplified_solution`, on the moduli of its
+    eigenvalues (its singular values, as it is symmetric), and a present
+    member's ``rank`` is its column count. A cluster whose columns of
+    ``Y'`` are small enough to make the Gramian of every union holding it
+    fail that test (:func:`_dead_units`; the clusters B misses) is left
+    out with its unions before anything is factored. Every present
+    member's X then goes into one stack, and one stacked pass computes
+    all residuals Ric(X) and applies the residual gate. The members stay in those stacks: each member's
     :class:`AriSolution` is built when it is first read, and its
     ``residual_verdict`` when that is read.
 
@@ -738,26 +753,30 @@ def _gramian_members(eqn, labels, tol):
     clash = _clash_table(lam, unit_of_col)
     y = _cluster_gramian(lam, c, cols, clash)
 
-    # every union of non-clashing units, one row each of a membership table
+    # every union of non-clashing units that holds no dead unit, one row
+    # each of a membership table
     masks = np.arange(1, 2 ** len(units))
     pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
-    pick = pick[~np.any((pick @ clash) & pick, axis=1)]
+    dead = _dead_units(lp, y, unit_of_col, tol.rank)
+    pick = pick[~np.any((pick @ clash) & pick, axis=1) & ~(pick @ dead)]
+    if not len(pick):
+        return None
     col_pick = pick[:, unit_of_col]
     ncols = col_pick.sum(axis=1)
     present, batches = [], []
     for k in np.unique(ncols):
         rows = np.flatnonzero(ncols == k)
         idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-        ok, q, lcoord, rank = _batch_coordinates(lp[:, idx].transpose(1, 0, 2),
-                                                 y[idx[:, :, None], idx[:, None, :]], tol)
+        ok, q, lcoord = _batch_coordinates(lp[:, idx].transpose(1, 0, 2),
+                                           y[idx[:, :, None], idx[:, None, :]], tol)
         present.append(rows[ok])
-        batches.append((q, lcoord, rank))
+        batches.append((q, lcoord))
     present = np.concatenate(present)
 
     # every member's X = Q g⁻¹ Qᵀ in its slice of one stack
     x = np.empty((len(present), len(lp), len(lp)))
     start = 0
-    for q, lcoord, _ in batches:
+    for q, lcoord in batches:
         np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
         start += len(q)
     x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
@@ -766,7 +785,7 @@ def _gramian_members(eqn, labels, tol):
 
     block_ids = np.array(eqn.block_set)
     block_rows = pick[present][:, unit_of_block]
-    rank = np.concatenate([rank for _, _, rank in batches])
+    rank = ncols[present]
     # sort by (rank, block_set) as tuples compare: each row's blocks
     # ascending, then padded with −1 so that a prefix sorts first
     past = int(block_ids.max()) + 1
@@ -774,33 +793,55 @@ def _gramian_members(eqn, labels, tol):
     padded[padded == past] = -1
     order = np.lexsort([*padded.T[::-1], rank])
     return _Members(x, resid, tol.definiteness * scale, rank,
-                    [lcoord for _, lcoord, _ in batches], block_ids, block_rows,
+                    [lcoord for _, lcoord in batches], block_ids, block_rows,
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present], order)
+
+
+def _dead_units(lp, y, unit_of_col, rank_tol):
+    """The units u for which every union S holding u fails the rank test:
+    ``‖Y'[:, u]‖_F <= ½ · rank_tol · σ_min(L')²``.
+
+    Let z be a unit vector on u's columns and ``L'_S = QR``. At the unit
+    vector ``Rz / ‖Rz‖``, the union's Gramian ``g = R⁻ᵀ Y'_S R⁻¹`` gives
+    ``σ_min(g) <= ‖Y'_S z‖ / (σ_min(R) ‖Rz‖) <= ‖Y'[:, u]‖_F / σ_min(L')²``,
+    as ``σ_min(R) = σ_min(L'_S) >= σ_min(L')`` and ``‖Rz‖ = ‖L'_S z‖``. So
+    ``σ_min(g) <= ½ · rank_tol`` and S fails the test. The half leaves
+    room for the rounding of g. A unit that B misses has columns of Y' at
+    the rounding level and is dead. Failing the rank test on its own does
+    not make a unit dead: its union with a unit of the other half-plane
+    can still pass.
+    """
+    norm2 = np.bincount(unit_of_col, weights=np.einsum("ij,ij->j", y, y))
+    cut = 0.5 * rank_tol
+    if not (norm2 <= cut * cut).any():  # σ_min(L') <= 1: its columns have unit norm
+        return np.zeros(len(norm2), dtype=bool)
+    cut *= np.linalg.svd(lp, compute_uv=False)[-1] ** 2
+    return norm2 <= cut * cut
 
 
 def _batch_coordinates(ls, ys, tol):
     """Coordinates of the members over stacked supports ``ls`` (N×n×k)
-    with Gramians ``ys`` (N×k×k): ``(ok, q, lcoord, rank)``. ``ok`` marks
-    the supports whose Gramian is nonsingular; ``q``, ``lcoord`` and
-    ``rank`` hold those members only.
+    with Gramians ``ys`` (N×k×k): ``(ok, q, lcoord)``. ``ok`` marks the
+    supports whose Gramian is nonsingular; ``q`` and ``lcoord`` hold those
+    members only.
 
-    With ``ls = QR``, the Gramian in the basis Q is ``g = R⁻ᵀ Y R⁻¹``:
-    one batched inverse of the triangular R and two stacked products.
-    The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``."""
-    q, r = np.linalg.qr(ls)
+    With ``ls = QR``, only R is factored; the Gramian in the basis Q is
+    ``g = R⁻ᵀ Y R⁻¹``: one batched inverse of the triangular R and two
+    stacked products. The same R⁻¹ gives the present members' basis
+    ``Q = L R⁻¹``. The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``.
+    Its rank is k: ``ok`` asks σ_min(g) > tol.rank · max(1, σ_max(g)),
+    so every singular value of g⁻¹ exceeds tol.rank times the largest."""
+    r = np.linalg.qr(ls, mode="r")
     r_inv = np.linalg.inv(r)  # one factorization serves both sides of R⁻ᵀ Y R⁻¹
     g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
     sv = np.abs(np.linalg.eigvalsh(g))  # g is symmetric: its singular values
-    sv_min, sv_max = sv.min(axis=1), sv.max(axis=1)
-    ok = _full_rank(sv_min, sv_max, tol.rank)
+    ok = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
     if not ok.all():
-        q, g, sv, sv_min = q[ok], g[ok], sv[ok], sv_min[ok]
+        ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
     lcoord = np.linalg.inv(g)
     lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
-    # Lcoord = g⁻¹ has singular values 1/sv: count those above tol.rank times the largest
-    rank = np.count_nonzero(sv_min[:, None] > tol.rank * sv, axis=1)
-    return ok, q, lcoord, rank
+    return ok, ls @ r_inv, lcoord
 
 
 def _gated_residuals(form, x):

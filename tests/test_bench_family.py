@@ -1,7 +1,8 @@
-"""The benchmark's family check on its first problems and on every problem
-with a planted uncontrollable block, so that a change in the family's
-output, its absent subsets included, shows in the test suite without a
-benchmark run. The bench/ sources are imported, never modified."""
+"""The benchmark's family check on its first problems, on every problem
+with a planted uncontrollable block and on every problem of a second
+seed, so that a change in the family's output, its absent subsets
+included, shows in the test suite without a benchmark run. The bench/
+sources are imported, never modified."""
 
 from pathlib import Path
 
@@ -12,12 +13,16 @@ import ariset
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture
-def family(monkeypatch, tmp_path):
+def _family_workload(monkeypatch, tmp_path, seed):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    return workloads.Family(ariset, 1, tmp_path)
+    return workloads.Family(ariset, seed, tmp_path)
+
+
+@pytest.fixture
+def family(monkeypatch, tmp_path):
+    return _family_workload(monkeypatch, tmp_path, 1)
 
 
 def test_bench_family_check_passes_on_the_first_problems(family):
@@ -29,4 +34,11 @@ def test_bench_family_check_passes_on_the_uncontrollable_problems(family):
     uncontrollable = [case for case in family.cases if "-unc" in case.label]
     assert uncontrollable
     for case in uncontrollable:
+        assert family.check(case, family.run(case)) == [], case.label
+
+
+def test_bench_family_check_passes_on_every_problem_of_seed_2(monkeypatch, tmp_path):
+    # the planted member counts catch a union pruned that holds a solution
+    family = _family_workload(monkeypatch, tmp_path, 2)
+    for case in family.cases:
         assert family.check(case, family.run(case)) == [], case.label

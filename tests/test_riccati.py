@@ -485,8 +485,12 @@ def _family_case(case):
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
 def test_family_matches_direct_route_on_every_subset(case):
     form, split = homogeneous_setup(*_family_case(case))
+    _assert_family_is_direct(form, split, schur_family(form, split))
+
+
+def _assert_family_is_direct(form, split, members):
     direct = direct_family(form, split)
-    family = {sol.block_set: sol for sol in schur_family(form, split)}
+    family = {sol.block_set: sol for sol in members}
     assert set(family) == set(direct) | {()}
     for block_set, want in direct.items():
         got = family[block_set]
@@ -585,12 +589,20 @@ def test_family_rejects_a_member_over_its_residual_gate(monkeypatch):
         schur_family(form, split)
 
 
-def _unions(cols, clash):
-    """Every union of non-clashing clusters, as its columns."""
+def _unions(cols, clash, without=()):
+    """Every union of non-clashing clusters, none of them in ``without``,
+    as its columns."""
     for r in range(1, len(cols) + 1):
         for units in itertools.combinations(range(len(cols)), r):
-            if not clash[np.ix_(units, units)].any():
+            if not clash[np.ix_(units, units)].any() and not set(units) & set(without):
                 yield np.concatenate([cols[u] for u in units])
+
+
+def _missed_clusters(c, cols):
+    """The clusters B misses: their block of ``c = L'ᵀ M L'`` (M = BBᵀ) is
+    zero to rounding."""
+    return [u for u, cu in enumerate(cols)
+            if np.abs(c[np.ix_(cu, cu)]).max() <= 1e-12 * np.abs(c).max()]
 
 
 def test_family_gates_members_of_a_middle_column_count(monkeypatch):
@@ -635,16 +647,16 @@ def test_family_gates_members_of_a_middle_column_count(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_takes_one_eigvalsh_per_column_count(case, monkeypatch):
-    # one per Gramian stack of equal column count; the residual verdicts
-    # wait until they are read
+    # one per Gramian stack of equal column count, over the unions that
+    # hold no cluster B misses; the residual verdicts wait until they are
+    # read
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
     gramian, seen, calls = riccati._cluster_gramian, {}, []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(lam, c, cols, clash):
-        y = gramian(lam, c, cols, clash)
-        seen.update(cols=cols, clash=clash)
-        return y
+        seen.update(c=c, cols=cols, clash=clash)
+        return gramian(lam, c, cols, clash)
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
@@ -653,8 +665,85 @@ def test_family_takes_one_eigvalsh_per_column_count(case, monkeypatch):
     monkeypatch.setattr(riccati, "_cluster_gramian", spy)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     schur_family(form, split)
-    counts = sorted({len(idx) for idx in _unions(seen["cols"], seen["clash"])})
-    assert [shape[1:] for shape in calls] == [(k, k) for k in counts]
+    missed = _missed_clusters(seen["c"], seen["cols"])
+    counts = {len(idx) for idx in _unions(seen["cols"], seen["clash"], missed)}
+    assert [shape[1:] for shape in calls] == [(k, k) for k in sorted(counts)]
+    assert bool(missed) == (case == "uncontrollable-rhp-lhp")
+
+
+def _planted_pair_system():
+    # an uncontrollable conjugate pair: a two-column cluster that B misses
+    rng = np.random.default_rng(139)
+    return build_system(rng, ctrl=[1.1, -0.7, complex(-1.8, 0.6), 2.4],
+                        unc=[complex(1.5, 0.9)], m=1)
+
+
+def _factored_supports(form, split, monkeypatch):
+    """The family, its cluster columns and the column sets of the supports
+    that reach ``_batch_coordinates``."""
+    bases, coordinates = riccati._cluster_bases, riccati._batch_coordinates
+    seen, supports = {}, []
+
+    def spy_bases(eqn, cols):
+        lp, lam = bases(eqn, cols)
+        seen.update(lp=lp, cols=cols)
+        return lp, lam
+
+    def spy_coordinates(ls, ys, tol):
+        supports.extend(ls)
+        return coordinates(ls, ys, tol)
+
+    monkeypatch.setattr(riccati, "_cluster_bases", spy_bases)
+    monkeypatch.setattr(riccati, "_batch_coordinates", spy_coordinates)
+    family = schur_family(form, split)
+    monkeypatch.undo()
+    lp = seen["lp"]
+    held = [{int(np.flatnonzero((lp == col[:, None]).all(axis=0))[0]) for col in ls.T}
+            for ls in supports]
+    return family, lp, seen["cols"], held
+
+
+@pytest.mark.parametrize("system", [_uncontrollable_system, _planted_pair_system])
+def test_family_factors_no_union_holding_an_uncontrollable_cluster(system, monkeypatch):
+    a0, b = system()
+    form, split = homogeneous_setup(a0, b)
+    family, lp, cols, held = _factored_supports(form, split, monkeypatch)
+    # the columns of an uncontrollable cluster span a subspace B misses
+    missed = np.abs(b.T @ lp).max(axis=0) <= 1e-12 * np.abs(b).max()
+    unc = set().union(*(set(cu.tolist()) for cu in cols if missed[cu].all()))
+    assert len(unc) == np.count_nonzero(missed) > 0
+    assert len(split.indices(controllable=False)) == sum(missed[cu].all() for cu in cols)
+    assert held and not any(cols & unc for cols in held)
+    _assert_family_is_direct(form, split, family)
+
+
+@pytest.mark.parametrize("a0, b_weak, members", [
+    # Y'_uu = 5e-11 fails the rank test on its own, but the union with the
+    # stable mode has Gramian [[5e-11, -1e-5], [-1e-5, -0.25]], whose
+    # smallest singular value, 4.5e-10, passes it
+    (np.diag([1.0, -2.0]), 1e-5, [(), (1,), (0, 1)]),
+    # the same weak mode with an unstable partner: the union's Gramian is
+    # positive semidefinite, so its smallest eigenvalue is at most 5e-11
+    (np.diag([1.0, 2.0]), 1e-5, [(), (1,)]),
+    # ‖Y'[:, u]‖ ≈ 1e-10, twice the cut that leaves a cluster out: every
+    # union is factored, and fails the rank test
+    (np.diag([1.0, -2.0]), 1e-10, [(), (1,)]),
+])
+def test_family_factors_every_union_of_a_weakly_controllable_cluster(
+        a0, b_weak, members, monkeypatch):
+    form, split = homogeneous_setup(a0, np.array([[b_weak], [1.0]]))
+    family, _, cols, held = _factored_supports(form, split, monkeypatch)
+    assert [sol.block_set for sol in family] == members
+    assert sorted(map(sorted, held)) == [[0], [0, 1], [1]]
+    _assert_family_is_direct(form, split, family)
+
+
+def test_family_of_a_system_b_misses_is_the_zero_solution(monkeypatch):
+    # every cluster is left out, so nothing is factored
+    form, split = homogeneous_setup(np.diag([1.0, -2.0, 3.0]), np.zeros((3, 1)))
+    family, _, _, held = _factored_supports(form, split, monkeypatch)
+    assert [sol.block_set for sol in family] == [()] and not held
+    assert direct_family(form, split) == {}
 
 
 def _verdict_now(form, sol):
@@ -727,6 +816,27 @@ def test_family_is_sorted_by_rank_and_block_set(case):
     ordered = sorted(members, key=lambda s: (s.rank, s.block_set))
     assert all(a is b for a, b in zip(members, ordered))
     assert members[0].block_set == () and members[0].rank == 0
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_member_rank_is_its_column_count(case):
+    # the Gramian's rank test leaves every singular value of Lcoord above
+    # tol.rank times the largest, so counting them gives the column count
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    for sol in schur_family(form, split):
+        assert sol.rank == sol.Lcoord.shape[0] == riccati._matrix_rank(sol.Lcoord, DEFAULT.rank)
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_members_compare_by_identity(case):
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    family = schur_family(form, split)
+    for i, sol in enumerate(family):
+        assert family[i] is sol
+        assert family.index(sol) == i and family.count(sol) == 1 and sol in family
+    copy = dataclasses.replace(family[-1])
+    assert copy != family[-1] and copy not in family
+    assert len(set(family)) == len(family)
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
@@ -970,7 +1080,14 @@ def _pairwise_gramian(lam, c, cols, clash):
     return y
 
 
-@pytest.mark.parametrize("factor", [0.5, 2.0])
+# the gap to the pairwise oracle allowed at each factor: at 2.0 the one
+# call sums each entry's terms in another order than the oracle, and pairs
+# at twice the separation cutoff amplify that rounding (the gap measures
+# 3.7e-10 relative); at 3e9 every pair is separated by 0.3 times its scale
+ORACLE_RTOL = {0.5: 1e-12, 2.0: 2e-9, 3e9: 1e-12}
+
+
+@pytest.mark.parametrize("factor", sorted(ORACLE_RTOL))
 def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
     lam, unit_of_col = _planted_clash_lambda(factor)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
@@ -982,10 +1099,12 @@ def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
     monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
     y = riccati._cluster_gramian(lam, c, cols, clash.copy())
     monkeypatch.undo()
-    # one call per cluster row that has a non-clashing partner
-    assert len(calls) == sum(not clash[u, u:].all() for u in range(5))
+    # with no clash, one call for the whole Gramian; otherwise one call
+    # per cluster row that has a non-clashing partner
+    rows = sum(not clash[u, u:].all() for u in range(5))
+    assert len(calls) == (rows if clash.any() else 1)
     want = _pairwise_gramian(lam, c, cols, clash)
-    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(y - want).max() <= ORACLE_RTOL[factor] * np.abs(want).max()
     solved = ~clash[np.ix_(unit_of_col, unit_of_col)]
     resid = (y @ lam + lam.T @ y - c)[solved]
     assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(y).max())
@@ -993,9 +1112,10 @@ def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
 
 
 def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
-    # dtrsyl reports a perturbation on cluster 0's whole row and on its
-    # pair with cluster 2: the row is re-solved pair by pair, and only
-    # that pair becomes a clash
+    # dtrsyl reports a perturbation on the whole Gramian, on cluster 0's
+    # whole row and on its pair with cluster 2: the Gramian is solved row
+    # by row, cluster 0's row pair by pair, and only that pair becomes a
+    # clash
     lam, unit_of_col = _planted_clash_lambda(2.0)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
     g = np.random.default_rng(137).standard_normal((lam.shape[0], 2))
@@ -1006,8 +1126,8 @@ def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
     solve = linalg.lapack.dtrsyl
 
     def perturbing(tf, tg, rhs, **kwargs):
-        if np.array_equal(tf, blocks[0]) and (len(tg) > len(cols[0]) + len(cols[1])
-                                             or np.array_equal(tg, blocks[2])):
+        if len(tf) == len(lam) or np.array_equal(tf, blocks[0]) and (
+                len(tg) > len(cols[0]) + len(cols[1]) or np.array_equal(tg, blocks[2])):
             return rhs, 1.0, 1
         return solve(tf, tg, rhs, **kwargs)
 
