@@ -191,7 +191,7 @@ def extremal_solutions(
         blocks = split.indices(half_plane=half_plane)
         if not blocks:
             return zero_solution(form, tol)
-        return full_rank_simplified_solution(reduce_blocks(form, split, blocks, tol), tol)
+        return full_rank_simplified_solution(reduce_blocks(form, split, blocks), tol)
 
     lr, ll = solution_over(RHP), solution_over(LHP)
     return ExtremalPair(
@@ -214,7 +214,7 @@ def _ray_for_block(form, split, index, tol):
     feasible sign. ``Dk`` is already in real Schur form, so the solve
     factors nothing.
     """
-    eqn = reduce_blocks(form, split, [index], tol)
+    eqn = reduce_blocks(form, split, [index])
     blk = split.blocks[index]
     eye = np.eye(eqn.k)
     if blk.half_plane == RHP:

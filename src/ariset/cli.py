@@ -281,7 +281,7 @@ def _cmd_solve(args, form, split, tol):
     else:
         block_set = _parse_block_list(args.rank_set, len(split.blocks))
         try:
-            eqn = reduce_blocks(form, split, block_set, tol)
+            eqn = reduce_blocks(form, split, block_set)
             sol = full_rank_simplified_solution(eqn, tol)
         except _NO_SOLUTION as exc:
             results["requested"] = [i + 1 for i in block_set]
@@ -392,7 +392,7 @@ def _render_bounds(results):
 
 def _cmd_parametrize(args, form, split, tol):
     block_set = _parse_block_list(args.blocks, len(split.blocks))
-    eqn = reduce_blocks(form, split, block_set, tol)
+    eqn = reduce_blocks(form, split, block_set)
     if args.param is not None:
         doc, _ = _load_json(args.param)
         p = _matrix_field(doc, "P", args.param)

@@ -13,6 +13,7 @@ degenerate axis blocks (zero / purely imaginary eigenvalues).
 """
 
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -347,12 +348,7 @@ def _check_invariant(form, basis, d, error, message):
         raise error(message.format(resid=resid))
 
 
-def reduce(
-    form: HomogeneousForm,
-    split: SpectralSplit,
-    block_set,
-    tol: Tolerances = DEFAULT,
-):
+def reduce(form: HomogeneousForm, split: SpectralSplit, block_set):
     """Restrict the homogeneous problem to selected Schur blocks.
 
     The Schur form is reordered so the selected blocks (ascending) occupy
@@ -362,9 +358,10 @@ def reduce(
     Raises
     ------
     DegenerateSpectrum
-        A selected block shares an eigenvalue with an unselected block
-        (the invariant subspace is not well defined), or a required block
-        swap fails.
+        The selection is not a union of eigenvalue clusters
+        (``SpectralBlock.cluster``), so its invariant subspace is not well
+        defined (``gap`` is the distance to the nearest unselected
+        eigenvalue), or a required block swap fails.
     NonInvariantSelection
         The extracted columns fail the invariance residual check.
     """
@@ -376,9 +373,10 @@ def reduce(
         raise InvalidInput(f"block indices out of range 0..{nblk - 1}")
 
     cols = split.columns(selected)
-    eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
-    gap = _selection_gap(eigs, cols)
-    if gap <= tol.axis * form.a0_norm:
+    clusters = {split.blocks[i].cluster for i in selected}
+    if sum(blk.cluster in clusters for blk in split.blocks) > len(selected):
+        eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
+        gap = _selection_gap(eigs, cols)
         raise DegenerateSpectrum(
             "selected blocks share an eigenvalue with unselected ones; "
             f"the invariant subspace is ill-defined (gap {gap:.3e})",
@@ -410,23 +408,15 @@ def reduce(
 # reduced-equation solutions
 
 
-def _matrix_rank(m, rank_tol):
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rank_tol * sv[0]))
-
-
 def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
+    # lcoord inverts a matrix that passed _full_rank, so its rank is its order
     x = eqn.Lk @ lcoord @ eqn.Lk.T
     x = 0.5 * (x + x.T)
     return AriSolution(
         X=x,
         Lcoord=lcoord,
         block_set=eqn.block_set,
-        rank=_matrix_rank(lcoord, tol.rank),
+        rank=len(lcoord),
         residual=ric_residual(eqn.form, x),
         residual_cut=tol.definiteness * float(_ric_scale(eqn.form, x)),
         eigenvalues=eqn.eigenvalues,
@@ -488,23 +478,6 @@ def zero_solution(form: HomogeneousForm, tol: Tolerances = DEFAULT):
 
 # ---------------------------------------------------------------------------
 # the Schur-complement family
-
-
-def _clusters(split, gap_tol):
-    """Label every block with its eigenvalue cluster.
-
-    Two blocks are linked when some pair of their eigenvalues lies within
-    ``gap_tol`` (the distance at which :func:`reduce` refuses to separate
-    them); clusters are the connected components of that relation.
-    """
-    sizes = [blk.size for blk in split.blocks]
-    eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
-    owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
-    near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap_tol).astype(float)
-    reach = owner.T @ near @ owner > 0
-    for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
-        reach = reach @ reach
-    return reach.argmax(axis=1)  # the first block of each cluster
 
 
 def _cluster_bases(eqn, cols):
@@ -697,8 +670,9 @@ def schur_family(
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
-    Sylvester solve is singular), part but not all of an eigenvalue
-    cluster, or a block whose cluster reaches an axis block. Axis blocks
+    Sylvester solve is singular), part but not all of a
+    ``SpectralBlock.cluster`` of ``split``, or a block of a cluster that
+    holds an axis block. Axis blocks
     never participate: controllable ones only contribute the zero
     coordinate and uncontrollable ones generate the infinite families
     reported by :func:`degenerate_classify`.
@@ -722,25 +696,22 @@ def schur_family(
     if not eligible:
         return SolutionFamily(form, tol)
 
-    labels = _clusters(split, tol.axis * form.a0_norm)
-    at_axis = {labels[i] for i, b in enumerate(split.blocks) if b.half_plane == AXIS}
-    live = [i for i in eligible if labels[i] not in at_axis]
+    at_axis = {b.cluster for b in split.blocks if b.half_plane == AXIS}
+    live = [i for i in eligible if split.blocks[i].cluster not in at_axis]
     members = eqn = None
     if live:
-        eqn = reduce(form, split, live, tol)
-        members = _gramian_members(eqn, labels, tol)
+        eqn = reduce(form, split, live)
+        members = _gramian_members(eqn, tol)
     _check_direct_route(form, split, eligible, eqn, members, tol)
     return SolutionFamily(form, tol, members)
 
 
-def _gramian_members(eqn, labels, tol):
+def _gramian_members(eqn, tol):
     """Every present member over unions of the clusters in ``eqn``, as a
     :class:`_Members`."""
     form = eqn.form
     sizes = [blk.size for blk in eqn.blocks]
-    block_label = [labels[i] for i in eqn.block_set]
-    units = sorted(set(block_label), key=block_label.index)
-    unit_of_block = np.array([units.index(lb) for lb in block_label])
+    units, unit_of_block = np.unique([blk.cluster for blk in eqn.blocks], return_inverse=True)
     unit_of_col = np.repeat(unit_of_block, sizes)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
 
@@ -886,7 +857,7 @@ def _check_direct_route(form, split, eligible, eqn, members, tol):
     for block_set, reduced in checks:
         try:
             if reduced is None:
-                reduced = reduce(form, split, block_set, tol)
+                reduced = reduce(form, split, block_set)
             direct = reduced.Lk @ _gramian_inverse(reduced, tol) @ reduced.Lk.T
         except _NO_SOLUTION:
             direct = None
@@ -924,10 +895,12 @@ class DegenerateOutcome:
     generator: Optional[np.ndarray] = None
 
 
-def _uncontrollable_zero_directions(form, tol):
-    """Orthonormal kernel of the stacked map [A0ᵀ; Bᵀ]: directions v with
-    A0ᵀ v = 0 and Bᵀ v = 0."""
-    stacked = np.vstack([form.A0.T, form.problem.B.T])
+def _uncontrollable_directions(form, lam, tol):
+    """Orthonormal kernel of the stacked map [A0ᵀ − λI; Bᵀ]: directions v
+    with A0ᵀ v = λ v and Bᵀ v = 0, complex when ``lam`` is (each up to
+    conjugation, which leaves its generator unchanged)."""
+    shifted = form.A0.T - lam * np.eye(form.problem.n)  # A0ᵀ itself at lam = 0.0
+    stacked = np.vstack([shifted, form.problem.B.T])
     _, sv, vt = np.linalg.svd(stacked)  # n singular values: the stack has n + m rows
     return list(vt[~_full_rank(sv, sv[0], tol.rank)])
 
@@ -971,41 +944,46 @@ def degenerate_classify(
     eigenvalue, the identity coordinate on the invariant plane for a
     purely imaginary pair.
 
-    Uncontrollable zero blocks that share an eigenvalue take the
-    directions of the kernel of ``[A0ᵀ; Bᵀ]``, one each; when a Jordan
-    chain leaves fewer directions than blocks, the surplus blocks get no
-    outcome, so the free-family generators are distinct and as many as
-    the kernel's dimension.
+    Uncontrollable blocks that share their ``cluster`` take the directions
+    v of the kernel of ``[A0ᵀ − λI; Bᵀ]``, one each, with λ = 0 or iμ
+    for eigenvalues 0 or ±iμ; the generator of ``v = x + iy`` is
+    ``x xᵀ + y yᵀ``. When a Jordan chain or a copy that B reaches leaves
+    fewer directions than blocks, the surplus blocks get no outcome, so
+    each cluster's generators are distinct and as many as the kernel's
+    dimension.
 
     Returns
     -------
     list of (SpectralBlock, DegenerateOutcome)
     """
     outcomes = []
-    zero_dirs = None
-    zero_used = 0
+    cluster_size = Counter(blk.cluster for blk in split.blocks)
+    shared = {}  # cluster -> iterator over its kernel directions
     for i, blk in enumerate(split.blocks):
         if blk.half_plane != AXIS:
             continue
         if blk.controllable:
             outcomes.append((blk, DegenerateOutcome(kind="trivial-only")))
             continue
-        if blk.size == 1:
-            try:
-                eqn = reduce(form, split, [i], tol)
-                v = eqn.Lk[:, 0]
-            except DegenerateSpectrum:
-                if zero_dirs is None:
-                    zero_dirs = _uncontrollable_zero_directions(form, tol)
-                if not zero_dirs:
-                    raise
-                if zero_used == len(zero_dirs):
-                    continue  # a Jordan chain: its direction is already out
-                v = zero_dirs[zero_used]
-                zero_used += 1
+        if cluster_size[blk.cluster] > 1:
+            if blk.cluster not in shared:
+                mu = blk.eigenvalues[0].imag
+                dirs = _uncontrollable_directions(form, 1j * mu if mu else 0.0, tol)
+                if not dirs:
+                    raise DegenerateSpectrum(f"uncontrollable axis block {i} shares its "
+                                             "cluster but [A0ᵀ − λI; Bᵀ] has no kernel")
+                shared[blk.cluster] = iter(dirs)
+            v = next(shared[blk.cluster], None)
+            if v is None:
+                continue  # the cluster's directions are already out
+            gen = np.outer(v.real, v.real)
+            if np.iscomplexobj(v):
+                gen += np.outer(v.imag, v.imag)
+        elif blk.size == 1:
+            v = reduce(form, split, [i]).Lk[:, 0]
             gen = np.outer(v, v)
         else:
-            eqn = reduce(form, split, [i], tol)
+            eqn = reduce(form, split, [i])
             lcoord = _imaginary_pair_generator(eqn)
             gen = eqn.Lk @ lcoord @ eqn.Lk.T
         gen = 0.5 * (gen + gen.T)

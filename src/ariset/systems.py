@@ -32,8 +32,11 @@ class SpectralBlock:
 
     ``offset`` indexes into the Schur basis columns, ``size`` is 1 for a
     real eigenvalue and 2 for a conjugate pair (never split),
-    ``half_plane`` is one of AXIS / RHP / LHP, and ``controllable`` holds
-    the PBH verdict for the block's eigenvalues.
+    ``half_plane`` is one of AXIS / RHP / LHP, ``controllable`` holds
+    the PBH verdict for the block's eigenvalues, and ``cluster`` is the
+    index of the first block of its eigenvalue cluster: blocks linked by
+    eigenvalues within the AXIS band's half-width ``tol.axis · ||A0||₂``.
+    An invariant subspace spanned by Schur blocks holds whole clusters.
     """
 
     offset: int
@@ -41,6 +44,7 @@ class SpectralBlock:
     eigenvalues: tuple
     half_plane: str
     controllable: bool
+    cluster: int
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,26 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     return replace(split, blocks=tagged)
 
 
+def _cluster_labels(blocks, gap):
+    """Label every block with the index of its cluster's first block;
+    clusters are the connected components of the relation "some pair of
+    their eigenvalues lies within ``gap``"."""
+    sizes = [blk.size for blk in blocks]
+    eigs = np.array([lam for blk in blocks for lam in blk.eigenvalues])
+    owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap).astype(float)
+    reach = owner.T @ near @ owner > 0
+    for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
+        reach = reach @ reach
+    return reach.argmax(axis=1).tolist()
+
+
 def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     """Ordered spectral decomposition of ``A0^T`` with PBH tags.
 
     Computes the real Schur form of ``A0^T``, groups the diagonal blocks
     AXIS (|Re| within the axis band), then RHP, then LHP, and tags each
-    block with its PBH verdict.
+    block with its PBH verdict and its eigenvalue cluster.
 
     Parameters
     ----------
@@ -121,8 +139,8 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     b : array_like
         Input matrix with matching row count.
     tol : Tolerances
-        Supplies the axis band (relative to ``||A0||``) and the rank
-        cutoff for the PBH test.
+        Supplies the axis band (relative to ``||A0||``), which is also the
+        cluster gap, and the rank cutoff for the PBH test.
 
     Returns
     -------
@@ -151,8 +169,9 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
             eigenvalues=blk.eigenvalues,
             half_plane=planes[classify(blk.eigenvalues[0])],
             controllable=False,
+            cluster=label,
         )
-        for blk in raw
+        for blk, label in zip(raw, _cluster_labels(raw, axis_abs))
     )
     split = SpectralSplit(U=u, T=t, blocks=blocks)
     return pbh_classify(am, bm, split, rank_tol=tol.rank)

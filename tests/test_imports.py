@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never reads, and no private
-module-level name is left that nothing else in the package names."""
+"""No module of the package imports a name it never reads, no private
+module-level name is left that nothing else in the package names, and no
+function takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,39 @@ def test_the_scan_sees_an_orphaned_private():
            "class _Kept:\n    pass\n")
     user = "from lib import _Kept\nimport lib\nlib._used()\n"
     assert orphaned_privates([lib, user]) == ["_UNUSED", "_segments"]
+
+
+# the CLI's command handlers, which main calls with one shared signature
+# whether or not a command needs every argument
+DISPATCHED_PREFIX = "_cmd_"
+
+
+def unused_parameters(source):
+    """``function:parameter`` for every parameter of a function in
+    ``source``, nested ones too, that the function's body never reads (a
+    read in a nested function counts), except in ``_cmd_*`` handlers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith(DISPATCHED_PREFIX):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}:{p.arg}" for p in params if p and p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_parameter_it_never_reads(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_the_scan_sees_an_unused_parameter():
+    src = ("def solve(form, split, tol=None, *rest, **options):\n"
+           "    def inner(x, y=0):\n        return form + x\n"
+           "    return inner(split)\n"
+           "def _cmd_bounds(args, form):\n    return form\n")
+    assert unused_parameters(src) == ["solve:tol", "solve:rest", "solve:options", "inner:y"]

@@ -4,11 +4,16 @@ Draws are derandomized with a fixed example budget, so every run tries
 the same systems and the suite stays deterministic.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
+from scipy.sparse.csgraph import connected_components
 
-from ariset import schur_family
+from ariset import DegenerateSpectrum, Tolerances, reduce, schur_family, spectral_split
 
 from conftest import build_system, direct_family, homogeneous_setup
 
@@ -121,3 +126,60 @@ def test_family_scales_with_the_input_gain(system, c):
     family = _by_spectrum(schur_family(*homogeneous_setup(a0, b)))
     scaled = _by_spectrum(schur_family(*homogeneous_setup(a0, c * b)))
     _assert_same_members(scaled, lambda sol: sol.X / c ** 2, family)
+
+
+# offsets of a near copy of an eigenvalue from the first, against axis
+# bands (and so cluster gaps) on either side of them
+NEAR_OFFSETS = (0.0, 1e-10, 1e-7, 1e-3)
+CLUSTER_AXES = (1e-8, 1e-5)
+
+
+@st.composite
+def clustered_systems(draw):
+    """(A0, B, tol): a normal A0 = Q D Qᵀ whose at most six blocks come in
+    groups of near copies, each offset from the group's first eigenvalue by
+    one of NEAR_OFFSETS, and a tolerance with one of CLUSTER_AXES."""
+    blocks = []
+    for re in draw(st.permutations(RE_SLOTS))[:draw(st.integers(1, 3))]:
+        re *= draw(st.sampled_from((1.0, -1.0)))
+        im = draw(st.sampled_from(IM_PARTS))
+        for offset in [0.0] + draw(st.lists(st.sampled_from(NEAR_OFFSETS), max_size=2)):
+            a = re + offset
+            blocks.append(np.array([[a, im], [-im, a]]) if im else np.array([[a]]))
+    d = block_diag(*blocks[:6])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal(d.shape))
+    b = rng.standard_normal((len(d), 1))
+    return q @ d @ q.T, b, Tolerances(axis=draw(st.sampled_from(CLUSTER_AXES)))
+
+
+@PROPERTY_SETTINGS
+@given(clustered_systems())
+def test_split_clusters_are_the_components_of_near_eigenvalues(system):
+    a0, b, tol = system
+    split = spectral_split(a0, b, tol)
+    owner = np.repeat(np.arange(len(split.blocks)), [blk.size for blk in split.blocks])
+    eigs = np.array([lam for blk in split.blocks for lam in blk.eigenvalues])
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= tol.axis * np.linalg.norm(a0, 2)
+    near |= owner[:, None] == owner[None, :]  # a pair's two eigenvalues are one block
+    _, component = connected_components(near, directed=False)
+    first = [owner[component == c].min() for c in component]
+    assert [blk.cluster for blk in split.blocks] == [first[blk.offset] for blk in split.blocks]
+
+
+@PROPERTY_SETTINGS
+@given(clustered_systems())
+def test_reduce_refuses_exactly_the_selections_that_split_a_cluster(system):
+    a0, b, tol = system
+    form, _ = homogeneous_setup(a0, b)
+    split = spectral_split(form.A0, b, tol)
+    labels = [blk.cluster for blk in split.blocks]
+    for size in range(1, len(labels) + 1):
+        for selection in itertools.combinations(range(len(labels)), size):
+            picked = {labels[i] for i in selection}
+            if sum(label in picked for label in labels) == size:
+                assert reduce(form, split, selection).block_set == selection
+            else:
+                with pytest.raises(DegenerateSpectrum) as refused:
+                    reduce(form, split, selection)
+                assert refused.value.gap <= tol.axis * form.a0_norm

@@ -15,10 +15,12 @@ from ariset import (
     RiccatiProblem,
     SingularSylvester,
     SingularY,
+    Tolerances,
     are_residual,
     definiteness,
     degenerate_classify,
     full_rank_simplified_solution,
+    parametrize,
     reduce,
     ric_residual,
     schur_family,
@@ -227,6 +229,26 @@ def test_reduce_rejects_cluster_splitting():
     ]
     with pytest.raises(DegenerateSpectrum):
         reduce(form, split, [one_blocks[0]])
+
+
+def test_a_wider_axis_band_merges_clusters_and_reduce_and_the_family_follow():
+    a0, b = np.diag([1.0, 1.01, 3.0]), np.ones((3, 1))
+    form, split = homogeneous_setup(a0, b)
+    # the cluster gap is 1e-2 · ||A0||₂ = 0.03 > 0.01
+    wide = spectral_split(form.A0, b, Tolerances(axis=1e-2))
+    one, near, three = (
+        [i for i, blk in enumerate(split.blocks) if abs(blk.eigenvalues[0] - lam) < 1e-9]
+        for lam in (1.0, 1.01, 3.0)
+    )
+    assert len({blk.cluster for blk in split.blocks}) == 3
+    assert wide.blocks[one[0]].cluster == wide.blocks[near[0]].cluster != wide.blocks[three[0]].cluster
+    assert reduce(form, split, one).block_set == tuple(one)
+    with pytest.raises(DegenerateSpectrum):
+        reduce(form, wide, one)
+    assert reduce(form, wide, one + near).block_set == tuple(sorted(one + near))
+    assert len(schur_family(form, split)) == 8
+    merged = {sol.block_set for sol in schur_family(form, wide)}
+    assert merged == {(), tuple(three), tuple(sorted(one + near)), (0, 1, 2)}
 
 
 def test_reduce_rejects_bad_block_sets(paper):
@@ -818,13 +840,27 @@ def test_family_is_sorted_by_rank_and_block_set(case):
     assert members[0].block_set == () and members[0].rank == 0
 
 
+def _svd_rank(m):
+    """Singular values of ``m`` above DEFAULT.rank times the largest."""
+    sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    return int(np.count_nonzero(sv > DEFAULT.rank * sv.max(initial=0.0)))
+
+
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_member_rank_is_its_column_count(case):
-    # the Gramian's rank test leaves every singular value of Lcoord above
-    # tol.rank times the largest, so counting them gives the column count
+    # the rank test on the Gramian (or the perturbed Gramian of parametrize)
+    # leaves every singular value of its inverse, Lcoord, above tol.rank
+    # times the largest, so counting them gives the column count
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
-    for sol in schur_family(form, split):
-        assert sol.rank == sol.Lcoord.shape[0] == riccati._matrix_rank(sol.Lcoord, DEFAULT.rank)
+    solutions = list(schur_family(form, split))
+    for sol in solutions[1:]:
+        eqn = reduce(form, split, sol.block_set)
+        solutions.append(full_rank_simplified_solution(eqn))
+        if all(split.blocks[i].half_plane == "RHP" for i in sol.block_set):
+            solutions.append(parametrize(eqn, np.eye(eqn.k)))
+    assert any(sol.certificate is not None for sol in solutions)
+    for sol in solutions:
+        assert sol.rank == sol.Lcoord.shape[0] == _svd_rank(sol.Lcoord)
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
@@ -980,11 +1016,9 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
         monkeypatch.setattr(riccati, name, in_phase(label, getattr(riccati, name)))
     schur_family(form, split)
 
-    labels = riccati._clusters(split, DEFAULT.axis * form.a0_norm)
-    at_axis = {labels[i] for i, blk in enumerate(split.blocks) if blk.half_plane == "AXIS"}
-    live = [i for i, blk in enumerate(split.blocks)
-            if blk.half_plane != "AXIS" and labels[i] not in at_axis]
-    clusters = {labels[i] for i in live}
+    at_axis = {blk.cluster for blk in split.blocks if blk.half_plane == "AXIS"}
+    clusters = {blk.cluster for blk in split.blocks
+                if blk.half_plane != "AXIS" and blk.cluster not in at_axis}
     # pair by pair it would take C(C+1)/2 calls, more than C once C >= 2
     assert len(clusters) >= 2
     assert 1 <= sylvester["cluster-gramian"] <= len(clusters)
@@ -1222,6 +1256,55 @@ def test_non_invariant_rank_two_residual_is_indefinite():
         if verdict.kind == "indefinite":
             hits += 1
     assert hits == 10
+
+
+def _repeated_pair_system(variant):
+    """A = R ⊕ R ⊕ 1 with R = [[0, 2], [−2, 0]]: B misses both copies of
+    the pair ±2i, reaches one of them, or misses both after a random
+    orthogonal change of state."""
+    r = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    a, b = np.zeros((5, 5)), np.eye(5)[:, [4]]
+    a[:2, :2] = a[2:4, 2:4] = r
+    a[4, 4] = 1.0
+    if variant == "reaches-one":
+        b = np.eye(5)[:, [4, 0]]
+    if variant == "changed-state":
+        s, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+        a, b = s.T @ a @ s, s.T @ b
+    return a, b
+
+
+@pytest.mark.parametrize("variant, directions", [
+    ("misses-both", 2), ("reaches-one", 1), ("changed-state", 2),
+])
+def test_degenerate_repeated_uncontrollable_pair(variant, directions, tmp_path, capsys):
+    # the two copies of ±2i share a cluster, so neither has an invariant
+    # plane of its own: the generators come from the kernel of
+    # [A0ᵀ − 2iI; Bᵀ], one per dimension
+    from ariset import boundedness
+
+    a0, b = _repeated_pair_system(variant)
+    form, split = homogeneous_setup(a0, b)
+    axis = split.indices(half_plane="AXIS")
+    assert len(axis) == 2 and not any(split.blocks[i].controllable for i in axis)
+    assert split.blocks[axis[0]].cluster == split.blocks[axis[1]].cluster
+    gens = [out.generator for _, out in degenerate_classify(form, split)]
+    assert len(gens) == directions
+    for g in gens:
+        assert np.linalg.matrix_rank(g, tol=1e-8) == 2
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+        resid = np.abs(ric_residual(form, g)).max()
+        assert resid <= riccati.GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm)
+    if directions == 2:
+        assert np.abs(gens[0] - gens[1]).max() > 0.1
+    report = boundedness(form, split)
+    assert report.verdict == "unbounded-both" and len(report.witnesses) == directions
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"A": a0.tolist(), "B": b.tolist(),
+                                "K0": np.zeros(a0.shape).tolist()}))
+    assert main(["classify", str(path)]) == 0
+    assert main(["bounds", str(path)]) == 0
+    assert "unbounded-both" in capsys.readouterr().out
 
 
 def test_degenerate_jordan_chain_hands_out_each_kernel_direction_once():
