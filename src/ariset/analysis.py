@@ -9,11 +9,13 @@ feedback, and certified inequality verification.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DegenerateSpectrum,
     InvalidInput,
     NotAnEquationSolution,
     NotASolution,
@@ -30,6 +32,7 @@ from .riccati import (
     _base_scale,
     _ric_scale,
     _solution_from_coordinates,
+    _uncontrollable_directions,
     are_residual,
     degenerate_classify,
     full_rank_simplified_solution,
@@ -56,6 +59,22 @@ __all__ = [
     "recover_parameter",
     "verify",
 ]
+
+
+# Accepted |‖v‖₂ − 1| for the direction of rank_one_classify: absolute,
+# as the scale of a unit vector is 1.
+UNIT_NORM_ATOL = 1e-8
+
+# Agreement demanded of verify's two residual routes, −AᵀK − KA − Q + KBBᵀK
+# and Ric(K − K0): |difference|_max relative to max(1, |A|_max, |Q|_max,
+# |K|_max, |M|_max |K|²_max), the size of their terms, on top of the base
+# solution's own residual.
+ROUTE_AGREEMENT_RTOL = 1e-8
+
+# Match demanded by feedback_flip of the closed-loop spectrum with the
+# flipped one: the largest |λ_computed − λ_expected| / max(1, |λ_expected|)
+# over the optimal pairing of the two spectra.
+FLIP_MATCH_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,7 +166,7 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
     if vec.shape[0] != n:
         raise InvalidInput(f"v must have length {n}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise InvalidInput(f"v must be a unit vector, got norm {norm:.6e}")
     if alpha == 0.0:
         return "semidefinite-rank<=1"
@@ -206,8 +225,13 @@ def extremal_solutions(
 # boundedness
 
 
+# Sign of alpha along which the ray of an uncontrollable block stays feasible.
+_RAY_SIGN = {RHP: "+", LHP: "-"}
+
+
 def _ray_for_block(form, split, index, tol):
-    """Positive-semidefinite ray on an uncontrollable non-axis block.
+    """Positive-semidefinite ray on an uncontrollable non-axis block alone
+    in its cluster.
 
     Solves the block Lyapunov equation Dk P + P Dkᵀ = ±I so that
     Ric(alpha X_w) = ∓ alpha Lk Lkᵀ is negative semidefinite along the
@@ -219,13 +243,39 @@ def _ray_for_block(form, split, index, tol):
     eye = np.eye(eqn.k)
     if blk.half_plane == RHP:
         p = _solve_lyapunov_schur(-eqn.Dk, eye, tol.axis, transpose=True)
-        sign = "+"
     else:
         p = _solve_lyapunov_schur(eqn.Dk, eye, tol.axis, transpose=True)
-        sign = "-"
     x = eqn.Lk @ p @ eqn.Lk.T
     x = 0.5 * (x + x.T)
-    return Witness(direction=x / np.linalg.norm(x), sign=sign, block=index)
+    return Witness(direction=x / np.linalg.norm(x), sign=_RAY_SIGN[blk.half_plane],
+                   block=index)
+
+
+def _kernel_ray(form, split, index, turn, tol):
+    """Ray on an uncontrollable non-axis block that shares its cluster, so
+    has no invariant subspace of its own.
+
+    A direction ``v = x + iy`` of the kernel of ``[A0ᵀ − λI; Bᵀ]`` at the
+    block's eigenvalue λ gives ``G = x xᵀ + y yᵀ`` with
+    ``A0ᵀG + GA0 = 2 Re(λ) G`` and ``BᵀG = 0``, so
+    ``Ric(alpha G) = −2 alpha Re(λ) G`` is negative semidefinite along the
+    block's sign. The cluster's blocks take the kernel's directions in
+    turn (``turn`` counts the cluster's earlier uncontrollable blocks);
+    when a Jordan chain leaves fewer directions than blocks, they wrap
+    around.
+    """
+    blk = split.blocks[index]
+    lam = blk.eigenvalues[0]
+    dirs = _uncontrollable_directions(form, lam if lam.imag else lam.real, tol)
+    if not dirs:
+        raise DegenerateSpectrum(f"uncontrollable block {index} shares its cluster "
+                                 "but [A0ᵀ − λI; Bᵀ] has no kernel")
+    v = dirs[turn % len(dirs)]
+    x = np.outer(v.real, v.real)
+    if np.iscomplexobj(v):
+        x += np.outer(v.imag, v.imag)
+    return Witness(direction=x / np.linalg.norm(x), sign=_RAY_SIGN[blk.half_plane],
+                   block=index)
 
 
 def boundedness(
@@ -240,6 +290,11 @@ def boundedness(
     bounded below only; only in the open LHP, bounded above only; both
     half planes, or any uncontrollable axis block (whose free family is
     feasible for either sign), make it unbounded on both sides.
+
+    Every uncontrollable non-axis block gets one witness: from its own
+    invariant subspace when it is alone in its cluster, else from the
+    kernel of ``[A0ᵀ − λI; Bᵀ]``. Uncontrollable axis blocks get the
+    generators of :func:`degenerate_classify`.
     """
     unc = split.indices(controllable=False)
     if not unc:
@@ -248,6 +303,8 @@ def boundedness(
     witnesses = []
     axis_gens = None
     has = {AXIS: False, RHP: False, LHP: False}
+    cluster_size = Counter(blk.cluster for blk in split.blocks)
+    turns = Counter()  # cluster -> its uncontrollable blocks seen so far
     for i in unc:
         blk = split.blocks[i]
         has[blk.half_plane] = True
@@ -262,6 +319,9 @@ def boundedness(
                 witnesses.append(
                     Witness(direction=axis_gens[blk.offset], sign="+-", block=i)
                 )
+        elif cluster_size[blk.cluster] > 1:
+            witnesses.append(_kernel_ray(form, split, i, turns[blk.cluster], tol))
+            turns[blk.cluster] += 1
         else:
             witnesses.append(_ray_for_block(form, split, i, tol))
 
@@ -449,7 +509,7 @@ def feedback_flip(form: HomogeneousForm, sol: AriSolution, tol: Tolerances = DEF
         expected_after=tuple(expected),
         flipped=tuple(sol.eigenvalues),
         max_rel_mismatch=mismatch,
-        matched=bool(mismatch <= 1e-6),
+        matched=bool(mismatch <= FLIP_MATCH_RTOL),
     )
 
 
@@ -472,7 +532,7 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     k_max = float(np.abs(km).max())
     scale = max(_base_scale(form.problem), k_max, k_max ** 2 * float(np.abs(form.M).max()))
     gap = float(np.abs(r_direct - r_homog).max())
-    if gap > 1e-8 * scale + form.base_residual:
+    if gap > ROUTE_AGREEMENT_RTOL * scale + form.base_residual:
         raise RiccatiError(
             f"residual routes disagree by {gap:.3e}; base solution is "
             "inconsistent with the problem data"

@@ -7,9 +7,11 @@ Riccati machinery downstream enumerates invariant subspaces through these
 blocks.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidInput
 from .linalg import _full_rank, _norm2, as_matrix, real_schur_ordered
@@ -83,32 +85,161 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
 
     A block is tagged controllable iff the PBH pencil ``[lam I - A0, B]``
     at its representative eigenvalue ``lam`` (``eigenvalues[0]``) has full
-    row rank by the rank rule, ``sigma_min > rank_tol * max(1, sigma_max)``.
-    Conjugate pairs share a verdict and are tagged atomically. The pencils
-    of all blocks are stacked and factored in one batched SVD per
-    arithmetic: real eigenvalues on real pencils, conjugate pairs on
-    complex ones.
+    row rank by the rank rule, ``sigma_min > rank_tol * max(1, sigma_max)``
+    on the singular values that LAPACK's SVD computes. Conjugate pairs
+    share a verdict and are tagged atomically.
+
+    Each pencil ``P`` first gets one Cholesky factorization of its Gram
+    matrix ``PPᴴ = |λ|²I − λA0ᵀ − λ̄A0 + S``, with ``S = A0A0ᵀ + BBᵀ``
+    formed once, shifted down by :func:`_certificate_shift`: one that runs
+    to completion proves the SVD rule would tag the block controllable
+    (``dpotrf`` for real eigenvalues, ``zpotrf`` for pairs). The pencils it
+    cannot decide, the uncontrollable ones and those near the cut, are
+    stacked and factored in one batched SVD per arithmetic, so every tag
+    is the rule's.
     """
     am = as_matrix(a0, name="A0", square=True)
     bm = as_matrix(b, name="B")
-    n = am.shape[0]
+    n, m = bm.shape
+    w = np.hstack([am, bm])
+    gram = w @ w.T
+    sym = am + am.T
     lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
+    lam_abs = np.abs(lam)
+    shift, tried = _certificate_shift(lam_abs, np.sqrt(np.vdot(w, w)), n, m, rank_tol)
+    lift = lam_abs * lam_abs - shift
     real = lam.imag == 0.0
-    tags = np.empty(lam.size, dtype=bool)
+    tags = np.zeros(lam.size, dtype=bool)
     for chosen, shifts in ((real, lam.real), (~real, lam)):
-        shifts = shifts[chosen]
-        if shifts.size == 0:
+        if not chosen.any():
             continue
-        pencil = np.empty((shifts.size, n, n + bm.shape[1]), dtype=shifts.dtype)
-        pencil[:, :, :n] = -am
-        pencil[:, range(n), range(n)] += shifts[:, None]
-        pencil[:, :, n:] = bm
-        sv = np.linalg.svd(pencil, compute_uv=False)
-        tags[chosen] = _full_rank(sv[:, -1], sv[:, 0], rank_tol)
+        certify = chosen & tried
+        if certify.any():
+            tags[certify] = _cholesky_succeeds(
+                _shifted_grams(am, sym, gram, shifts[certify], lift[certify])
+            )
+        undecided = chosen & ~tags
+        if undecided.any():
+            tags[undecided] = _svd_rule(am, bm, shifts[undecided], rank_tol)
     tagged = tuple(
         replace(blk, controllable=bool(ok)) for blk, ok in zip(split.blocks, tags)
     )
     return replace(split, blocks=tagged)
+
+
+# Unit roundoff of float64 arithmetic.
+_UNIT = np.finfo(float).eps / 2
+
+# Range of ω = (|λ|√n + ‖[A0, B]‖_F)² over which the PBH certificate runs:
+# within it no entry of the Gram matrix or of its Cholesky factor
+# overflows, and the absolute errors of gradual underflow stay far below
+# the certificate's shift. Pencils outside it go to the SVD.
+_CERTIFIED_RANGE = (2.0 ** -600, 2.0 ** 600)
+
+
+def _gamma(k):
+    """Higham's ``γ_k = k·u / (1 − k·u)``: the relative error of k
+    floating-point operations in a row."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _certificate_shift(lam_abs, w_fro, n, m, rank_tol):
+    """Shift ``s`` of the PBH certificate for eigenvalues of modulus
+    ``lam_abs`` (an array), with ``w_fro = ‖W‖_F``, ``W = [A0, B]``; and
+    the mask of those eigenvalues the certificate may be tried on
+    (:data:`_CERTIFIED_RANGE`).
+
+    Claim: if the floating-point Cholesky factorization of the matrix
+    ``F`` that :func:`_shifted_grams` forms for ``G − sI``, where
+    ``G = PPᴴ`` and ``P = [λI − A0, B]``, runs to completion, then the
+    singular values that LAPACK computes for P satisfy the rank rule
+    ``σ̂_min > rank_tol · max(1, σ̂_max)``. Let ``ω = (|λ|√n + ‖W‖_F)²``,
+    an upper bound on ``‖P‖_F² = tr G``, and u the unit roundoff.
+
+    1. The SVD returns the singular values of some ``P + δP`` with
+       ``‖δP‖₂ <= p(n, m)·eps·‖P‖_F``, p(n, m) a modest function of the
+       size (LAPACK Users' Guide, §4.9), taken here as ``n(n + m)``. By
+       Weyl, ``|σ̂_i − σ_i| <= e = n(n + m)·eps·√ω``. So
+       ``σ_min > τ = rank_tol · max(1, √ω + e) + e`` gives the rule, as
+       ``σ̂_max <= ‖P‖_F + e <= √ω + e``.
+    2. Forming: ``F`` is ``S − Re(λ)(A0 + A0ᵀ) + i·Im(λ)(A0 − A0ᵀ)`` plus
+       ``|λ|² − s`` on the diagonal, ``S = WWᵀ`` from one product. Each
+       real entry takes at most n + m + 6 roundings, each relative to a
+       term of ``N + sI``, ``N = |W||W|ᵀ + |λ|(|A0| + |A0|ᵀ) + |λ|²I``; a
+       complex entry has two real parts. So ``|F − (G − sI)| <= γ*(N + sI)``
+       entrywise, ``γ* = γ_{3(n+m+6)}``. As ``‖N‖_F <= ω`` and
+       ``tr N <= ω``: ``‖F − (G − sI)‖₂ <= γ*(ω + √n·s)`` and
+       ``tr F <= (1 + γ*)ω <= 2ω``.
+    3. Cholesky: if it runs to completion on the Hermitian F, the computed
+       R̂ has a positive diagonal and ``R̂ᴴR̂ = F + Δ`` with
+       ``|Δ| <= γ_{n+1}|R̂ᴴ||R̂|``, in any order of summation (Demmel 1989;
+       Rump 2006, BIT 46:433, Lemma 2.1). Complex operations err by at
+       most ``√2γ₂ < 3u`` (Higham, *Accuracy and Stability*, Lemma 3.5),
+       which turns ``γ_{n+1}`` into ``γ_{3(n+1)} <= γ*``. The diagonal of
+       that bound gives ``‖R̂‖_F² <= tr F / (1 − γ*)``, so
+       ``‖Δ‖₂ <= γ*‖R̂‖_F² <= 2γ*·tr F <= 4γ*ω``; R̂ᴴR̂ is positive
+       definite, so ``λ_min(F) > −4γ*ω``.
+
+    Hence ``σ_min(P)² = λ_min(G) >= λ_min(F) + s − ‖F − (G − sI)‖₂ >
+    s(1 − γ*√n) − 5γ*ω``, which is at least τ² for
+    ``s = (τ² + 8γ*ω)(1 + ρ)``, ``ρ = 4γ_{n(n+m)+20} + 2√n·γ*``: ρ covers
+    the factor ``1/(1 − γ*√n)`` and the rounding of ``‖W‖_F`` (a sum of
+    n(n + m) squares) and of the scalars here, and step 1 applies. Within
+    :data:`_CERTIFIED_RANGE` nothing overflows, and gradual underflow adds
+    absolute errors of at most about ``n³·2^-1074``, far below
+    ``s >= 8γ*·2^-600``.
+    """
+    svd_error = 2.0 * n * (n + m) * _UNIT
+    gamma_star = _gamma(3 * (n + m + 6))
+    slack = 4.0 * _gamma(n * (n + m) + 20) + 2.0 * math.sqrt(n) * gamma_star
+    root = lam_abs * math.sqrt(n) + w_fro
+    omega = root * root
+    e = svd_error * root
+    tau = rank_tol * np.maximum(1.0, root + e) + e
+    shift = (tau * tau + 8.0 * gamma_star * omega) * (1.0 + slack)
+    low, high = _CERTIFIED_RANGE
+    return shift, (omega >= low) & (omega <= high)
+
+
+def _shifted_grams(am, sym, gram, shifts, lift):
+    """Stack of ``PPᴴ − sI = WWᵀ − Re(λ)(A0 + A0ᵀ) + i·Im(λ)(A0 − A0ᵀ) +
+    (|λ|² − s)I`` for the pencils ``P = [λI − A0, B]`` at ``shifts``, from
+    ``sym = A0 + A0ᵀ``, ``gram = WWᵀ`` and ``lift = |λ|² − s``
+    (:func:`_certificate_shift`, step 2)."""
+    k, n = shifts.size, am.shape[0]
+    re = shifts.real[:, None, None]
+    if np.iscomplexobj(shifts):
+        g = np.empty((k, n, n), dtype=complex)
+        np.subtract(gram, re * sym, out=g.real)
+        np.multiply(shifts.imag[:, None, None], am - am.T, out=g.imag)
+    else:
+        g = gram - re * sym
+    g.reshape(k, n * n)[:, :: n + 1] += lift[:, None]
+    return g
+
+
+def _cholesky_succeeds(grams):
+    """Whether LAPACK's Cholesky factorization runs to completion on each
+    Hermitian matrix of the stack: one ``potrf`` call per matrix, on its
+    transpose (Fortran order, so nothing is copied), which has the same
+    eigenvalues."""
+    potrf = lapack.zpotrf if np.iscomplexobj(grams) else lapack.dpotrf
+    return np.array(
+        [potrf(g.T, overwrite_a=True, clean=False)[1] == 0 for g in grams],
+        dtype=bool,
+    )
+
+
+def _svd_rule(am, bm, shifts, rank_tol):
+    """The rank rule on the pencils at ``shifts``, all factored in one
+    batched SVD: real pencils for real shifts, complex ones for pairs."""
+    n = am.shape[0]
+    pencil = np.empty((shifts.size, n, n + bm.shape[1]), dtype=shifts.dtype)
+    pencil[:, :, :n] = -am
+    pencil[:, range(n), range(n)] += shifts[:, None]
+    pencil[:, :, n:] = bm
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    return _full_rank(sv[:, -1], sv[:, 0], rank_tol)
 
 
 def _cluster_labels(blocks, gap):

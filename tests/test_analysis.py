@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,59 @@ def test_bounded_below_only_complex_uncontrollable():
     assert all(_sweep_ok(form, w) for w in report.witnesses)
     for w in report.witnesses:
         assert abs(np.linalg.norm(w.direction) - 1.0) <= 1e-12
+
+
+def _repeated_rhp_pair():
+    r = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    a = np.zeros((5, 5))
+    a[:2, :2] = a[2:4, 2:4] = r
+    a[4, 4] = -1.0
+    return a
+
+
+@pytest.mark.parametrize("a0, b, verdict", [
+    (np.diag([1.0, 1.0, -1.0]), np.eye(3)[:, [2]], "bounded-below-only"),
+    (np.diag([-1.0, -1.0, 2.0]), np.eye(3)[:, [2]], "bounded-above-only"),
+    (_repeated_rhp_pair(), np.eye(5)[:, [4]], "bounded-below-only"),
+    (-_repeated_rhp_pair(), np.eye(5)[:, [4]], "bounded-above-only"),
+], ids=["real-rhp", "real-lhp", "pair-rhp", "pair-lhp"])
+def test_boundedness_of_a_repeated_uncontrollable_mode(a0, b, verdict, tmp_path, capsys):
+    # the two copies share a cluster, so neither has an invariant subspace
+    # of its own: each takes a ray from the kernel of [A0ᵀ − λI; Bᵀ]
+    from ariset.cli import main
+
+    form, split = homogeneous_setup(a0, b)
+    unc = split.indices(controllable=False)
+    assert len(unc) == 2 and split.blocks[unc[0]].cluster == split.blocks[unc[1]].cluster
+    report = boundedness(form, split)
+    assert report.verdict == verdict
+    assert [w.block for w in report.witnesses] == unc
+    sign = "+" if verdict == "bounded-below-only" else "-"
+    assert all(w.sign == sign for w in report.witnesses)
+    assert all(_sweep_ok(form, w) for w in report.witnesses)
+    for w in report.witnesses:
+        assert abs(np.linalg.norm(w.direction) - 1.0) <= 1e-12
+        assert np.linalg.matrix_rank(w.direction, tol=1e-8) == split.blocks[w.block].size
+    # one witness per block, on different directions
+    assert np.abs(report.witnesses[0].direction - report.witnesses[1].direction).max() > 0.1
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"A": a0.tolist(), "B": b.tolist(),
+                                "K0": np.zeros(a0.shape).tolist()}))
+    assert main(["classify", str(path)]) == 0
+    assert main(["bounds", str(path)]) == 0
+    assert verdict in capsys.readouterr().out
+
+
+def test_boundedness_of_a_jordan_chain_off_the_axis():
+    # an uncontrollable Jordan chain at 1: the kernel of [A0ᵀ − I; Bᵀ] has
+    # one direction, which both blocks of the chain carry
+    a0 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    form, split = homogeneous_setup(a0, np.eye(3)[:, [2]])
+    report = boundedness(form, split)
+    assert report.verdict == "bounded-below-only"
+    assert len(report.witnesses) == 2
+    assert np.abs(report.witnesses[0].direction - report.witnesses[1].direction).max() <= 1e-12
+    assert all(_sweep_ok(form, w) for w in report.witnesses)
 
 
 def test_boundedness_and_parametrize_factor_no_schur_form(schur_calls):

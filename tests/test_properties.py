@@ -5,17 +5,20 @@ the same systems and the suite stays deterministic.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.sparse.csgraph import connected_components
 
 from ariset import DegenerateSpectrum, Tolerances, reduce, schur_family, spectral_split
+from ariset import systems
 
 from conftest import build_system, direct_family, homogeneous_setup
+from test_systems import _pbh_oracle
 
 # |Re λ| of the drawn blocks: distinct slots keep every pair of blocks and
 # every block and the mirror of another at least 0.4 apart, unless a
@@ -183,3 +186,73 @@ def test_reduce_refuses_exactly_the_selections_that_split_a_cluster(system):
                 with pytest.raises(DegenerateSpectrum) as refused:
                     reduce(form, split, selection)
                 assert refused.value.gap <= tol.axis * form.a0_norm
+
+
+# Rank cutoffs of the PBH sweep. One block's input is scaled so that its
+# pencil's σ_min/σ_max sweeps 1e-13..1e-3, across each cutoff and across
+# the threshold of the Cholesky certificate (about 1e-7 at these sizes).
+PBH_RANK_TOLS = (1e-12, 1e-10, 1e-8)
+
+
+@st.composite
+def weakly_controllable_systems(draw):
+    """(A0, B, rank_tol): a normal A0 = Q D Qᵀ with at most five blocks on
+    distinct RE_SLOTS, real or pairs, and B = Q·Bd whose rows on one block
+    are scaled by 10^(−13..−3)."""
+    blocks = []
+    for re in draw(st.permutations(RE_SLOTS))[:draw(st.integers(1, 5))]:
+        re *= draw(st.sampled_from((1.0, -1.0)))
+        im = draw(st.sampled_from(IM_PARTS))
+        blocks.append(np.array([[re, im], [-im, re]]) if im else np.array([[re]]))
+    d = block_diag(*blocks)
+    weak = draw(st.integers(0, len(blocks) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal(d.shape))
+    bd = rng.standard_normal((len(d), draw(st.integers(1, 2))))
+    start = sum(len(blk) for blk in blocks[:weak])
+    bd[start:start + len(blocks[weak])] *= 10.0 ** draw(st.floats(-13.0, -3.0))
+    return q @ d @ q.T, q @ bd, draw(st.sampled_from(PBH_RANK_TOLS))
+
+
+def _undecided(a0, b, split, rank_tol):
+    """Tags of ``pbh_classify`` and the eigenvalues whose pencils went to
+    the SVD because the certificate could not decide them."""
+    with mock.patch.object(systems, "_svd_rule", wraps=systems._svd_rule) as rule:
+        tagged = systems.pbh_classify(a0, b, split, rank_tol)
+    return tagged, [lam for call in rule.call_args_list for lam in call.args[2]]
+
+
+@PROPERTY_SETTINGS
+@given(weakly_controllable_systems())
+def test_pbh_tags_equal_the_per_block_svd_oracle(system):
+    a0, b, rank_tol = system
+    tagged, undecided = _undecided(a0, b, spectral_split(a0, b), rank_tol)
+    n = len(a0)
+    for blk in tagged.blocks:
+        lam = blk.eigenvalues[0]
+        pencil = np.hstack([lam * np.eye(n) - a0, b.astype(complex)])
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        # a real and a complex SVD may round apart within a hair of the cut
+        assume(abs(sv[-1] / (rank_tol * max(1.0, sv[0])) - 1.0) > 1e-6)
+        assert blk.controllable == _pbh_oracle(a0, b, lam, rank_tol)
+        # well above the certificate's threshold, which is relative to
+        # |λ|√n + ‖[A0, B]‖_F (the size of the terms of PPᴴ), no SVD is needed
+        if sv[-1] > 1e-5 * (abs(lam) * np.sqrt(n) + np.linalg.norm(np.hstack([a0, b]))):
+            assert not np.isclose(undecided, lam, rtol=0.0, atol=1e-12).any()
+
+
+def test_pbh_pencil_at_twice_the_cut_goes_to_the_svd():
+    # at -0.5 the pencil [-0.5 I - diag(lam), B] has σ_min = eps from the
+    # first input alone; the second input reaches every other eigenvalue
+    lam = np.array([-2.0, -0.5, 1.0, 1.5])
+    b = np.zeros((4, 2))
+    b[[0, 2, 3], 1] = 1.0
+    sigma_max = np.linalg.svd(np.hstack([-0.5 * np.eye(4) - np.diag(lam), b]),
+                              compute_uv=False)[0]
+    b[1, 0] = 2.0 * 1e-10 * max(1.0, sigma_max)
+    a0 = np.diag(lam)
+    tagged, undecided = _undecided(a0, b, spectral_split(a0, b), 1e-10)
+    assert undecided == [-0.5]
+    for blk in tagged.blocks:
+        assert blk.controllable
+        assert _pbh_oracle(a0, b, blk.eigenvalues[0])

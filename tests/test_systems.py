@@ -199,23 +199,75 @@ def test_pbh_conjugate_pair_near_the_cutoff_matches_the_oracle(factor):
     assert pair.controllable == _pbh_oracle(a0, b, pair.eigenvalues[0])
 
 
-@pytest.mark.parametrize("entries, kinds", [
-    ([2.1, -0.7, 1.4, -1.9, 0.6], ["f"]),
-    ([complex(0.8, 1.2), complex(-1.3, 0.5), complex(2.0, 0.9)], ["c"]),
-    ([complex(0.8, 1.2), 2.1, -0.7, complex(-1.3, 0.5), 1.4, -1.9], ["f", "c"]),
+@pytest.mark.parametrize("entries, planted, kind", [
+    ([2.1, -0.7, 1.4, -1.9, 0.6], 0.3, "f"),
+    ([complex(0.8, 1.2), complex(-1.3, 0.5), complex(2.0, 0.9)], complex(0.4, 0.7), "c"),
+    ([complex(0.8, 1.2), 2.1, -0.7, complex(-1.3, 0.5), 1.4, -1.9], complex(-0.4, 1.6), "c"),
 ], ids=["all-real", "all-pairs", "mixed"])
-def test_pbh_makes_one_svd_call_per_arithmetic(monkeypatch, entries, kinds):
-    a0, b = build_system(np.random.default_rng(47), ctrl=entries, m=2)
-    split = spectral_split(a0, b)
-    svd = np.linalg.svd
-    seen = []
+def test_pbh_makes_one_svd_call_per_arithmetic(monkeypatch, entries, planted, kind):
+    # every pencil gets one Cholesky certificate; only the pencils it
+    # cannot decide reach the SVD, all of one arithmetic in one stack
+    from scipy.linalg import lapack
 
-    def counting(*args, **kwargs):
-        seen.append(np.asarray(args[0]).dtype.kind)
+    svd, stacks, factored = np.linalg.svd, [], []
+
+    def counting_svd(*args, **kwargs):
+        stacks.append(np.asarray(args[0]))
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def counting(name):
+        potrf = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            factored.append(name)
+            return potrf(*args, **kwargs)
+        return call
+
+    rng = np.random.default_rng(47)
+    systems = [build_system(rng, ctrl=entries, m=2),
+               build_system(rng, ctrl=entries, unc=[planted], m=2)]
+    splits = [spectral_split(a0, b) for a0, b in systems]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name in ("dpotrf", "zpotrf"):
+        monkeypatch.setattr(lapack, name, counting(name))
+
+    (a0, b), split = systems[0], splits[0]
     retagged = pbh_classify(a0, b, split)
-    # real eigenvalues on one real stack, conjugate pairs on one complex one
-    assert seen == kinds
-    assert [blk.controllable for blk in retagged.blocks] == [True] * len(split.blocks)
+    assert stacks == []
+    assert sorted(factored) == sorted("zpotrf" if blk.size == 2 else "dpotrf"
+                                      for blk in split.blocks)
+    assert all(blk.controllable for blk in retagged.blocks)
+
+    (a0, b), split = systems[1], splits[1]
+    del factored[:]
+    retagged = pbh_classify(a0, b, split)
+    assert len(factored) == len(split.blocks)
+    (stack,) = stacks
+    n = a0.shape[0]
+    assert stack.dtype.kind == kind and stack.shape == (1, n, n + 2)
+    assert np.abs(np.diag(stack[0, :, :n]) + np.diag(a0) - planted).max() <= 1e-9
+    (bad,) = [blk for blk in retagged.blocks if not blk.controllable]
+    assert abs(bad.eigenvalues[0] - planted) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_pbh_leaves_pencils_outside_the_certified_range_to_the_svd(monkeypatch, scale):
+    # (|λ|√n + ‖[A0, B]‖_F)² is near 1e±200, outside the certificate's
+    # range, so every pencil goes to the SVD, whose tags match the oracle
+    from ariset import systems
+
+    rng = np.random.default_rng(53)
+    a0, b = build_system(rng, ctrl=[1.2, complex(-0.6, 0.9), -1.7], unc=[0.4], m=2)
+    a0, b = scale * a0, scale * b
+    split = spectral_split(a0, b)
+    svd_rule, undecided = systems._svd_rule, []
+
+    def recording(am, bm, shifts, rank_tol):
+        undecided.extend(shifts)
+        return svd_rule(am, bm, shifts, rank_tol)
+
+    monkeypatch.setattr(systems, "_svd_rule", recording)
+    retagged = pbh_classify(a0, b, split)
+    assert len(undecided) == len(split.blocks)
+    for blk in retagged.blocks:
+        assert blk.controllable == _pbh_oracle(a0, b, blk.eigenvalues[0])
