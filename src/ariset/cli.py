@@ -213,10 +213,14 @@ def _certificate_dict(cert):
 
 
 def _fmt_matrix(m, indent="    "):
-    # one %-format per row; "% .9g" % v is f"{v: .9g}" for every float
-    arr = np.atleast_2d(np.asarray(m))
-    fmt = indent + "  ".join(["% .9g"] * arr.shape[1])
-    return "\n".join([fmt % tuple(row) for row in arr.tolist()])
+    # one %-format for the whole matrix; "% .9g" % v is f"{v: .9g}" for
+    # every float. The reports hold nested lists, read as they are.
+    if isinstance(m, list) and m and isinstance(m[0], list):
+        rows = m
+    else:
+        rows = np.atleast_2d(np.asarray(m)).tolist()
+    line = indent + "  ".join(["% .9g"] * len(rows[0])) if rows else ""
+    return "\n".join([line] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 # ---------------------------------------------------------------------------

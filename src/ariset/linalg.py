@@ -196,6 +196,16 @@ def verdict_from_extremes(lo, hi, cut):
     return DefinitenessVerdict(kind=kind, min_eig=lo, max_eig=hi, tol_used=cut)
 
 
+# Unit roundoff of float64 arithmetic.
+_UNIT = np.finfo(float).eps / 2
+
+
+def _gamma(k):
+    """Higham's ``γ_k = k·u / (1 − k·u)``: the relative error of k
+    floating-point operations in a row (``k`` may be an array)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
 def _full_rank(sv_min, sv_max, rank_tol):
     """The rank rule ``σ_min > rank_tol · max(1, σ_max)``, on the extreme
     singular values of one matrix or of a stack (arrays)."""
@@ -231,9 +241,20 @@ class SchurBlock(NamedTuple):
 def _pair_eigenvalues(a, b, c, d):
     """Eigenvalues of the 2x2 block ``[[a, b], [c, d]]`` (Python floats): a
     conjugate pair, positive imaginary part first, or two real values for a
-    non-standard block, which stays atomic."""
+    non-standard block, which stays atomic. When the mean or the
+    discriminant overflows, they are read from the block scaled by a power
+    of two, which is exact, so every other block reads as before."""
     mean = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + b * c
+    try:
+        disc = 0.25 * (a - d) ** 2 + b * c
+    except OverflowError:  # a float power raises where a product gives inf
+        disc = math.inf
+    if not (math.isfinite(mean) and math.isfinite(disc)):
+        big = max(abs(a), abs(b), abs(c), abs(d))
+        if math.isfinite(big):
+            scale = math.ldexp(1.0, math.frexp(big)[1])
+            return tuple(complex(lam.real * scale, lam.imag * scale) for lam in
+                         _pair_eigenvalues(a / scale, b / scale, c / scale, d / scale))
     if disc < 0.0:
         im = math.sqrt(-disc)
         return complex(mean, im), complex(mean, -im)

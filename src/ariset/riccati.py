@@ -33,8 +33,10 @@ from .errors import (
     SingularY,
 )
 from .linalg import (
+    _UNIT,
     _check_nonsingular,
     _full_rank,
+    _gamma,
     _norm2,
     _row_eigenvalues,
     _select_leading,
@@ -181,7 +183,11 @@ class AriSolution:
     of its sign classification: ``tol.definiteness`` times the size of Ric's terms,
     max(1, |A0|_max |X|_max, |M|_max |X|²_max). ``residual_verdict``, that
     classification (never positive for an emitted solution), is computed
-    from ``residual`` and ``residual_cut`` on first read and then kept.
+    from ``residual`` and ``residual_cut`` on first read and then kept; a
+    family member reads its residual's extreme eigenvalues from one
+    ``eigvalsh`` over its family's residual stack, taken when the first
+    member's verdict is read (a copy made by ``dataclasses.replace``
+    computes its own).
     ``certificate``, when present, summarizes strictness on the support
     subspace.
     """
@@ -194,11 +200,20 @@ class AriSolution:
     residual_cut: float
     eigenvalues: tuple = ()
     certificate: object = None
+    # (_ResidualExtremes, row) of a SolutionFamily member, whose residual
+    # is that row of the family's stack; not a field, so copies made by
+    # dataclasses.replace and asdict leave it out
+    _stacked = None
 
     @cached_property
     def residual_verdict(self):
-        eig = np.linalg.eigvalsh(self.residual)
-        return verdict_from_extremes(float(eig[0]), float(eig[-1]), self.residual_cut)
+        if self._stacked is None:
+            eig = np.linalg.eigvalsh(self.residual)
+            lo, hi = float(eig[0]), float(eig[-1])
+        else:
+            extremes, row = self._stacked
+            lo, hi = extremes.rows[row]
+        return verdict_from_extremes(lo, hi, self.residual_cut)
 
 
 def are_residual(problem: RiccatiProblem, k):
@@ -573,6 +588,20 @@ class _Members(NamedTuple):
     order: np.ndarray  # the rows sorted by (rank, block_set)
 
 
+class _ResidualExtremes:
+    """The smallest and largest eigenvalue of every residual of a stack,
+    from one ``eigvalsh`` over the whole stack on first read. Members hold
+    this rather than their family, so no member refers back to it."""
+
+    def __init__(self, residual):
+        self._residual = residual
+
+    @cached_property
+    def rows(self):
+        eig = np.linalg.eigvalsh(self._residual)
+        return list(zip(eig[:, 0].tolist(), eig[:, -1].tolist()))
+
+
 class SolutionFamily(Sequence):
     """The equation solutions of :func:`schur_family`: an immutable
     sequence of :class:`AriSolution`, sorted by ``(rank, block_set)``.
@@ -585,7 +614,9 @@ class SolutionFamily(Sequence):
     and ``residual`` are views into the stacks. The Python fields of all
     members (the ``block_set`` and ``eigenvalues`` tuples, ranks and
     cuts) are built together, in one pass over the rows, on the first
-    read of any member but the zero solution. A slice returns a list.
+    read of any member but the zero solution, and the extreme eigenvalues
+    of all residuals, for ``residual_verdict``, in one stacked ``eigvalsh``
+    on the first read of any member's verdict. A slice returns a list.
     """
 
     def __init__(self, form, tol, members=None):
@@ -619,8 +650,14 @@ class SolutionFamily(Sequence):
         order, lcoords, block_sets, ranks, cuts, eigenvalues = self._python_fields
         p = order[i - 1]
         m = self._members
-        return AriSolution(m.x[p], lcoords[p], block_sets[p], ranks[p], m.residual[p],
-                           cuts[p], eigenvalues[p])
+        sol = AriSolution(m.x[p], lcoords[p], block_sets[p], ranks[p], m.residual[p],
+                          cuts[p], eigenvalues[p])
+        object.__setattr__(sol, "_stacked", (self._extremes, p))
+        return sol
+
+    @cached_property
+    def _extremes(self):
+        return _ResidualExtremes(self._members.residual)
 
     @cached_property
     def _python_fields(self):
@@ -659,14 +696,19 @@ def schur_family(
     inverse of R. There the Gramian's rank test reads as in
     :func:`full_rank_simplified_solution`, on the moduli of its
     eigenvalues (its singular values, as it is symmetric), and a present
-    member's ``rank`` is its column count. A cluster whose columns of
+    member's ``rank`` is its column count. Each batch's Gramians are
+    inverted at once, and the test is decided for every union in one pass
+    of :func:`_certified_full_rank` from the inverse's residual; only the
+    unions it cannot certify take ``eigvalsh`` (none on the bench's
+    families). A cluster whose columns of
     ``Y'`` are small enough to make the Gramian of every union holding it
     fail that test (:func:`_dead_units`; the clusters B misses) is left
     out with its unions before anything is factored. Every present
     member's X then goes into one stack, and one stacked pass computes
-    all residuals Ric(X) and applies the residual gate. The members stay in those stacks: each member's
-    :class:`AriSolution` is built when it is first read, and its
-    ``residual_verdict`` when that is read.
+    all residuals Ric(X) and applies the residual gate. The members stay
+    in those stacks: each member's :class:`AriSolution` is built when it
+    is first read, and the ``residual_verdict`` of all of them, from one
+    stacked ``eigvalsh``, when the first is read.
 
     A subset is absent when it contains an uncontrollable block (its
     Gramian is singular), both blocks of a mirrored pair λ, −λ (their
@@ -734,20 +776,19 @@ def _gramian_members(eqn, tol):
         return None
     col_pick = pick[:, unit_of_col]
     ncols = col_pick.sum(axis=1)
-    present, batches = [], []
+    levels, stacks = [], []
     for k in np.unique(ncols):
         rows = np.flatnonzero(ncols == k)
         idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-        ok, q, lcoord = _batch_coordinates(lp[:, idx].transpose(1, 0, 2),
-                                           y[idx[:, :, None], idx[:, None, :]], tol)
-        present.append(rows[ok])
-        batches.append((q, lcoord))
-    present = np.concatenate(present)
+        levels.append(rows)
+        stacks.append((lp[:, idx].transpose(1, 0, 2), y[idx[:, :, None], idx[:, None, :]]))
+    batches = _batch_coordinates(stacks, tol)
+    present = np.concatenate([rows[ok] for rows, (ok, _, _) in zip(levels, batches)])
 
     # every member's X = Q g⁻¹ Qᵀ in its slice of one stack
     x = np.empty((len(present), len(lp), len(lp)))
     start = 0
-    for q, lcoord in batches:
+    for _, q, lcoord in batches:
         np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
         start += len(q)
     x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
@@ -764,7 +805,7 @@ def _gramian_members(eqn, tol):
     padded[padded == past] = -1
     order = np.lexsort([*padded.T[::-1], rank])
     return _Members(x, resid, tol.definiteness * scale, rank,
-                    [lcoord for _, lcoord in batches], block_ids, block_rows,
+                    [lcoord for _, _, lcoord in batches], block_ids, block_rows,
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present], order)
 
 
@@ -790,29 +831,121 @@ def _dead_units(lp, y, unit_of_col, rank_tol):
     return norm2 <= cut * cut
 
 
-def _batch_coordinates(ls, ys, tol):
-    """Coordinates of the members over stacked supports ``ls`` (N×n×k)
-    with Gramians ``ys`` (N×k×k): ``(ok, q, lcoord)``. ``ok`` marks the
+def _batch_coordinates(stacks, tol):
+    """Coordinates of the members over every level of stacked supports:
+    for each ``(ls, ys)`` of ``stacks``, supports ``ls`` (N×n×k) with
+    Gramians ``ys`` (N×k×k), an ``(ok, q, lcoord)``. ``ok`` marks the
     supports whose Gramian is nonsingular; ``q`` and ``lcoord`` hold those
     members only.
 
     With ``ls = QR``, only R is factored; the Gramian in the basis Q is
     ``g = R⁻ᵀ Y R⁻¹``: one batched inverse of the triangular R and two
     stacked products. The same R⁻¹ gives the present members' basis
-    ``Q = L R⁻¹``. The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``.
-    Its rank is k: ``ok`` asks σ_min(g) > tol.rank · max(1, σ_max(g)),
-    so every singular value of g⁻¹ exceeds tol.rank times the largest."""
-    r = np.linalg.qr(ls, mode="r")
-    r_inv = np.linalg.inv(r)  # one factorization serves both sides of R⁻ᵀ Y R⁻¹
-    g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
-    g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    sv = np.abs(np.linalg.eigvalsh(g))  # g is symmetric: its singular values
-    ok = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
-    if not ok.all():
-        ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
-    lcoord = np.linalg.inv(g)
-    lcoord = 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
-    return ok, ls @ r_inv, lcoord
+    ``Q = L R⁻¹``. The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``,
+    inverted for the whole level at once. The rank rule σ_min(g) >
+    tol.rank · max(1, σ_max(g)), on the moduli of the eigenvalues that
+    ``eigvalsh`` computes, is first decided for the unions of every level
+    in one pass of :func:`_certified_full_rank`, from the Frobenius norms
+    of g, g⁻¹ and I − g·g⁻¹; only the unions it does not certify, and
+    every union of a level where some g is exactly singular (``inv``
+    raises), go to ``eigvalsh``. So every verdict is the rule's.
+    A present member's rank is k: ``ok`` asks σ_min(g) > tol.rank ·
+    max(1, σ_max(g)), so every singular value of g⁻¹ exceeds tol.rank
+    times the largest."""
+    levels, widths, squares = [], [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan fail the certificate
+        for ls, ys in stacks:
+            r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))  # serves both sides of R⁻ᵀ Y R⁻¹
+            g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
+            g = 0.5 * (g + np.swapaxes(g, 1, 2))
+            count, k = g.shape[:2]
+            try:
+                z = np.linalg.inv(g)
+            except np.linalg.LinAlgError:
+                z = None
+                squares.append(np.full((3, count), np.nan))
+            else:
+                resid = g @ z
+                resid.reshape(count, k * k)[:, :: k + 1] -= 1.0
+                squares.append([np.einsum("nij,nij->n", a, a) for a in (g, z, resid)])
+            levels.append((ls, r_inv, g, z))
+            widths.append(np.full(count, k))  # each union's column count
+        g_fro, z_fro, r_fro = np.sqrt(np.concatenate(squares, axis=1))
+        certified = _certified_full_rank(np.concatenate(widths), g_fro, z_fro, r_fro, tol.rank)
+    out = []
+    ends = np.cumsum([len(w) for w in widths])[:-1]
+    for (ls, r_inv, g, z), ok in zip(levels, np.split(certified, ends)):
+        undecided = ~ok
+        if undecided.any():
+            sv = np.abs(np.linalg.eigvalsh(g[undecided]))  # g is symmetric: its singular values
+            ok[undecided] = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
+        if not ok.all():
+            ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
+            z = None if z is None else z[ok]
+        if z is None:
+            z = np.linalg.inv(g)
+        out.append((ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))))
+    return out
+
+
+# Range of the computed ‖g‖_F and ‖g⁻¹‖_F over which the Gramian rank
+# certificate runs: within it no square of a norm and no product in
+# g·g⁻¹ overflows, and gradual underflow errs far below the certificate's
+# margins. Unions outside it go to eigvalsh.
+_CERTIFIED_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
+    """The unions whose Gramian is certified to pass the rank rule, from
+    the column counts ``k`` and the computed Frobenius norms of g, of
+    ``z = inv(g)`` and of the residual ``D = fl(g·z) − I`` (arrays, one
+    entry per union; nan where z is missing).
+
+    Claim: let ĝ, ẑ, r̂ be those norms, u the unit roundoff, ``ρ =
+    4γ_{k²+8}``, ``η = (r̂ + γ_k·ĝ·ẑ)(1 + ρ) + k·2⁻⁵³⁶`` and ``e =
+    k²·eps·ĝ(1 + ρ)``. If ĝ and ẑ lie in :data:`_CERTIFIED_RANGE`,
+    ``η < 1`` and ``(1 − η)/(ẑ(1 + ρ)) − e > rank_tol · max(1, ĝ(1 + ρ)
+    + e)(1 + ρ)``, then the moduli σ̂ of the eigenvalues that LAPACK's
+    ``eigvalsh`` computes for g satisfy ``σ̂_min > rank_tol · max(1,
+    σ̂_max)``, the rule of :func:`_batch_coordinates`.
+
+    1. Norms: a computed Frobenius norm is a square root of a sum of k²
+       rounded squares, so the true norm is at most ``(1 + γ_{k²+2})``
+       times it. Within the range the squares of ‖g‖ and ‖z‖ neither
+       overflow nor lose more than ``k²·2⁻⁷⁴ < u`` (k < 1000) to
+       underflow; the squares of D lose at most ``k²·2⁻¹⁰⁷⁴`` in all,
+       ``k·2⁻⁵³⁷`` in its norm. Overflow gives inf, and inf or nan fails
+       every comparison, so no union is certified from it.
+    2. Residual: the product ``C = fl(g·z)`` satisfies ``|C − gz| <=
+       γ_k|g||z|`` in any order of summation, plus at most ``k·2⁻¹⁰⁷⁵``
+       per entry from underflow, and ``D = fl(C − I)`` errs by at most u
+       relative. So the exact ``E = I − gz`` has ``‖E‖₂ <= ‖E‖_F <=
+       ‖D‖_F/(1 − u) + γ_k‖g‖_F‖z‖_F + k²·2⁻¹⁰⁷⁵ <= η``: ρ covers the
+       factors of step 1, the ``1/(1 − u)`` and the rounding of the
+       scalars here, a few operations each.
+    3. Inverse: as ``‖E‖₂ < 1``, ``gz = I − E`` is nonsingular, so g is,
+       and ``g⁻¹ = z(I − E)⁻¹`` gives ``‖g⁻¹‖₂ <= ‖z‖₂/(1 − η)``, so
+       ``σ_min(g) >= (1 − η)/(ẑ(1 + ρ))`` (Higham, *Accuracy and
+       Stability*, ch. 14).
+    4. Eigenvalues: ``eigvalsh`` returns the eigenvalues of some
+       ``g + δg`` with ``‖δg‖₂ <= p(k)·eps·‖g‖₂``, p(k) a modest function
+       of the size (LAPACK Users' Guide, §4.7), taken here as k², as
+       :func:`systems._certificate_shift` takes n(n + m). By Weyl,
+       ``|λ̂_i − λ_i| <= e``, so ``σ̂_min >= σ_min(g) − e`` and ``σ̂_max <=
+       ‖g‖₂ + e <= ĝ(1 + ρ) + e``; the last factor ``1 + ρ`` covers the
+       rounding of the comparison. Hence the rule holds.
+
+    Every union this does not certify goes to the rule itself.
+    """
+    kk = k * k
+    slack = 1.0 + 4.0 * _gamma(kk + 8)
+    eta = (r_fro + _gamma(k) * g_fro * z_fro) * slack + k * 2.0 ** -536
+    e = kk * (2.0 * _UNIT) * g_fro * slack
+    low, high = _CERTIFIED_RANGE
+    in_range = (g_fro >= low) & (g_fro <= high) & (z_fro >= low) & (z_fro <= high)
+    lower = (1.0 - eta) / (z_fro * slack) - e
+    upper = rank_tol * np.maximum(1.0, g_fro * slack + e) * slack
+    return in_range & (eta < 1.0) & (lower > upper)
 
 
 def _gated_residuals(form, x):

@@ -8,13 +8,13 @@ blocks.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput
-from .linalg import _full_rank, _norm2, as_matrix, real_schur_ordered
+from .linalg import _UNIT, _full_rank, _gamma, _norm2, as_matrix, real_schur_ordered
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -122,25 +122,17 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
         if undecided.any():
             tags[undecided] = _svd_rule(am, bm, shifts[undecided], rank_tol)
     tagged = tuple(
-        replace(blk, controllable=bool(ok)) for blk, ok in zip(split.blocks, tags)
+        SpectralBlock(blk.offset, blk.size, blk.eigenvalues, blk.half_plane, ok, blk.cluster)
+        for blk, ok in zip(split.blocks, tags.tolist())
     )
-    return replace(split, blocks=tagged)
+    return SpectralSplit(split.U, split.T, tagged)
 
-
-# Unit roundoff of float64 arithmetic.
-_UNIT = np.finfo(float).eps / 2
 
 # Range of ω = (|λ|√n + ‖[A0, B]‖_F)² over which the PBH certificate runs:
 # within it no entry of the Gram matrix or of its Cholesky factor
 # overflows, and the absolute errors of gradual underflow stay far below
 # the certificate's shift. Pencils outside it go to the SVD.
 _CERTIFIED_RANGE = (2.0 ** -600, 2.0 ** 600)
-
-
-def _gamma(k):
-    """Higham's ``γ_k = k·u / (1 − k·u)``: the relative error of k
-    floating-point operations in a row."""
-    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 def _certificate_shift(lam_abs, w_fro, n, m, rank_tol):

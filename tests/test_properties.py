@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.sparse.csgraph import connected_components
 
-from ariset import DegenerateSpectrum, Tolerances, reduce, schur_family, spectral_split
-from ariset import systems
+from ariset import DEFAULT, DegenerateSpectrum, Tolerances, reduce, schur_family, spectral_split
+from ariset import linalg, riccati, systems
 
 from conftest import build_system, direct_family, homogeneous_setup
 from test_systems import _pbh_oracle
@@ -256,3 +256,108 @@ def test_pbh_pencil_at_twice_the_cut_goes_to_the_svd():
     for blk in tagged.blocks:
         assert blk.controllable
         assert _pbh_oracle(a0, b, blk.eigenvalues[0])
+
+
+# σ_min of a planted Gramian as a multiple of the rank cut, and the
+# exponents s of the factor 2^s it is scaled by: 2^±400 lie inside the
+# certificate's range of norms, 2^505 and 2^±600 outside it (at 2^505
+# every norm is still finite, so only the range keeps the certificate out)
+CUT_RATIOS = (0.5, 0.99, 1.01, 2.0, 1e3)
+SCALE_EXPONENTS = (-600, -400, 0, 400, 505, 600)
+
+
+@st.composite
+def planted_gramian_stacks(draw):
+    """Levels ``(ls, ys)`` for ``riccati._batch_coordinates``, of 1..4
+    supports each with distinct column counts k in 1..10, and per level
+    the ``(ratio, exponent)`` of every row, or None for a row whose
+    Gramian is exactly singular. A row's Gramian ``g = R⁻ᵀ Y R⁻¹`` is
+    planted as ``2^s · V diag(±σ) Vᵀ``: σ from ratio · DEFAULT.rank up to
+    1, signs mixed. ``ls`` has orthonormal columns, or columns of the
+    identity, for which R = I exactly and g = Y. One level may start with
+    an exactly singular Y (all ones on identity columns; zero at k = 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    widths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+    singular = draw(st.integers(0, 3 * len(widths) - 1))  # a level in a third of the draws
+    levels, plans = [], []
+    for level, k in enumerate(widths):
+        n = k + draw(st.integers(0, 3))
+        rows = draw(st.integers(1, 4))
+        ls, ys, plan = np.empty((rows, n, k)), np.empty((rows, k, k)), []
+        for j in range(rows):
+            ratio = draw(st.sampled_from(CUT_RATIOS))
+            exponent = draw(st.sampled_from(SCALE_EXPONENTS))
+            sigma = np.geomspace(ratio * DEFAULT.rank, 1.0, k) * rng.choice([-1.0, 1.0], k)
+            v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            g = 2.0 ** exponent * (v * sigma) @ v.T
+            g = 0.5 * (g + g.T)
+            if draw(st.booleans()):
+                ls[j] = np.eye(n)[:, rng.permutation(n)[:k]]
+                ys[j] = g
+            else:
+                ls[j] = np.linalg.qr(rng.standard_normal((n, k)))[0]
+                r = np.linalg.qr(ls[j], mode="r")
+                ys[j] = r.T @ g @ r
+            plan.append((ratio, exponent))
+        if level == singular:
+            ls[0] = np.eye(n)[:, :k]
+            ys[0] = np.ones((k, k)) if k > 1 else 0.0
+            plan[0] = None
+        levels.append((ls, ys))
+        plans.append(plan)
+    return levels, plans
+
+
+def _eigvalsh_coordinates(ls, ys, tol):
+    """Oracle for one level of ``_batch_coordinates``: the rank rule from
+    ``eigvalsh`` on every Gramian, then ``inv`` of the passing ones."""
+    r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))
+    g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    sv = np.abs(np.linalg.eigvalsh(g))
+    ok = linalg._full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
+    if not ok.all():
+        ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
+    lcoord = np.linalg.inv(g)
+    return ok, ls @ r_inv, 0.5 * (lcoord + np.swapaxes(lcoord, 1, 2))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(planted_gramian_stacks())
+def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
+    levels, plans = stacks
+    certificate, certified, rule_rows = riccati._certified_full_rank, [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_certificate(*args):
+        certified.append(certificate(*args))
+        return certified[-1].copy()
+
+    def recording_eigvalsh(a):
+        rule_rows.append(len(a))
+        return eigvalsh(a)
+
+    with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
+            mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
+        got = riccati._batch_coordinates(levels, DEFAULT)
+    (mask,) = certified
+    assert sum(rule_rows) == np.count_nonzero(~mask)
+    for (ls, ys), plan, (ok, q, lcoord), cert in zip(
+            levels, plans, got, np.split(mask, np.cumsum([len(p) for p in plans])[:-1])):
+        want = _eigvalsh_coordinates(ls, ys, DEFAULT)
+        for a, b in zip((ok, q, lcoord), want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert ok[cert].all()  # a certified row passes the eigvalsh rule
+        for row, planted in enumerate(plan):
+            if planted is None:  # an exactly singular g: the level goes to eigvalsh
+                assert not cert.any() and not ok[row]
+                continue
+            ratio, exponent = planted
+            if abs(exponent) > 500:  # outside the certificate's range
+                assert not cert[row]
+            # σ_min below the cut, or 2^s·σ_max below 1, where the cut is
+            # absolute (a 1×1 Gramian passes above the cut at any scale)
+            if ratio < 1.0 and (len(ls[row].T) > 1 or exponent == 0) or exponent < 0:
+                assert not ok[row]
+            if ratio == 1e3 and 0 <= exponent <= 400 and None not in plan:
+                assert cert[row]

@@ -611,20 +611,12 @@ def test_family_rejects_a_member_over_its_residual_gate(monkeypatch):
         schur_family(form, split)
 
 
-def _unions(cols, clash, without=()):
-    """Every union of non-clashing clusters, none of them in ``without``,
-    as its columns."""
+def _unions(cols, clash):
+    """Every union of non-clashing clusters, as its columns."""
     for r in range(1, len(cols) + 1):
         for units in itertools.combinations(range(len(cols)), r):
-            if not clash[np.ix_(units, units)].any() and not set(units) & set(without):
+            if not clash[np.ix_(units, units)].any():
                 yield np.concatenate([cols[u] for u in units])
-
-
-def _missed_clusters(c, cols):
-    """The clusters B misses: their block of ``c = L'ᵀ M L'`` (M = BBᵀ) is
-    zero to rounding."""
-    return [u for u, cu in enumerate(cols)
-            if np.abs(c[np.ix_(cu, cu)]).max() <= 1e-12 * np.abs(c).max()]
 
 
 def test_family_gates_members_of_a_middle_column_count(monkeypatch):
@@ -667,30 +659,41 @@ def test_family_gates_members_of_a_middle_column_count(monkeypatch):
     assert broken == {2}
 
 
-@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
-def test_family_takes_one_eigvalsh_per_column_count(case, monkeypatch):
-    # one per Gramian stack of equal column count, over the unions that
-    # hold no cluster B misses; the residual verdicts wait until they are
-    # read
-    form, split = homogeneous_setup(*FAMILY_CASES[case]())
-    gramian, seen, calls = riccati._cluster_gramian, {}, []
-    eigvalsh = np.linalg.eigvalsh
+def _eigvalsh_inputs(monkeypatch):
+    """Spy on ``np.linalg.eigvalsh``: the list of the arrays it is given."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
 
-    def spy(lam, c, cols, clash):
-        seen.update(c=c, cols=cols, clash=clash)
-        return gramian(lam, c, cols, clash)
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(riccati, "_cluster_gramian", spy)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    schur_family(form, split)
-    missed = _missed_clusters(seen["c"], seen["cols"])
-    counts = {len(idx) for idx in _unions(seen["cols"], seen["clash"], missed)}
-    assert [shape[1:] for shape in calls] == [(k, k) for k in sorted(counts)]
-    assert bool(missed) == (case == "uncontrollable-rhp-lhp")
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_takes_no_eigvalsh_when_the_certificate_decides(case, monkeypatch):
+    # the inverse's residual certifies every union's rank test, and the
+    # residual verdicts wait until they are read
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    calls = _eigvalsh_inputs(monkeypatch)
+    family = schur_family(form, split)
+    assert not calls
+    assert len(family) > 1 and [sol.X for sol in family] and not calls
+
+
+def test_family_takes_eigvalsh_on_exactly_the_undecided_union(monkeypatch):
+    # diag(1, −2) with B = (1e-5, 1): cluster {0} alone has the Gramian
+    # 5e-11, half the rank cut, which no certificate can pass; {1} (−0.25)
+    # and the union (smallest singular value 4.5e-10) are certified
+    form, split = homogeneous_setup(np.diag([1.0, -2.0]), np.array([[1e-5], [1.0]]))
+    calls = _eigvalsh_inputs(monkeypatch)
+    family = schur_family(form, split)
+    assert [call.shape for call in calls] == [(1, 1, 1)]
+    assert abs(calls[0][0, 0, 0] - 5e-11) <= 1e-20
+    assert [sol.block_set for sol in family] == [(), (1,), (0, 1)]
+    monkeypatch.undo()
+    _assert_family_is_direct(form, split, family)
 
 
 def _planted_pair_system():
@@ -711,9 +714,10 @@ def _factored_supports(form, split, monkeypatch):
         seen.update(lp=lp, cols=cols)
         return lp, lam
 
-    def spy_coordinates(ls, ys, tol):
-        supports.extend(ls)
-        return coordinates(ls, ys, tol)
+    def spy_coordinates(stacks, tol):
+        for ls, _ in stacks:
+            supports.extend(ls)
+        return coordinates(stacks, tol)
 
     monkeypatch.setattr(riccati, "_cluster_bases", spy_bases)
     monkeypatch.setattr(riccati, "_batch_coordinates", spy_coordinates)
@@ -795,6 +799,23 @@ def test_family_verdicts_are_computed_on_first_read(case):
     assert not any("residual_verdict" in vars(sol) for sol in family)
     for sol in family:
         _assert_verdict_on_read(form, sol)
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_verdicts_come_from_one_stacked_eigvalsh(case, monkeypatch):
+    # reading X builds every member and takes no eigvalsh; the first
+    # verdict read takes one over the whole residual stack, and the zero
+    # solution, which is not in it, one of its own
+    form, split = homogeneous_setup(*FAMILY_CASES[case]())
+    family = schur_family(form, split)
+    calls = _eigvalsh_inputs(monkeypatch)
+    assert [sol.X for sol in family] and not calls
+    family[-1].residual_verdict
+    assert [call.shape for call in calls] == [family._members.residual.shape]
+    verdicts = [sol.residual_verdict for sol in family]
+    assert [call.shape for call in calls[1:]] == [form.A0.shape]
+    monkeypatch.undo()
+    assert verdicts == [_verdict_now(form, sol) for sol in family]
 
 
 def test_direct_and_zero_verdicts_are_computed_on_first_read(paper):

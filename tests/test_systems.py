@@ -250,6 +250,36 @@ def test_pbh_makes_one_svd_call_per_arithmetic(monkeypatch, entries, planted, ki
     assert abs(bad.eigenvalues[0] - planted) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_split_reads_pairs_whose_eigenvalue_formula_overflows(scale):
+    # above about 1e154 the discriminant of the planted controllable pair
+    # overflows; its block is read scaled by a power of two, so the pair
+    # keeps its own cluster and its tag, as at 1e150
+    rng = np.random.default_rng(53)
+    a0, b = build_system(rng, ctrl=[1.2, complex(-0.6, 0.9), -1.7], unc=[0.4], m=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # norms of the whole pencil overflow
+        split = spectral_split(scale * a0, scale * b)
+    assert [blk.cluster for blk in split.blocks] == [0, 1, 2, 3]
+    assert [blk.controllable for blk in split.blocks] == [True, False, True, True]
+    pair = split.blocks[3].eigenvalues
+    assert abs(pair[0] - scale * complex(-0.6, 0.9)) <= 1e-12 * scale and pair[1] == pair[0].conjugate()
+
+
+def test_pair_eigenvalues_scale_exactly_by_powers_of_two():
+    from ariset import linalg
+
+    # dyadic entries: the mean and the discriminant are exact, and a
+    # correctly rounded square root commutes with scaling by 4^k, so the
+    # pair read through the scaled block equals the unscaled one, scaled
+    block = (-0.5, 1.25, -0.75, -0.25)
+    want = linalg._pair_eigenvalues(*block)
+    assert want[0].imag > 0.0
+    for exponent in (0, 520, 1000):
+        scale = 2.0 ** exponent
+        got = linalg._pair_eigenvalues(*(scale * v for v in block))
+        assert got == tuple(complex(scale * lam.real, scale * lam.imag) for lam in want)
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_pbh_leaves_pencils_outside_the_certified_range_to_the_svd(monkeypatch, scale):
     # (|λ|√n + ‖[A0, B]‖_F)² is near 1e±200, outside the certificate's
