@@ -9,13 +9,11 @@ feedback, and certified inequality verification.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrum,
     InvalidInput,
     NotAnEquationSolution,
     NotASolution,
@@ -32,9 +30,8 @@ from .riccati import (
     _base_scale,
     _ric_scale,
     _solution_from_coordinates,
-    _uncontrollable_directions,
+    _uncontrollable_rays,
     are_residual,
-    degenerate_classify,
     full_rank_simplified_solution,
     reduce as reduce_blocks,
     ric_residual,
@@ -226,56 +223,7 @@ def extremal_solutions(
 
 
 # Sign of alpha along which the ray of an uncontrollable block stays feasible.
-_RAY_SIGN = {RHP: "+", LHP: "-"}
-
-
-def _ray_for_block(form, split, index, tol):
-    """Positive-semidefinite ray on an uncontrollable non-axis block alone
-    in its cluster.
-
-    Solves the block Lyapunov equation Dk P + P Dkᵀ = ±I so that
-    Ric(alpha X_w) = ∓ alpha Lk Lkᵀ is negative semidefinite along the
-    feasible sign. ``Dk`` is already in real Schur form, so the solve
-    factors nothing.
-    """
-    eqn = reduce_blocks(form, split, [index])
-    blk = split.blocks[index]
-    eye = np.eye(eqn.k)
-    if blk.half_plane == RHP:
-        p = _solve_lyapunov_schur(-eqn.Dk, eye, tol.axis, transpose=True)
-    else:
-        p = _solve_lyapunov_schur(eqn.Dk, eye, tol.axis, transpose=True)
-    x = eqn.Lk @ p @ eqn.Lk.T
-    x = 0.5 * (x + x.T)
-    return Witness(direction=x / np.linalg.norm(x), sign=_RAY_SIGN[blk.half_plane],
-                   block=index)
-
-
-def _kernel_ray(form, split, index, turn, tol):
-    """Ray on an uncontrollable non-axis block that shares its cluster, so
-    has no invariant subspace of its own.
-
-    A direction ``v = x + iy`` of the kernel of ``[A0ᵀ − λI; Bᵀ]`` at the
-    block's eigenvalue λ gives ``G = x xᵀ + y yᵀ`` with
-    ``A0ᵀG + GA0 = 2 Re(λ) G`` and ``BᵀG = 0``, so
-    ``Ric(alpha G) = −2 alpha Re(λ) G`` is negative semidefinite along the
-    block's sign. The cluster's blocks take the kernel's directions in
-    turn (``turn`` counts the cluster's earlier uncontrollable blocks);
-    when a Jordan chain leaves fewer directions than blocks, they wrap
-    around.
-    """
-    blk = split.blocks[index]
-    lam = blk.eigenvalues[0]
-    dirs = _uncontrollable_directions(form, lam if lam.imag else lam.real, tol)
-    if not dirs:
-        raise DegenerateSpectrum(f"uncontrollable block {index} shares its cluster "
-                                 "but [A0ᵀ − λI; Bᵀ] has no kernel")
-    v = dirs[turn % len(dirs)]
-    x = np.outer(v.real, v.real)
-    if np.iscomplexobj(v):
-        x += np.outer(v.imag, v.imag)
-    return Witness(direction=x / np.linalg.norm(x), sign=_RAY_SIGN[blk.half_plane],
-                   block=index)
+_RAY_SIGN = {AXIS: "+-", RHP: "+", LHP: "-"}
 
 
 def boundedness(
@@ -291,39 +239,24 @@ def boundedness(
     half planes, or any uncontrollable axis block (whose free family is
     feasible for either sign), make it unbounded on both sides.
 
-    Every uncontrollable non-axis block gets one witness: from its own
-    invariant subspace when it is alone in its cluster, else from the
-    kernel of ``[A0ᵀ − λI; Bᵀ]``. Uncontrollable axis blocks get the
-    generators of :func:`degenerate_classify`.
+    The witnesses are the rays G of :func:`riccati._uncontrollable_rays`,
+    along which ``Ric(αG) = −2αRe(λ)G`` is negative semidefinite for α of
+    the block's sign. Every uncontrollable non-axis block gets one (the
+    blocks of a Jordan chain repeat its kernel's directions); uncontrollable
+    axis blocks get the generators of :func:`degenerate_classify`, one per
+    kernel direction.
     """
     unc = split.indices(controllable=False)
     if not unc:
         return BoundednessReport(verdict="bounded", witnesses=())
 
     witnesses = []
-    axis_gens = None
     has = {AXIS: False, RHP: False, LHP: False}
-    cluster_size = Counter(blk.cluster for blk in split.blocks)
-    turns = Counter()  # cluster -> its uncontrollable blocks seen so far
-    for i in unc:
-        blk = split.blocks[i]
-        has[blk.half_plane] = True
-        if blk.half_plane == AXIS:
-            if axis_gens is None:
-                axis_gens = {
-                    b.offset: out.generator
-                    for b, out in degenerate_classify(form, split, tol)
-                    if out.kind == "free-family"
-                }
-            if blk.offset in axis_gens:
-                witnesses.append(
-                    Witness(direction=axis_gens[blk.offset], sign="+-", block=i)
-                )
-        elif cluster_size[blk.cluster] > 1:
-            witnesses.append(_kernel_ray(form, split, i, turns[blk.cluster], tol))
-            turns[blk.cluster] += 1
-        else:
-            witnesses.append(_ray_for_block(form, split, i, tol))
+    for i, (g, first) in _uncontrollable_rays(form, split, unc, tol).items():
+        plane = split.blocks[i].half_plane
+        has[plane] = True
+        if first or plane != AXIS:
+            witnesses.append(Witness(direction=g, sign=_RAY_SIGN[plane], block=i))
 
     if has[AXIS] or (has[RHP] and has[LHP]):
         verdict = "unbounded-both"

@@ -212,14 +212,14 @@ def _certificate_dict(cert):
     }
 
 
-def _fmt_matrix(m, indent="    "):
+def _fmt_matrix(m):
     # one %-format for the whole matrix; "% .9g" % v is f"{v: .9g}" for
     # every float. The reports hold nested lists, read as they are.
     if isinstance(m, list) and m and isinstance(m[0], list):
         rows = m
     else:
         rows = np.atleast_2d(np.asarray(m)).tolist()
-    line = indent + "  ".join(["% .9g"] * len(rows[0])) if rows else ""
+    line = "    " + "  ".join(["% .9g"] * len(rows[0])) if rows else ""
     return "\n".join([line] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 

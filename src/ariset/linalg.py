@@ -379,7 +379,7 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
         t, u = _select_leading(t, u, rows)
         blocks = _schur_blocks(t)
 
-    scale = max(1.0, float(np.linalg.norm(m)))
+    scale = max(1.0, float(lapack.dlange("F", m.T)))  # scaled sums: no overflow
     resid = float(np.abs(m @ u - u @ t).max())
     if resid > SCHUR_RESIDUAL_RTOL * scale:
         raise DegenerateSpectrum(
@@ -392,15 +392,14 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
 # Sylvester / Lyapunov solves
 
 
-def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", sep_tol=SYLVESTER_SEP_RTOL):
-    """Solve ``op(TF) X + X op(TG) = C`` through LAPACK ``dtrsyl``.
+def _solve_quasi_triangular(tf, tg, c, trana="N", sep_tol=SYLVESTER_SEP_RTOL):
+    """Solve ``op(TF) X + X TG = C`` through LAPACK ``dtrsyl``.
 
     ``TF`` and ``TG`` are quasi-upper-triangular (real Schur forms: 1x1
     and 2x2 diagonal blocks, exact zeros below them); ``op`` is the
-    identity for ``trana`` / ``tranb`` = ``"N"`` and the transpose for
-    ``"T"``. The solve is refused when ``min |lambda_F + lambda_G|``, read
-    from the diagonal blocks, falls below ``sep_tol * max(1, rho(F) +
-    rho(G))``.
+    identity for ``trana = "N"`` and the transpose for ``"T"``. The
+    solve is refused when ``min |lambda_F + lambda_G|``, read from the
+    diagonal blocks, falls below ``sep_tol * max(1, rho(F) + rho(G))``.
 
     Raises
     ------
@@ -418,7 +417,7 @@ def _solve_quasi_triangular(tf, tg, c, trana="N", tranb="N", sep_tol=SYLVESTER_S
             f"{sep_tol:.1e} * {scale:.3e}"
         )
 
-    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana, tranb=tranb)
+    y, ysc, info = lapack.dtrsyl(tf, tg, c, trana=trana)
     if info < 0:
         raise InvalidInput(f"dtrsyl rejected argument {-info}")
     if info == 1:
@@ -499,9 +498,9 @@ def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
     return 0.5 * (p + p.T)
 
 
-def _solve_lyapunov_schur(t, c, axis_tol, transpose=False):
-    """Solve ``T^T P + P T = -C``, or ``T P + P T^T = -C`` when
-    ``transpose``, for a quasi-upper-triangular ``T`` and symmetric ``C``.
+def _solve_lyapunov_schur(t, c, axis_tol):
+    """Solve ``T^T P + P T = -C`` for a quasi-upper-triangular ``T`` and
+    symmetric ``C``.
 
     ``T`` must be Hurwitz: every eigenvalue, read from its diagonal
     blocks, has real part below ``-axis_tol * ||T||_2``. Returns the
@@ -518,10 +517,7 @@ def _solve_lyapunov_schur(t, c, axis_tol, transpose=False):
         raise NotHurwitz(
             f"F has an eigenvalue with real part {w.real.max():.3e} >= {-margin:.3e}"
         )
-    if transpose:
-        p = _solve_quasi_triangular(t, t, -c, tranb="T")
-    else:
-        p = _solve_quasi_triangular(t, t, -c, trana="T")
+    p = _solve_quasi_triangular(t, t, -c, trana="T")
     return 0.5 * (p + p.T)
 
 

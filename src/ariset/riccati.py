@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -82,8 +82,9 @@ FAMILY_RESIDUAL_RTOL = 1e-8
 # relative to max(1, |X_direct|_max).
 DIRECT_ROUTE_RTOL = 1e-6
 
-# Residual gate for a free-family generator G of an axis block (unit
-# Frobenius norm): |Ric(G)|_max relative to max(1, ||A0||₂).
+# Residual gate for the ray G (unit Frobenius norm) of an uncontrollable
+# block at eigenvalue λ, Re λ := 0 on axis blocks: |Ric(G) + 2Re(λ)G|_max
+# relative to max(1, ||A0||₂).
 GENERATOR_RESIDUAL_RTOL = 1e-8
 
 # Errors by which a block set carries no equation solution: the reduction
@@ -1038,30 +1039,66 @@ def _uncontrollable_directions(form, lam, tol):
     return list(vt[~_full_rank(sv, sv[0], tol.rank)])
 
 
-def _imaginary_pair_generator(eqn):
-    """Nonzero symmetric 2x2 coordinate solving Dk L + L Dkᵀ = 0.
+def _uncontrollable_rays(form, split, indices, tol):
+    """The ray of every uncontrollable block in ``indices``, as
+    ``{i: (G, first)}``.
 
-    In the basis where Dk is the rotation [[0, mu], [-mu, 0]] this is a
-    multiple of the identity; for a general 2x2 Schur block the kernel
-    direction is found in the symmetric coordinates (p, q, r).
+    A direction ``v = x + iy`` with ``A0ᵀv = λv`` and ``Bᵀv = 0`` gives
+    ``G = Re(vvᴴ) = xxᵀ + yyᵀ`` with ``BᵀG = 0`` and
+    ``A0ᵀG + GA0 = 2Re(λ)G``, so ``Ric(αG) = −2αRe(λ)G`` for every real α.
+    A block alone in its cluster reads ``v = Lk·w`` from :func:`reduce`,
+    with ``w`` the eigenvector of its ``Dk`` (1, or ``(d₁₂, λ − d₁₁)`` on
+    a pair). The blocks of a shared cluster have no invariant subspace of
+    their own: they take the directions of the kernel of
+    ``[A0ᵀ − λI; Bᵀ]`` at the cluster's first block in turn, wrapping
+    around when a Jordan chain or a copy that B reaches leaves fewer
+    directions than blocks; ``first`` is false for a block that repeats
+    a direction. Axis blocks take ``Re λ := 0``. Every G has unit
+    Frobenius norm.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        A block shares its cluster but the kernel is empty.
+    RiccatiError
+        Some G misses ``|Ric(G) + 2Re(λ)G|_max <= GENERATOR_RESIDUAL_RTOL ·
+        max(1, ||A0||₂)``.
     """
-    d = eqn.Dk
-    # action of L -> D L + L D^T on [[p, q], [q, r]], rows = entries (11, 12, 22)
-    a, b = d[0, 0], d[0, 1]
-    c, e = d[1, 0], d[1, 1]
-    mat = np.array(
-        [
-            [2 * a, 2 * b, 0.0],
-            [c, a + e, b],
-            [0.0, 2 * c, 2 * e],
-        ]
-    )
-    _, _, vt = np.linalg.svd(mat)
-    p, q, r = vt[-1]
-    lcoord = np.array([[p, q], [q, r]])
-    if np.trace(lcoord) < 0:
-        lcoord = -lcoord
-    return lcoord
+    cluster_size = Counter(blk.cluster for blk in split.blocks)
+    shared = {}  # cluster -> (λ, its kernel directions, counter of blocks served)
+    rays = {}
+    for i in indices:
+        blk = split.blocks[i]
+        if cluster_size[blk.cluster] > 1:
+            if blk.cluster not in shared:
+                lam = blk.eigenvalues[0]
+                if blk.half_plane == AXIS:
+                    lam = complex(0.0, lam.imag)
+                dirs = _uncontrollable_directions(form, lam if lam.imag else lam.real, tol)
+                if not dirs:
+                    raise DegenerateSpectrum(f"uncontrollable block {i} shares its cluster "
+                                             "but [A0ᵀ − λI; Bᵀ] has no kernel")
+                shared[blk.cluster] = (lam, dirs, count())
+            lam, dirs, turns = shared[blk.cluster]
+            turn = next(turns)
+            v, first = dirs[turn % len(dirs)], turn < len(dirs)
+        else:
+            eqn = reduce(form, split, [i])
+            d = eqn.Dk
+            lam = _row_eigenvalues(d)[0]
+            v = eqn.Lk[:, 0] if blk.size == 1 else eqn.Lk @ np.array([d[0, 1], lam - d[0, 0]])
+            first = True
+        g = np.outer(v.real, v.real)
+        if np.iscomplexobj(v):
+            g += np.outer(v.imag, v.imag)
+        g = 0.5 * (g + g.T)
+        g /= np.linalg.norm(g)
+        growth = 0.0 if blk.half_plane == AXIS else 2.0 * lam.real
+        resid = float(np.abs(ric_residual(form, g) + growth * g).max())
+        if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
+            raise RiccatiError(f"ray of block {i} has residual {resid:.3e}")
+        rays[i] = (g, first)
+    return rays
 
 
 def degenerate_classify(
@@ -1073,58 +1110,24 @@ def degenerate_classify(
 
     Controllable axis blocks admit no nonzero feasible coordinate.
     Uncontrollable ones generate exact equation solutions for every
-    scalar multiple of the returned generator: ``v vᵀ`` for a zero
-    eigenvalue, the identity coordinate on the invariant plane for a
-    purely imaginary pair.
-
-    Uncontrollable blocks that share their ``cluster`` take the directions
-    v of the kernel of ``[A0ᵀ − λI; Bᵀ]``, one each, with λ = 0 or iμ
-    for eigenvalues 0 or ±iμ; the generator of ``v = x + iy`` is
-    ``x xᵀ + y yᵀ``. When a Jordan chain or a copy that B reaches leaves
-    fewer directions than blocks, the surplus blocks get no outcome, so
-    each cluster's generators are distinct and as many as the kernel's
-    dimension.
+    scalar multiple of their ray G (:func:`_uncontrollable_rays`): ``v vᵀ``
+    for a zero eigenvalue, ``x xᵀ + y yᵀ`` for ``v = x + iy`` at a purely
+    imaginary pair. When a Jordan chain or a copy that B reaches leaves a
+    cluster fewer kernel directions than uncontrollable blocks, the
+    surplus blocks get no outcome, so each cluster's generators are
+    distinct and as many as the kernel's dimension.
 
     Returns
     -------
     list of (SpectralBlock, DegenerateOutcome)
     """
+    unc = split.indices(half_plane=AXIS, controllable=False)
+    rays = _uncontrollable_rays(form, split, unc, tol)
     outcomes = []
-    cluster_size = Counter(blk.cluster for blk in split.blocks)
-    shared = {}  # cluster -> iterator over its kernel directions
-    for i, blk in enumerate(split.blocks):
-        if blk.half_plane != AXIS:
-            continue
+    for i in split.indices(half_plane=AXIS):
+        blk = split.blocks[i]
         if blk.controllable:
             outcomes.append((blk, DegenerateOutcome(kind="trivial-only")))
-            continue
-        if cluster_size[blk.cluster] > 1:
-            if blk.cluster not in shared:
-                mu = blk.eigenvalues[0].imag
-                dirs = _uncontrollable_directions(form, 1j * mu if mu else 0.0, tol)
-                if not dirs:
-                    raise DegenerateSpectrum(f"uncontrollable axis block {i} shares its "
-                                             "cluster but [A0ᵀ − λI; Bᵀ] has no kernel")
-                shared[blk.cluster] = iter(dirs)
-            v = next(shared[blk.cluster], None)
-            if v is None:
-                continue  # the cluster's directions are already out
-            gen = np.outer(v.real, v.real)
-            if np.iscomplexobj(v):
-                gen += np.outer(v.imag, v.imag)
-        elif blk.size == 1:
-            v = reduce(form, split, [i]).Lk[:, 0]
-            gen = np.outer(v, v)
-        else:
-            eqn = reduce(form, split, [i])
-            lcoord = _imaginary_pair_generator(eqn)
-            gen = eqn.Lk @ lcoord @ eqn.Lk.T
-        gen = 0.5 * (gen + gen.T)
-        gen /= np.linalg.norm(gen)
-        resid = float(np.abs(ric_residual(form, gen)).max())
-        if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
-            raise RiccatiError(
-                f"free-family generator for block {i} has residual {resid:.3e}"
-            )
-        outcomes.append((blk, DegenerateOutcome(kind="free-family", generator=gen)))
+        elif rays[i][1]:
+            outcomes.append((blk, DegenerateOutcome(kind="free-family", generator=rays[i][0])))
     return outcomes

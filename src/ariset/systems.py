@@ -102,12 +102,12 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     bm = as_matrix(b, name="B")
     n, m = bm.shape
     w = np.hstack([am, bm])
-    gram = w @ w.T
-    sym = am + am.T
     lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
     lam_abs = np.abs(lam)
     shift, tried = _certificate_shift(lam_abs, np.sqrt(np.vdot(w, w)), n, m, rank_tol)
-    lift = lam_abs * lam_abs - shift
+    if tried.any():  # only certified pencils need them; out of range they may overflow
+        gram = w @ w.T
+        sym = am + am.T
     real = lam.imag == 0.0
     tags = np.zeros(lam.size, dtype=bool)
     for chosen, shifts in ((real, lam.real), (~real, lam)):
@@ -115,8 +115,9 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
             continue
         certify = chosen & tried
         if certify.any():
+            lift = lam_abs[certify] * lam_abs[certify] - shift[certify]
             tags[certify] = _cholesky_succeeds(
-                _shifted_grams(am, sym, gram, shifts[certify], lift[certify])
+                _shifted_grams(am, sym, gram, shifts[certify], lift)
             )
         undecided = chosen & ~tags
         if undecided.any():

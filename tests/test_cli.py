@@ -632,9 +632,9 @@ def test_reused_parser_carries_nothing_over(paper_file, tmp_path, capsys,
 # matrix rendering
 
 
-def _fmt_matrix_per_entry(m, indent="    "):
+def _fmt_matrix_per_entry(m):
     arr = np.atleast_2d(np.asarray(m))
-    return "\n".join(indent + "  ".join(f"{v: .9g}" for v in row) for row in arr)
+    return "\n".join("    " + "  ".join(f"{v: .9g}" for v in row) for row in arr)
 
 
 def _render_cases():
@@ -659,4 +659,3 @@ def _render_cases():
                          ids=lambda m: "x".join(map(str, np.shape(m))) or "scalar")
 def test_fmt_matrix_matches_per_entry_formatting(m):
     assert _fmt_matrix(m) == _fmt_matrix_per_entry(m)
-    assert _fmt_matrix(m, indent="") == _fmt_matrix_per_entry(m, indent="")

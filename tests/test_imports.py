@@ -1,6 +1,7 @@
 """No module of the package imports a name it never reads, no private
-module-level name is left that nothing else in the package names, and no
-function takes a parameter it never reads."""
+module-level name is left that nothing else in the package names, no
+function takes a parameter it never reads, and no private function has a
+default that no call in the package sets."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,50 @@ def test_the_scan_sees_an_unused_parameter():
            "    return inner(split)\n"
            "def _cmd_bounds(args, form):\n    return form\n")
     assert unused_parameters(src) == ["solve:tol", "solve:rest", "solve:options", "inner:y"]
+
+
+def _defaulted(node):
+    """Position (None for keyword-only) of every defaulted parameter of a
+    function definition, by name; a method's position skips ``self``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = {p.arg: i - skip for i, p in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)}
+    out.update({p.arg: None for p, d in zip(args.kwonlyargs, args.kw_defaults) if d})
+    return out
+
+
+def dead_defaults(sources):
+    """``function:parameter`` for every defaulted parameter of a private
+    function of ``sources`` (``_name``, not dunder) that no call in them
+    sets, by position or by keyword."""
+    defaults, calls = {}, []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defaults.setdefault(node.name, {}).update(_defaulted(node))
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    for call in calls:
+        params = defaults.get(getattr(call.func, "id", getattr(call.func, "attr", None)), {})
+        keywords = {k.arg for k in call.keywords}
+        for param, pos in list(params.items()):
+            if param in keywords or (pos is not None and pos < len(call.args)):
+                del params[param]
+    return sorted(f"{name}:{param}" for name, params in defaults.items() for param in params)
+
+
+def test_no_private_function_has_a_default_that_no_call_sets():
+    assert dead_defaults([path.read_text() for path in SOURCES]) == []
+
+
+def test_the_scan_sees_a_dead_default():
+    lib = ("def _fmt(m, indent='  ', width=8, *, sep=' ', fill='0'):\n"
+           "    return m\n"
+           "class _Box:\n    def _pad(self, m, size=2, edge=0):\n        return m\n"
+           "def __dunder__(x=1):\n    return x\n"
+           "def public(x=1):\n    return x\n")
+    user = "_fmt(1, ' ', sep=',')\n_Box()._pad(1, 3)\n"
+    assert dead_defaults([lib, user]) == ["_fmt:fill", "_fmt:width", "_pad:edge"]

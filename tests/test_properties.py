@@ -14,7 +14,17 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.sparse.csgraph import connected_components
 
-from ariset import DEFAULT, DegenerateSpectrum, Tolerances, reduce, schur_family, spectral_split
+from ariset import (
+    DEFAULT,
+    DegenerateSpectrum,
+    Tolerances,
+    boundedness,
+    degenerate_classify,
+    extremal_solutions,
+    reduce,
+    schur_family,
+    spectral_split,
+)
 from ariset import linalg, riccati, systems
 
 from conftest import build_system, direct_family, homogeneous_setup
@@ -361,3 +371,118 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
                 assert not ok[row]
             if ratio == 1e3 and 0 <= exponent <= 400 and None not in plan:
                 assert cert[row]
+
+
+# ---------------------------------------------------------------------------
+# rays of uncontrollable blocks
+
+# the half plane (or axis) of a planted uncontrollable mode, as the sign
+# of its real part
+UNC_PLANES = {"RHP": 1.0, "LHP": -1.0, "AXIS": 0.0}
+RAY_SIGNS = {"RHP": "+", "LHP": "-", "AXIS": "+-"}
+
+
+@st.composite
+def uncontrollable_systems(draw, repeats=(1, 2), controllable=(0, 3)):
+    """(A0, B): up to ``controllable[1]`` controllable blocks and one or two
+    planted uncontrollable modes, real or pairs, in the RHP, the LHP or on
+    the axis, each planted ``repeats`` times (two copies share a cluster).
+    Every mode has its own RE_SLOTS real part, so only copies cluster."""
+    slots = draw(st.permutations(RE_SLOTS))
+    nctrl = draw(st.integers(*controllable))
+    ctrl = [complex(draw(st.sampled_from((1.0, -1.0))) * re, draw(st.sampled_from(IM_PARTS)))
+            for re in slots[:nctrl]]
+    unc, planes = [], set()
+    for re in slots[nctrl:nctrl + draw(st.integers(1, 2))]:
+        plane = draw(st.sampled_from(sorted(UNC_PLANES)))
+        if plane == "AXIS" and plane in planes:
+            continue  # two axis modes would share the slot 0
+        planes.add(plane)
+        im = draw(st.sampled_from(IM_PARTS))
+        unc += [complex(UNC_PLANES[plane] * re, im)] * draw(st.sampled_from(repeats))
+    m = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return build_system(np.random.default_rng(seed), ctrl=ctrl, unc=unc, m=m)
+
+
+def _verdict(planes):
+    if "AXIS" in planes or {"RHP", "LHP"} <= planes:
+        return "unbounded-both"
+    return "bounded-below-only" if "RHP" in planes else "bounded-above-only"
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(uncontrollable_systems())
+def test_every_uncontrollable_block_gets_one_exact_ray(system):
+    # copies of a mode are normal and B misses them all, so the kernel of
+    # [A0ᵀ − λI; Bᵀ] has a direction for every copy: every uncontrollable
+    # block, axis or not, gets one ray, and every axis one a generator
+    a0, b = system
+    form, split = homogeneous_setup(a0, b)
+    unc = split.indices(controllable=False)
+    report = boundedness(form, split)
+    assert report.verdict == _verdict({split.blocks[i].half_plane for i in unc})
+    assert [w.block for w in report.witnesses] == unc
+    outcomes = degenerate_classify(form, split)
+    assert {out.kind for _, out in outcomes} <= {"free-family"}
+    free = [out.generator for _, out in outcomes]
+    axis = [w for w in report.witnesses if w.sign == "+-"]
+    assert len(free) == len(axis) == len(split.indices(half_plane="AXIS"))
+    assert all(np.array_equal(g, w.direction) for g, w in zip(free, axis))
+    scale = max(1.0, form.a0_norm)
+    for w in report.witnesses:
+        blk = split.blocks[w.block]
+        assert w.sign == RAY_SIGNS[blk.half_plane]
+        g = w.direction
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+        assert np.abs(b.T @ g).max() <= 1e-10 * max(1.0, np.abs(b).max())
+        growth = 0.0 if blk.half_plane == "AXIS" else 2.0 * blk.eigenvalues[0].real
+        assert np.abs(a0.T @ g + g @ a0 - growth * g).max() <= 1e-9 * scale
+    clusters = {}
+    for w in report.witnesses:
+        clusters.setdefault(split.blocks[w.block].cluster, []).append(w.direction)
+    for directions in clusters.values():
+        for g, h in itertools.combinations(directions, 2):
+            assert np.abs(g - h).max() > 0.1  # copies take distinct directions
+
+
+def _by_eigenvalue(split, witnesses):
+    return {np.round(split.blocks[w.block].eigenvalues[0], 6): w for w in witnesses}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(uncontrollable_systems(repeats=(1,), controllable=(1, 3)))
+def test_rays_follow_the_negation_of_a0(system):
+    # Ric for −A0 at −X is Ric for A0 at X, and A0ᵀv = λv is (−A0)ᵀv = −λv:
+    # the verdict mirrors, each sign flips, and each ray of a lone mode
+    # (whose direction is unique) keeps its direction
+    a0, b = system
+    mirrored = {"bounded-below-only": "bounded-above-only",
+                "bounded-above-only": "bounded-below-only"}
+    flipped = {"+": "-", "-": "+", "+-": "+-"}
+    form, split = homogeneous_setup(a0, b)
+    neg_form, neg_split = homogeneous_setup(-a0, b)
+    report, neg = boundedness(form, split), boundedness(neg_form, neg_split)
+    assert neg.verdict == mirrored.get(report.verdict, report.verdict)
+    rays = _by_eigenvalue(split, report.witnesses)
+    neg_rays = _by_eigenvalue(neg_split, neg.witnesses)
+    assert set(neg_rays) == {-np.conj(lam) for lam in rays}
+    for lam, w in rays.items():
+        v = neg_rays[-np.conj(lam)]
+        assert v.sign == flipped[w.sign]
+        assert np.abs(v.direction - w.direction).max() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(family_systems())
+def test_extremal_pair_follows_the_negation_of_a0(system):
+    # X solves the equation for −A0 exactly when −X solves it for A0, so
+    # K_max(−A0) = −K_min(A0) and K_min(−A0) = −K_max(A0) (K0 = 0)
+    a0, b = system
+    form, split = homogeneous_setup(a0, b)
+    assume(not split.indices(controllable=False) and not split.indices(half_plane="AXIS"))
+    pair = extremal_solutions(form, split)
+    neg = extremal_solutions(*homogeneous_setup(-a0, b))
+    for got, want in ((neg.K_max, -pair.K_min), (neg.K_min, -pair.K_max)):
+        size = np.abs(want).max()
+        assert np.abs(got - want).max() <= max(X_RTOL, X_EPS_GROWTH * size) * max(1.0, size)
