@@ -153,15 +153,17 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
     Returns ``"semidefinite-rank<=1"`` when ``alpha`` is zero (then X and
     Ric(X) vanish) or ``v`` is an eigenvector of A0ᵀ within tolerance
     (then Ric(X) has rank at most one and a single sign); otherwise
-    ``"indefinite"``. A non-finite ``alpha`` raises :class:`InvalidInput`.
+    ``"indefinite"``. A non-finite ``alpha``, or a ``v`` of any shape but
+    (n,), (n, 1) or (1, n), raises :class:`InvalidInput`.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InvalidInput(f"alpha must be finite, got {alpha!r}")
-    vec = as_matrix(v, name="v").reshape(-1)
+    vec = as_matrix(v, name="v")
     n = form.problem.n
-    if vec.shape[0] != n:
-        raise InvalidInput(f"v must have length {n}")
+    if vec.shape not in ((n, 1), (1, n)):  # as_matrix makes a column of (n,)
+        raise InvalidInput(f"v must have shape ({n},), ({n}, 1) or (1, {n}), got {np.shape(v)}")
+    vec = vec.reshape(-1)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise InvalidInput(f"v must be a unit vector, got norm {norm:.6e}")
@@ -457,7 +459,8 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     Ric(K − K0); the two agree up to the base residual by construction
     and are cross-checked. Non-strict certification requires the maximum
     residual eigenvalue to be at most the tolerance; strict requires it
-    below the negated tolerance.
+    below the negated tolerance. A K that is not n×n raises
+    :class:`InvalidInput`.
     """
     km = symmetrize(k, sym_tol=tol.sym, name="K")
     r_direct = are_residual(form.problem, km)

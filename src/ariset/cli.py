@@ -26,15 +26,17 @@ from .analysis import (
 )
 from .errors import (
     BaseResidualTooLarge,
+    DegenerateSpectrum,
     InvalidInput,
     NoBaseSolution,
     NotRHPSelection,
     RiccatiError,
+    SingularSylvester,
+    SingularY,
     Uncontrollable,
 )
 from .linalg import _real_array
 from .riccati import (
-    _NO_SOLUTION,
     RiccatiProblem,
     degenerate_classify,
     full_rank_simplified_solution,
@@ -45,6 +47,10 @@ from .riccati import (
 )
 from .systems import AXIS, spectral_split
 from .tolerances import Tolerances, _check_tolerance
+
+# Errors by which a block set carries no equation solution: the reduction
+# cannot separate it, or its Gramian solve or inverse is singular.
+_NO_SOLUTION = (SingularSylvester, SingularY, DegenerateSpectrum)
 
 _TOL_KEYS = {
     "axisTol": "axis",

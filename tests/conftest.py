@@ -93,6 +93,22 @@ def direct_family(form, split):
     return found
 
 
+def assert_family_is_direct(form, split, members):
+    """``members`` (a :func:`ariset.schur_family`) holds exactly the
+    subsets :func:`direct_family` solves, plus the zero solution, with the
+    same rank, X and Lcoord spectrum."""
+    direct = direct_family(form, split)
+    family = {sol.block_set: sol for sol in members}
+    assert set(family) == set(direct) | {()}
+    for block_set, want in direct.items():
+        got = family[block_set]
+        assert got.rank == want.rank
+        assert np.abs(got.X - want.X).max() <= 1e-9 * max(1.0, np.abs(want.X).max())
+        # both Lcoord are in orthonormal bases of the same support
+        eig_got, eig_want = np.linalg.eigvalsh(got.Lcoord), np.linalg.eigvalsh(want.Lcoord)
+        assert np.abs(eig_got - eig_want).max() <= 1e-9 * max(1.0, np.abs(eig_want).max())
+
+
 def _eig_block(lam):
     lam = complex(lam)
     if lam.imag != 0.0:

@@ -11,6 +11,7 @@ from ariset import (
     ParamPoint,
     SingularInput,
     Uncontrollable,
+    are_residual,
     boundedness,
     definiteness,
     extremal_solutions,
@@ -95,6 +96,17 @@ def test_rank_one_requires_unit_vector(paper):
     _, form, _ = paper
     with pytest.raises(InvalidInput):
         rank_one_classify(form, [1.0, 1.0, 0.0], 1.0)
+
+
+def test_rank_one_takes_v_as_a_row_or_column_of_n_entries():
+    # four entries in a 2×2 array are not a vector of length 4
+    form, _ = homogeneous_setup(np.diag([1.0, 2.0, -3.0, 4.0]), np.ones((4, 1)))
+    e1 = np.eye(4)[0]
+    for v in (e1, e1[:, None], e1[None, :]):
+        assert rank_one_classify(form, v, 1.0) == "semidefinite-rank<=1"
+    for v in ([[1.0, 0.0], [0.0, 0.0]], np.eye(4)[:2], np.eye(4)[:, :2]):
+        with pytest.raises(InvalidInput, match=r"^v must have shape \(4,\), \(4, 1\) or \(1, 4\)"):
+            rank_one_classify(form, v, 1.0)
 
 
 @pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], np.array([1.0 + 0.5j, 0.0, 0.0])],
@@ -562,6 +574,18 @@ def test_verify_rejects_beyond_maximum(paper):
     _, form, _ = paper
     cert = verify(form, 2.0 * LR)
     assert not cert.passed and cert.residual_max_eig > 1.0
+
+
+def test_residuals_and_verify_refuse_a_matrix_of_the_wrong_order(paper):
+    # a 2×2 K against n = 3 used to reach the matmul and raise numpy's ValueError
+    problem, form, _ = paper
+    k = np.eye(2)
+    with pytest.raises(InvalidInput, match=r"^K must be 3x3, got \(2, 2\)"):
+        are_residual(problem, k)
+    with pytest.raises(InvalidInput, match=r"^K must be 3x3, got \(2, 2\)"):
+        verify(form, k)
+    with pytest.raises(InvalidInput, match=r"^X must be 3x3, got \(2, 2\)"):
+        ric_residual(form, k)
 
 
 def test_verify_inhomogeneous_problem():

@@ -1,14 +1,18 @@
 """The benchmark's family check on its first problems, on every problem
 with a planted uncontrollable block and on every problem of a second
 seed, so that a change in the family's output, its absent subsets
-included, shows in the test suite without a benchmark run. The bench/
-sources are imported, never modified."""
+included, shows in the test suite without a benchmark run. On the first
+and the uncontrollable problems every subset is also solved on its own
+(``conftest.assert_family_is_direct``). The bench/ sources are imported,
+never modified."""
 
 from pathlib import Path
 
 import pytest
 
 import ariset
+
+from conftest import assert_family_is_direct
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,14 +31,18 @@ def family(monkeypatch, tmp_path):
 
 def test_bench_family_check_passes_on_the_first_problems(family):
     for case in family.cases[:5]:
-        assert family.check(case, family.run(case)) == [], case.label
+        out = family.run(case)
+        assert family.check(case, out) == [], case.label
+        assert_family_is_direct(*out)
 
 
 def test_bench_family_check_passes_on_the_uncontrollable_problems(family):
     uncontrollable = [case for case in family.cases if "-unc" in case.label]
     assert uncontrollable
     for case in uncontrollable:
-        assert family.check(case, family.run(case)) == [], case.label
+        out = family.run(case)
+        assert family.check(case, out) == [], case.label
+        assert_family_is_direct(*out)
 
 
 def test_bench_family_check_passes_on_every_problem_of_seed_2(monkeypatch, tmp_path):

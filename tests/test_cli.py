@@ -293,6 +293,13 @@ def test_verify_beyond_maximum_fails(paper_file, tmp_path, capsys):
     assert main(["verify", paper_file, "--K", k_file]) == 1
 
 
+def test_verify_k_of_the_wrong_order_exits_2(paper_file, tmp_path, capsys):
+    k_file = _write(tmp_path, "k2.json", {"K": np.eye(2).tolist()})
+    assert main(["verify", paper_file, "--K", k_file]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "K must be 3x3" in captured.err
+
+
 def test_verify_needs_only_the_base(paper_file, tmp_path, capsys, monkeypatch):
     # verify reads no spectral split; its report is the library's
     # certificate on the same base
