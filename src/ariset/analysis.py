@@ -30,6 +30,7 @@ from .riccati import (
     _base_scale,
     _ric_scale,
     _solution_from_coordinates,
+    _symmetric_of_order,
     _uncontrollable_rays,
     are_residual,
     full_rank_simplified_solution,
@@ -308,9 +309,7 @@ def parametrize(
         p_raw = point.P
     else:
         p_raw = point
-    p = symmetrize(p_raw, sym_tol=tol.sym, name="P")
-    if p.shape != (eqn.k, eqn.k):
-        raise InvalidInput(f"P must be {eqn.k}x{eqn.k}, got {p.shape}")
+    p = _symmetric_of_order(p_raw, eqn.k, "P", tol.sym)
     p_verdict = definiteness(p, tol.definiteness)
     if not p_verdict.is_psd:
         raise InvalidInput(f"P must be positive semidefinite, got {p_verdict.kind}")
@@ -350,9 +349,7 @@ def recover_parameter(
         The recovered parameter is indefinite beyond tolerance, i.e.
         ``lhat`` violates the reduced inequality.
     """
-    lm = symmetrize(lhat, sym_tol=tol.sym, name="Lhat")
-    if lm.shape != (eqn.k, eqn.k):
-        raise InvalidInput(f"Lhat must be {eqn.k}x{eqn.k}, got {lm.shape}")
+    lm = _symmetric_of_order(lhat, eqn.k, "Lhat", tol.sym)
     _check_nonsingular(lm, tol.rank, SingularInput,
                        "Lhat is singular; restrict to its support blocks first")
     y_hat = np.linalg.inv(lm)

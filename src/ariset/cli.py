@@ -208,16 +208,6 @@ def _solution_dict(sol):
     }
 
 
-def _certificate_dict(cert):
-    return {
-        "residual_max_eig": cert.residual_max_eig,
-        "residual_min_eig": cert.residual_min_eig,
-        "passed": cert.passed,
-        "strict": cert.strict,
-        "tol_used": cert.tol_used,
-    }
-
-
 def _fmt_matrix(m):
     # one %-format for the whole matrix; "% .9g" % v is f"{v: .9g}" for
     # every float. The reports hold nested lists, read as they are.
@@ -421,8 +411,8 @@ def _cmd_parametrize(args, form, split, tol):
             {
                 "P": _mat(p),
                 "solution": _solution_dict(sol),
-                "reduced_certificate": _certificate_dict(sol.certificate),
-                "verify_certificate": _certificate_dict(cert),
+                "reduced_certificate": dataclasses.asdict(sol.certificate),
+                "verify_certificate": dataclasses.asdict(cert),
             }
         )
     results = {
@@ -449,7 +439,7 @@ def _cmd_verify(args, form, split, tol):
     doc, _ = _load_json(args.K)
     k = _matrix_field(doc, "K", args.K)
     cert = verify(form, k, strict=args.strict, tol=tol)
-    results = {"kind": form.kind, "certificate": _certificate_dict(cert)}
+    results = {"kind": form.kind, "certificate": dataclasses.asdict(cert)}
     return results, 0 if cert.passed else 1
 
 

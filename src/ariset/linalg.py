@@ -425,18 +425,6 @@ def _solve_quasi_triangular(tf, tg, c, trana="N", sep_tol=SYLVESTER_SEP_RTOL):
     return y / ysc
 
 
-def _separation_refusals(w, starts):
-    """The separation test of :func:`_solve_quasi_triangular` for every
-    pair of row groups at once: ``w`` holds row eigenvalues, group u is
-    rows ``starts[u]`` up to the next start, and entry (u, v) is true when
-    ``min |λ_u + λ_v| <= SYLVESTER_SEP_RTOL · max(1, ρ_u + ρ_v)``, the
-    refusal of the solve ``F X + X G = C`` on that pair."""
-    sep = np.abs(w[:, None] + w[None, :])
-    sep = np.minimum.reduceat(np.minimum.reduceat(sep, starts, axis=0), starts, axis=1)
-    rho = np.maximum.reduceat(np.abs(w), starts)
-    return sep <= SYLVESTER_SEP_RTOL * np.maximum(1.0, rho[:, None] + rho[None, :])
-
-
 def solve_sylvester(f, g, c, sep_tol=SYLVESTER_SEP_RTOL):
     """Solve ``F X + X G = C`` by the Bartels–Stewart method.
 

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, combinations_with_replacement, count
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ from .linalg import (
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
-    _separation_refusals,
     _solve_quasi_triangular,
     as_matrix,
     real_schur_ordered,
@@ -106,9 +105,7 @@ class RiccatiProblem:
         n = a.shape[0]
         if b.shape[0] != n:
             raise InvalidInput(f"B must have {n} rows, got {b.shape[0]}")
-        q = np.zeros((n, n)) if self.Q is None else symmetrize(self.Q, name="Q")
-        if q.shape != (n, n):
-            raise InvalidInput(f"Q must be {n}x{n}, got {q.shape}")
+        q = np.zeros((n, n)) if self.Q is None else _symmetric_of_order(self.Q, n, "Q")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "Q", q)
@@ -520,59 +517,36 @@ def _cluster_bases(eqn, cols):
     return lp, lam
 
 
-def _clash_table(lam, unit_of_col):
-    """Pairs of clusters whose Gramian block ``Λ_uuᵀ Y + Y Λ_vv = C`` is
-    singular: the kernel's own separation test,
-    ``min |λ_u + λ_v| <= SYLVESTER_SEP_RTOL · max(1, ρ_u + ρ_v)``, applied
-    to every pair at once on the row eigenvalues of the quasi-triangular
-    ``lam``; ``unit_of_col`` labels each row with its cluster, 0 .. C-1."""
-    order = np.argsort(unit_of_col, kind="stable")
-    starts = np.searchsorted(unit_of_col[order], np.arange(unit_of_col.max() + 1))
-    return _separation_refusals(_row_eigenvalues(lam)[order], starts)
-
-
-def _cluster_gramian(lam, c, cols, clash):
+def _cluster_gramian(lam, c, cols):
     """Solve ``Y Λ + Λᵀ Y = C`` for a ``Λ`` with no coupling across clusters
-    (``cols[u]`` are cluster u's rows), leaving zero the blocks of clashing
-    cluster pairs.
+    (``cols[u]`` are cluster u's rows). Returns Y and the table of
+    clashing cluster pairs, whose blocks of Y stay zero.
 
-    The clash table has applied the kernel's separation test to each pair
-    at the pair's own scale, so every call here skips it (a union's larger
-    ρ would refuse pairs the table accepts). With no clash, the whole of
-    Y is one kernel call. Otherwise, or if ``dtrsyl`` has to perturb that
-    call, cluster u's row of Y, against every non-clashing cluster at or
-    after it, is one call; if ``dtrsyl`` still has to perturb a row, that
-    row is solved pair by pair, and a pair it refuses is marked in
-    ``clash``.
+    The whole of Y is first one kernel call. Its separation test runs at
+    the scale of all of ``Λ``, which is at least each pair's, so a pass
+    proves that no pair clashes. If the kernel refuses that call, or
+    ``dtrsyl`` has to perturb it, every pair of clusters is one call,
+    under the kernel's own test at the pair's scale, and a pair the
+    kernel refuses is a clash.
     """
-    if not clash.any():
-        try:
-            y = _solve_quasi_triangular(lam, lam, c, trana="T", sep_tol=0.0)
-            return 0.5 * (y + y.T)
-        except SingularSylvester:
-            pass
+    clash = np.zeros((len(cols), len(cols)), dtype=bool)
+    try:
+        y = _solve_quasi_triangular(lam, lam, c, trana="T")
+        return 0.5 * (y + y.T), clash
+    except SingularSylvester:
+        pass
     y = np.zeros_like(c)
-
-    def solve_row(u, vs):
-        cu, cv = cols[u], np.concatenate([cols[v] for v in vs])
-        yuv = _solve_quasi_triangular(lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)],
-                                      c[np.ix_(cu, cv)], trana="T", sep_tol=0.0)
+    for u, v in combinations_with_replacement(range(len(cols)), 2):
+        cu, cv = cols[u], cols[v]
+        try:
+            yuv = _solve_quasi_triangular(lam[np.ix_(cu, cu)], lam[np.ix_(cv, cv)],
+                                          c[np.ix_(cu, cv)], trana="T")
+        except SingularSylvester:
+            clash[u, v] = clash[v, u] = True
+            continue
         y[np.ix_(cu, cv)] = yuv
         y[np.ix_(cv, cu)] = yuv.T
-
-    for u in range(len(cols)):
-        partners = [v for v in range(u, len(cols)) if not clash[u, v]]
-        if not partners:
-            continue
-        try:
-            solve_row(u, partners)
-        except SingularSylvester:
-            for v in partners:
-                try:
-                    solve_row(u, [v])
-                except SingularSylvester:
-                    clash[u, v] = clash[v, u] = True
-    return y
+    return y, clash
 
 
 class _Members(NamedTuple):
@@ -583,7 +557,7 @@ class _Members(NamedTuple):
     residual: np.ndarray  # (N, n, n) stack of Ric(X)
     cut: np.ndarray  # (N,) residual cuts
     rank: np.ndarray  # (N,)
-    lcoords: list  # Lcoord batches of equal column count, in row order
+    lcoords: list  # Lcoord stacks of the levels of equal column count, in row order
     block_ids: np.ndarray  # eqn.block_set
     block_rows: np.ndarray  # (N, len(block_ids)) membership of the blocks
     eigenvalues: np.ndarray  # eqn.eigenvalues as an object array
@@ -685,23 +659,23 @@ def schur_family(
     gets an orthonormal basis of its own invariant subspace from one Schur
     reordering of ``Dk`` (:func:`_cluster_bases`): together they form
     ``L'`` with ``A0ᵀ L' = L' Λ``, where ``Λ`` is quasi-triangular with no
-    coupling across clusters. The mirrored-pair clashes between clusters
-    are decided once, from the eigenvalues of ``Λ``'s diagonal blocks, by
-    the Sylvester kernel's own separation test; the Gramian ``Y'`` of
-    ``Λ`` (``Y' Λ + Λᵀ Y' = L'ᵀ M L'``) is then one kernel call when no
-    pair clashes, and otherwise one call per cluster against every
-    non-clashing cluster at or after it.
+    coupling across clusters. The Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y'
+    = L'ᵀ M L'``) is one call of the Sylvester kernel when the kernel
+    accepts the whole of it, which proves that no pair of clusters
+    clashes; otherwise it is one call per pair of clusters
+    (:func:`_cluster_gramian`), and a clash is a pair the kernel refuses.
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
     Schur complement of the maximal solution onto S. Members' coordinates
-    are built in stacked batches of equal column count, fewest columns
-    first; only the R of ``L'_S = QR`` is factored, the Gramian moved to
-    the basis ``Q = L'_S R⁻¹`` as ``R⁻ᵀ Y'[S,S] R⁻¹`` with one batched
-    inverse of R. There the Gramian's rank test reads as in
-    :func:`full_rank_simplified_solution`, on the moduli of its
-    eigenvalues (its singular values, as it is symmetric), and a present
-    member's ``rank`` is its column count. Each batch's Gramians are
-    inverted at once, and the test is decided for every union in one pass
-    of :func:`_certified_full_rank` from the inverse's residual; only the
+    are built in stacked levels of equal column count, fewest columns
+    first (:func:`_level_coordinates`); only the R of ``L'_S = QR`` is
+    factored, the Gramian moved to the basis ``Q = L'_S R⁻¹`` as ``R⁻ᵀ
+    Y'[S,S] R⁻¹`` with one batched inverse of R. There the Gramian's rank
+    test reads as in :func:`full_rank_simplified_solution`, on the moduli
+    of its eigenvalues (its singular values, as it is symmetric), and a
+    present member's ``rank`` is its column count. Each level's Gramians
+    are inverted at once, and the test is decided for every union of the
+    level, where the level is built, in one pass of
+    :func:`_certified_full_rank` from the inverse's residual; only the
     unions it cannot certify take ``eigvalsh`` (none on the bench's
     families). A cluster whose columns of
     ``Y'`` are small enough to make the Gramian of every union holding it
@@ -761,8 +735,7 @@ def _gramian_members(eqn, tol):
 
     c = lp.T @ form.M @ lp
     c = 0.5 * (c + c.T)
-    clash = _clash_table(lam, unit_of_col)
-    y = _cluster_gramian(lam, c, cols, clash)
+    y, clash = _cluster_gramian(lam, c, cols)
 
     # every union of non-clashing units that holds no dead unit, one row
     # each of a membership table
@@ -774,21 +747,22 @@ def _gramian_members(eqn, tol):
         return None
     col_pick = pick[:, unit_of_col]
     ncols = col_pick.sum(axis=1)
-    levels, stacks = [], []
+    # each level of equal column count, fewest columns first: its present
+    # rows, their Lcoord, and every member's X = Q g⁻¹ Qᵀ in the next rows
+    # of one stack
+    x = np.empty((len(pick), len(lp), len(lp)))
+    present, lcoords, start = [], [], 0
     for k in np.unique(ncols):
         rows = np.flatnonzero(ncols == k)
         idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-        levels.append(rows)
-        stacks.append((lp[:, idx].transpose(1, 0, 2), y[idx[:, :, None], idx[:, None, :]]))
-    batches = _batch_coordinates(stacks, tol)
-    present = np.concatenate([rows[ok] for rows, (ok, _, _) in zip(levels, batches)])
-
-    # every member's X = Q g⁻¹ Qᵀ in its slice of one stack
-    x = np.empty((len(present), len(lp), len(lp)))
-    start = 0
-    for _, q, lcoord in batches:
+        ok, q, lcoord = _level_coordinates(lp[:, idx].transpose(1, 0, 2),
+                                           y[idx[:, :, None], idx[:, None, :]], tol)
         np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
         start += len(q)
+        present.append(rows[ok])
+        lcoords.append(lcoord)
+    present = np.concatenate(present)
+    x = x[:start]
     x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
     x *= 0.5
     block_ids = np.array(eqn.block_set)
@@ -802,8 +776,7 @@ def _gramian_members(eqn, tol):
     padded = np.sort(np.where(block_rows, block_ids, past), axis=1)
     padded[padded == past] = -1
     order = np.lexsort([*padded.T[::-1], rank])
-    return _Members(x, resid, tol.definiteness * scale, rank,
-                    [lcoord for _, _, lcoord in batches], block_ids, block_rows,
+    return _Members(x, resid, tol.definiteness * scale, rank, lcoords, block_ids, block_rows,
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present], order)
 
 
@@ -829,12 +802,11 @@ def _dead_units(lp, y, unit_of_col, rank_tol):
     return norm2 <= cut * cut
 
 
-def _batch_coordinates(stacks, tol):
-    """Coordinates of the members over every level of stacked supports:
-    for each ``(ls, ys)`` of ``stacks``, supports ``ls`` (N×n×k) with
-    Gramians ``ys`` (N×k×k), an ``(ok, q, lcoord)``. ``ok`` marks the
-    supports whose Gramian is nonsingular; ``q`` and ``lcoord`` hold those
-    members only.
+def _level_coordinates(ls, ys, tol):
+    """Coordinates of the members of one level of stacked supports:
+    supports ``ls`` (N×n×k) with Gramians ``ys`` (N×k×k), as ``(ok, q,
+    lcoord)``. ``ok`` marks the supports whose Gramian is nonsingular;
+    ``q`` and ``lcoord`` hold those members only.
 
     With ``ls = QR``, only R is factored; the Gramian in the basis Q is
     ``g = R⁻ᵀ Y R⁻¹``: one batched inverse of the triangular R and two
@@ -842,48 +814,38 @@ def _batch_coordinates(stacks, tol):
     ``Q = L R⁻¹``. The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``,
     inverted for the whole level at once. The rank rule σ_min(g) >
     tol.rank · max(1, σ_max(g)), on the moduli of the eigenvalues that
-    ``eigvalsh`` computes, is first decided for the unions of every level
-    in one pass of :func:`_certified_full_rank`, from the Frobenius norms
-    of g, g⁻¹ and I − g·g⁻¹; only the unions it does not certify, and
-    every union of a level where some g is exactly singular (``inv``
-    raises), go to ``eigvalsh``. So every verdict is the rule's.
+    ``eigvalsh`` computes, is first decided for the whole level in one
+    pass of :func:`_certified_full_rank`, from the Frobenius norms of g,
+    g⁻¹ and I − g·g⁻¹; only the unions it does not certify, or every
+    union of the level when some g is exactly singular (``inv`` raises),
+    go to ``eigvalsh``. So every verdict is the rule's.
     A present member's rank is k: ``ok`` asks σ_min(g) > tol.rank ·
     max(1, σ_max(g)), so every singular value of g⁻¹ exceeds tol.rank
     times the largest."""
-    levels, widths, squares = [], [], []
+    count, _, k = ls.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan fail the certificate
-        for ls, ys in stacks:
-            r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))  # serves both sides of R⁻ᵀ Y R⁻¹
-            g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
-            g = 0.5 * (g + np.swapaxes(g, 1, 2))
-            count, k = g.shape[:2]
-            try:
-                z = np.linalg.inv(g)
-            except np.linalg.LinAlgError:
-                z = None
-                squares.append(np.full((3, count), np.nan))
-            else:
-                resid = g @ z
-                resid.reshape(count, k * k)[:, :: k + 1] -= 1.0
-                squares.append([np.einsum("nij,nij->n", a, a) for a in (g, z, resid)])
-            levels.append((ls, r_inv, g, z))
-            widths.append(np.full(count, k))  # each union's column count
-        g_fro, z_fro, r_fro = np.sqrt(np.concatenate(squares, axis=1))
-        certified = _certified_full_rank(np.concatenate(widths), g_fro, z_fro, r_fro, tol.rank)
-    out = []
-    ends = np.cumsum([len(w) for w in widths])[:-1]
-    for (ls, r_inv, g, z), ok in zip(levels, np.split(certified, ends)):
-        undecided = ~ok
-        if undecided.any():
-            sv = np.abs(np.linalg.eigvalsh(g[undecided]))  # g is symmetric: its singular values
-            ok[undecided] = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
-        if not ok.all():
-            ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
-            z = None if z is None else z[ok]
-        if z is None:
+        r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))  # serves both sides of R⁻ᵀ Y R⁻¹
+        g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
+        g = 0.5 * (g + np.swapaxes(g, 1, 2))
+        try:
             z = np.linalg.inv(g)
-        out.append((ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))))
-    return out
+        except np.linalg.LinAlgError:
+            z, norms = None, np.full((3, count), np.nan)
+        else:
+            resid = g @ z
+            resid.reshape(count, k * k)[:, :: k + 1] -= 1.0
+            norms = np.sqrt([np.einsum("nij,nij->n", a, a) for a in (g, z, resid)])
+        ok = _certified_full_rank(k, *norms, tol.rank)
+    undecided = ~ok
+    if undecided.any():
+        sv = np.abs(np.linalg.eigvalsh(g[undecided]))  # g is symmetric: its singular values
+        ok[undecided] = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
+    if not ok.all():
+        ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
+        z = None if z is None else z[ok]
+    if z is None:
+        z = np.linalg.inv(g)
+    return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
 
 
 # Range of the computed ‖g‖_F and ‖g⁻¹‖_F over which the Gramian rank
@@ -895,9 +857,9 @@ _CERTIFIED_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
     """The unions whose Gramian is certified to pass the rank rule, from
-    the column counts ``k`` and the computed Frobenius norms of g, of
-    ``z = inv(g)`` and of the residual ``D = fl(g·z) − I`` (arrays, one
-    entry per union; nan where z is missing).
+    the column count ``k`` of their level and the computed Frobenius
+    norms of g, of ``z = inv(g)`` and of the residual ``D = fl(g·z) − I``
+    (arrays, one entry per union; nan where z is missing).
 
     Claim: let ĝ, ẑ, r̂ be those norms, u the unit roundoff, ``ρ =
     4γ_{k²+8}``, ``η = (r̂ + γ_k·ĝ·ẑ)(1 + ρ) + k·2⁻⁵³⁶`` and ``e =
@@ -905,7 +867,7 @@ def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
     ``η < 1`` and ``(1 − η)/(ẑ(1 + ρ)) − e > rank_tol · max(1, ĝ(1 + ρ)
     + e)(1 + ρ)``, then the moduli σ̂ of the eigenvalues that LAPACK's
     ``eigvalsh`` computes for g satisfy ``σ̂_min > rank_tol · max(1,
-    σ̂_max)``, the rule of :func:`_batch_coordinates`.
+    σ̂_max)``, the rule of :func:`_level_coordinates`.
 
     1. Norms: a computed Frobenius norm is a square root of a sum of k²
        rounded squares, so the true norm is at most ``(1 + γ_{k²+2})``

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from ariset import (
     NotASolution,
     NotRHPSelection,
     ParamPoint,
+    RiccatiError,
     SingularInput,
     Uncontrollable,
     are_residual,
@@ -436,6 +438,15 @@ def test_recover_roundtrip_both_ways(paper):
         assert np.abs(again.Lcoord - sol.Lcoord).max() <= 1e-9
 
 
+def test_parametrize_and_recover_refuse_a_matrix_of_the_wrong_order(paper):
+    _, form, split = paper
+    eqn = reduce(form, split, [0, 1])
+    with pytest.raises(InvalidInput, match=r"^P must be 2x2, got \(3, 3\)$"):
+        parametrize(eqn, np.eye(3))
+    with pytest.raises(InvalidInput, match=r"^Lhat must be 2x2, got \(3, 3\)$"):
+        recover_parameter(eqn, np.eye(3))
+
+
 def test_recover_rejects_singular_and_violating(paper):
     _, form, split = paper
     eqn = reduce(form, split, [0, 1])
@@ -586,6 +597,16 @@ def test_residuals_and_verify_refuse_a_matrix_of_the_wrong_order(paper):
         verify(form, k)
     with pytest.raises(InvalidInput, match=r"^X must be 3x3, got \(2, 2\)"):
         ric_residual(form, k)
+
+
+def test_verify_refuses_a_base_solution_inconsistent_with_the_data(paper):
+    # K0 moved off the base solution while A0 and M stay: Ric(K − K0) no
+    # longer equals the inhomogeneous residual at K
+    _, form, _ = paper
+    moved = dataclasses.replace(form, K0=form.K0 + 1)
+    with pytest.raises(RiccatiError, match=r"^residual routes disagree by .*; base solution "
+                                           r"is inconsistent with the problem data$"):
+        verify(moved, form.K0)
 
 
 def test_verify_inhomogeneous_problem():

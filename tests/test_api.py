@@ -4,6 +4,7 @@ default tolerances of the public kernels."""
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import ariset
 from ariset import DEFAULT, InvalidInput, Tolerances
 
 MODULES = ("analysis", "errors", "linalg", "riccati", "systems", "tolerances")
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # kernels that nothing in the pipeline calls; the last three stay defined in
 # ariset.linalg for the benchmark's tracer
@@ -45,6 +48,32 @@ def test_tolerances_reject_invalid_values(field):
             dataclasses.replace(DEFAULT, **{field: bad})
     for good in (0.0, 0, 1e-3, np.float64(2.0)):
         assert getattr(Tolerances(**{field: good}), field) == good
+
+
+def _readme_thresholds():
+    """``{"module.NAME": value}`` of the README's fixed-threshold table."""
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    next(line for line in lines if line.startswith("| Threshold | Where | Decision |"))
+    next(lines)  # the separator row
+    table = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        value, where = (cell.strip() for cell in line.split("|")[1:3])
+        table[where.strip("`")] = float(value)
+    return table
+
+
+def test_readme_threshold_table_names_every_fixed_threshold():
+    # every public module-level float constant is a fixed threshold
+    constants = {}
+    for module in MODULES + ("cli",):
+        for name, value in vars(importlib.import_module(f"ariset.{module}")).items():
+            if not name.startswith("_") and type(value) is float:
+                constants[f"{module}.{name}"] = value
+    assert all(name.endswith(("_RTOL", "_ATOL")) or name == "riccati.FAMILY_BACKWARD_ERROR"
+               for name in constants)
+    assert _readme_thresholds() == constants
 
 
 @pytest.mark.parametrize("func,param,field", [

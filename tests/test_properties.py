@@ -270,15 +270,16 @@ def test_pbh_pencil_at_twice_the_cut_goes_to_the_svd():
 
 # σ_min of a planted Gramian as a multiple of the rank cut, and the
 # exponents s of the factor 2^s it is scaled by: 2^±400 lie inside the
-# certificate's range of norms, 2^505 and 2^±600 outside it (at 2^505
-# every norm is still finite, so only the range keeps the certificate out)
+# certificate's range of norms, 2^505 and 2^±600 outside it but for a 1×1
+# Gramian, whose σ alone stays inside at 2^505 (at 2^505 every norm is
+# still finite, so only the range keeps the certificate out)
 CUT_RATIOS = (0.5, 0.99, 1.01, 2.0, 1e3)
 SCALE_EXPONENTS = (-600, -400, 0, 400, 505, 600)
 
 
 @st.composite
 def planted_gramian_stacks(draw):
-    """Levels ``(ls, ys)`` for ``riccati._batch_coordinates``, of 1..4
+    """Levels ``(ls, ys)`` for ``riccati._level_coordinates``, of 1..4
     supports each with distinct column counts k in 1..10, and per level
     the ``(ratio, exponent)`` of every row, or None for a row whose
     Gramian is exactly singular. A row's Gramian ``g = R⁻ᵀ Y R⁻¹`` is
@@ -319,7 +320,7 @@ def planted_gramian_stacks(draw):
 
 
 def _eigvalsh_coordinates(ls, ys, tol):
-    """Oracle for one level of ``_batch_coordinates``: the rank rule from
+    """Oracle for ``_level_coordinates``: the rank rule from
     ``eigvalsh`` on every Gramian, then ``inv`` of the passing ones."""
     r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))
     g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
@@ -347,23 +348,29 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
         rule_rows.append(len(a))
         return eigvalsh(a)
 
-    with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
-            mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
-        got = riccati._batch_coordinates(levels, DEFAULT)
-    (mask,) = certified
-    assert sum(rule_rows) == np.count_nonzero(~mask)
-    for (ls, ys), plan, (ok, q, lcoord), cert in zip(
-            levels, plans, got, np.split(mask, np.cumsum([len(p) for p in plans])[:-1])):
+    low, high = riccati._CERTIFIED_RANGE
+    for (ls, ys), plan in zip(levels, plans):
+        certified.clear()
+        rule_rows.clear()
+        with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
+                mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
+            got = riccati._level_coordinates(ls, ys, DEFAULT)
+        (cert,) = certified  # one certificate call per level
+        assert sum(rule_rows) == np.count_nonzero(~cert)
         want = _eigvalsh_coordinates(ls, ys, DEFAULT)
-        for a, b in zip((ok, q, lcoord), want):
+        for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        ok = got[0]
         assert ok[cert].all()  # a certified row passes the eigvalsh rule
         for row, planted in enumerate(plan):
             if planted is None:  # an exactly singular g: the level goes to eigvalsh
                 assert not cert.any() and not ok[row]
                 continue
             ratio, exponent = planted
-            if abs(exponent) > 500:  # outside the certificate's range
+            sigma = np.geomspace(ratio * DEFAULT.rank, 1.0, len(ls[row].T))
+            norms = (2.0 ** exponent * np.linalg.norm(sigma),
+                     2.0 ** -exponent * np.linalg.norm(1.0 / sigma))
+            if not all(low <= norm <= high for norm in norms):  # outside the certificate's range
                 assert not cert[row]
             # σ_min below the cut, or 2^s·σ_max below 1, where the cut is
             # absolute (a 1×1 Gramian passes above the cut at any scale)

@@ -113,6 +113,19 @@ def test_base_unknown_kind():
         solve_base_are(problem, kind="newton")
 
 
+def test_base_given_requires_k0():
+    problem = RiccatiProblem(A=[[1.0]], B=[[1.0]])
+    with pytest.raises(InvalidInput, match=r'^kind="given" requires k0$'):
+        solve_base_are(problem, kind="given")
+
+
+def test_problem_refuses_b_and_q_of_the_wrong_size():
+    with pytest.raises(InvalidInput, match=r"^B must have 2 rows, got 3$"):
+        RiccatiProblem(A=np.eye(2), B=np.ones((3, 1)))
+    with pytest.raises(InvalidInput, match=r"^Q must be 2x2, got \(3, 3\)$"):
+        RiccatiProblem(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # residual
 
@@ -591,9 +604,9 @@ def test_family_rejects_a_member_over_its_residual_gate(monkeypatch):
     assert len(schur_family(form, split)) > 1
     exact = riccati._cluster_gramian
 
-    def perturbed(lam, c, cols, clash):
-        y = exact(lam, c, cols, clash)
-        return (1 + 1e-4) * y + 1e-4 * np.abs(y).max() * np.eye(len(y))
+    def perturbed(lam, c, cols):
+        y, clash = exact(lam, c, cols)
+        return (1 + 1e-4) * y + 1e-4 * np.abs(y).max() * np.eye(len(y)), clash
 
     monkeypatch.setattr(riccati, "_cluster_gramian", perturbed)
     with pytest.raises(RiccatiError, match="family member residual .* exceeds"):
@@ -629,13 +642,13 @@ def test_family_gates_members_of_a_middle_column_count(monkeypatch):
         seen["lp"], lam = bases(eqn, cols)
         return seen["lp"], lam
 
-    def perturbed(lam, c, cols, clash):
-        y = gramian(lam, c, cols, clash)
+    def perturbed(lam, c, cols):
+        y, clash = gramian(lam, c, cols)
         cu, cv = [cu for cu in cols if len(cu) == 2]
         y[np.ix_(cu, cv)] += 1e-11 * np.abs(y).max()
         y[np.ix_(cv, cu)] = y[np.ix_(cu, cv)].T
         seen.update(y=y, cols=cols, clash=clash)
-        return y
+        return y, clash
 
     monkeypatch.setattr(riccati, "_cluster_bases", spy)
     monkeypatch.setattr(riccati, "_cluster_gramian", perturbed)
@@ -760,8 +773,8 @@ def _planted_pair_system():
 
 def _factored_supports(form, split, monkeypatch):
     """The family, its cluster columns and the column sets of the supports
-    that reach ``_batch_coordinates``."""
-    bases, coordinates = riccati._cluster_bases, riccati._batch_coordinates
+    that reach ``_level_coordinates``."""
+    bases, coordinates = riccati._cluster_bases, riccati._level_coordinates
     seen, supports = {}, []
 
     def spy_bases(eqn, cols):
@@ -769,13 +782,12 @@ def _factored_supports(form, split, monkeypatch):
         seen.update(lp=lp, cols=cols)
         return lp, lam
 
-    def spy_coordinates(stacks, tol):
-        for ls, _ in stacks:
-            supports.extend(ls)
-        return coordinates(stacks, tol)
+    def spy_coordinates(ls, ys, tol):
+        supports.extend(ls)
+        return coordinates(ls, ys, tol)
 
     monkeypatch.setattr(riccati, "_cluster_bases", spy_bases)
-    monkeypatch.setattr(riccati, "_batch_coordinates", spy_coordinates)
+    monkeypatch.setattr(riccati, "_level_coordinates", spy_coordinates)
     family = schur_family(form, split)
     monkeypatch.undo()
     lp = seen["lp"]
@@ -817,6 +829,15 @@ def test_family_factors_every_union_of_a_weakly_controllable_cluster(
     assert [sol.block_set for sol in family] == members
     assert sorted(map(sorted, held)) == [[0], [0, 1], [1]]
     assert_family_is_direct(form, split, family)
+
+
+def test_family_of_axis_blocks_only_is_the_zero_solution():
+    # the controllable pair ±i is the only block, and axis blocks never
+    # take part: nothing is reduced or solved
+    form, split = homogeneous_setup(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0], [0.0]]))
+    assert [(blk.half_plane, blk.controllable) for blk in split.blocks] == [("AXIS", True)]
+    family = schur_family(form, split)
+    assert len(family) == 1 and family[0].block_set == () and not family[0].X.any()
 
 
 def test_family_of_a_system_b_misses_is_the_zero_solution(monkeypatch):
@@ -1067,7 +1088,7 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
     sylvester = {"direct": 0, "gramian": 0, "bases": 0, "cluster-gramian": 0}
     reorder = dict.fromkeys(sylvester, 0)
-    phase = ["direct"]
+    phase, returned = ["direct"], {}
 
     def counting(calls, fn):
         def wrapped(*args, **kwargs):
@@ -1079,7 +1100,8 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
         def wrapped(*args, **kwargs):
             phase.append(name)
             try:
-                return fn(*args, **kwargs)
+                returned[name] = args, fn(*args, **kwargs)
+                return returned[name][1]
             finally:
                 phase.pop()
         return wrapped
@@ -1095,9 +1117,13 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
     at_axis = {blk.cluster for blk in split.blocks if blk.half_plane == "AXIS"}
     clusters = {blk.cluster for blk in split.blocks
                 if blk.half_plane != "AXIS" and blk.cluster not in at_axis}
-    # pair by pair it would take C(C+1)/2 calls, more than C once C >= 2
+    # one call for the whole Gramian; only when a pair clashes does the
+    # kernel go pair by pair, at most C(C+1)/2 calls more
     assert len(clusters) >= 2
-    assert 1 <= sylvester["cluster-gramian"] <= len(clusters)
+    (lam, _, cols), (_, clash) = returned["cluster-gramian"]
+    pairs = len(clusters) * (len(clusters) + 1) // 2
+    assert 1 <= sylvester["cluster-gramian"] <= (1 + pairs if clash.any() else 1)
+    assert clash.any() == (case == "mirrored-pair")
     # each cluster's subspace is one Schur reordering, and nothing else
     # in the family's Gramian route solves a Sylvester equation
     assert reorder["bases"] == len(clusters)
@@ -1105,6 +1131,9 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
     assert sylvester["gramian"] == sylvester["bases"] == 0
     # and nothing outside it: no block set is solved a second way
     assert sylvester["direct"] == 0
+    # the clashes are exactly the pairs the kernel refuses on their own
+    monkeypatch.undo()
+    assert _clash_pairs(clash) == _kernel_refusals(lam, cols)
 
 
 def test_family_refuses_clusters_the_reordering_cannot_separate(monkeypatch, tmp_path, capsys):
@@ -1148,8 +1177,8 @@ def _planted_clash_lambda(factor):
     # cluster 0 {1, 2.5} meets cluster 2 {-1 + d02, -3}; cluster 1 {2 ± 1.5i}
     # meets cluster 3 {-2 + d13 ± 1.5i, 9}; cluster 4 {0.6, -0.6 + d44}
     # meets itself. Each d is factor times the cutoff at max(1, ρ_u + ρ_v).
-    # At factor 2, d02 is below the cutoff at cluster 0's ρ plus the
-    # largest ρ of its row, 2.5 + 9.
+    # At factor 2, d02 is below the cutoff at the whole Λ's scale, 9 + 9,
+    # so the kernel refuses one call for the whole Gramian.
     cut = linalg.SYLVESTER_SEP_RTOL
     d02, d13, d44 = (factor * cut * scale for scale in (2.5 + 3.0, 2.5 + 9.0, 1.2))
     pair = lambda re, im: np.array([[re, im], [-im, re]])
@@ -1160,23 +1189,41 @@ def _planted_clash_lambda(factor):
     return _clustered_lambda(np.random.default_rng(113), blocks, labels)
 
 
-@pytest.mark.parametrize("factor, planted", [(0.5, {(0, 2), (1, 3), (4, 4)}), (2.0, set())])
-def test_clash_table_marks_exactly_the_pairs_the_kernel_refuses(factor, planted):
-    lam, unit_of_col = _planted_clash_lambda(factor)
-    cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
-    table = riccati._clash_table(lam, unit_of_col)
-    assert np.array_equal(table, table.T)
+def _kernel_refusals(lam, cols):
+    """The cluster pairs (u <= v) whose Gramian block the kernel refuses on
+    its own: its separation test at the pair's scale, or a perturbed solve."""
     rng = np.random.default_rng(127)
     refused = set()
-    for u, v in itertools.combinations_with_replacement(range(5), 2):
+    for u, v in itertools.combinations_with_replacement(range(len(cols)), 2):
         c = rng.standard_normal((len(cols[u]), len(cols[v])))
         try:
             linalg._solve_quasi_triangular(lam[np.ix_(cols[u], cols[u])],
                                            lam[np.ix_(cols[v], cols[v])], c, trana="T")
         except SingularSylvester:
             refused.add((u, v))
+    return refused
+
+
+def _clash_pairs(clash):
+    assert np.array_equal(clash, clash.T)
+    return {(u, v) for u, v in zip(*np.nonzero(clash)) if u <= v}
+
+
+# the clashes planted at each factor: at 0.5 three pairs sit below their
+# cutoff; at 2.0 none does, though the whole Λ's larger scale refuses the
+# one call; at 3e9 every pair is separated by 0.3 times its scale
+PLANTED_CLASHES = {0.5: {(0, 2), (1, 3), (4, 4)}, 2.0: set(), 3e9: set()}
+
+
+@pytest.mark.parametrize("factor, planted", sorted(PLANTED_CLASHES.items()))
+def test_clash_table_marks_exactly_the_pairs_the_kernel_refuses(factor, planted):
+    lam, unit_of_col = _planted_clash_lambda(factor)
+    cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
+    g = np.random.default_rng(131).standard_normal((lam.shape[0], 3))
+    _, clash = riccati._cluster_gramian(lam, g @ g.T, cols)
+    refused = _kernel_refusals(lam, cols)
     assert refused == planted
-    assert {(u, v) for u, v in zip(*np.nonzero(table)) if u <= v} == refused
+    assert _clash_pairs(clash) == refused
 
 
 def _pairwise_gramian(lam, c, cols, clash):
@@ -1191,31 +1238,24 @@ def _pairwise_gramian(lam, c, cols, clash):
     return y
 
 
-# the gap to the pairwise oracle allowed at each factor: at 2.0 the one
-# call sums each entry's terms in another order than the oracle, and pairs
-# at twice the separation cutoff amplify that rounding (the gap measures
-# 3.7e-10 relative); at 3e9 every pair is separated by 0.3 times its scale
-ORACLE_RTOL = {0.5: 1e-12, 2.0: 2e-9, 3e9: 1e-12}
-
-
-@pytest.mark.parametrize("factor", sorted(ORACLE_RTOL))
+@pytest.mark.parametrize("factor", sorted(PLANTED_CLASHES))
 def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
     lam, unit_of_col = _planted_clash_lambda(factor)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
     g = np.random.default_rng(131).standard_normal((lam.shape[0], 3))
     c = g @ g.T
-    clash = riccati._clash_table(lam, unit_of_col)
     calls = []
     solve = linalg.lapack.dtrsyl
     monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    y = riccati._cluster_gramian(lam, c, cols, clash.copy())
+    y, clash = riccati._cluster_gramian(lam, c, cols)
     monkeypatch.undo()
-    # with no clash, one call for the whole Gramian; otherwise one call
-    # per cluster row that has a non-clashing partner
-    rows = sum(not clash[u, u:].all() for u in range(5))
-    assert len(calls) == (rows if clash.any() else 1)
+    assert _clash_pairs(clash) == PLANTED_CLASHES[factor]
+    # one call for the whole Gramian when its separation test passes (at
+    # 3e9); otherwise the test refuses it before dtrsyl runs, and every
+    # pair the kernel accepts is one call
+    assert len(calls) == (1 if factor == 3e9 else 15 - len(PLANTED_CLASHES[factor]))
     want = _pairwise_gramian(lam, c, cols, clash)
-    assert np.abs(y - want).max() <= ORACLE_RTOL[factor] * np.abs(want).max()
+    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
     solved = ~clash[np.ix_(unit_of_col, unit_of_col)]
     resid = (y @ lam + lam.T @ y - c)[solved]
     assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(y).max())
@@ -1223,33 +1263,30 @@ def test_cluster_gramian_solves_every_non_clashing_pair(factor, monkeypatch):
 
 
 def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
-    # dtrsyl reports a perturbation on the whole Gramian, on cluster 0's
-    # whole row and on its pair with cluster 2: the Gramian is solved row
-    # by row, cluster 0's row pair by pair, and only that pair becomes a
-    # clash
-    lam, unit_of_col = _planted_clash_lambda(2.0)
+    # dtrsyl reports a perturbation on the whole Gramian, which passes the
+    # separation test, and on the pair of clusters 0 and 2: the Gramian is
+    # solved pair by pair, and only that pair becomes a clash
+    lam, unit_of_col = _planted_clash_lambda(3e9)
     cols = [np.flatnonzero(unit_of_col == u) for u in range(5)]
     g = np.random.default_rng(137).standard_normal((lam.shape[0], 2))
     c = g @ g.T
-    clash = riccati._clash_table(lam, unit_of_col)
-    assert not clash.any()
     blocks = {u: lam[np.ix_(cu, cu)] for u, cu in enumerate(cols)}
-    solve = linalg.lapack.dtrsyl
+    solve, calls = linalg.lapack.dtrsyl, []
 
     def perturbing(tf, tg, rhs, **kwargs):
-        if len(tf) == len(lam) or np.array_equal(tf, blocks[0]) and (
-                len(tg) > len(cols[0]) + len(cols[1]) or np.array_equal(tg, blocks[2])):
+        calls.append(len(tf))
+        if len(tf) == len(lam) or np.array_equal(tf, blocks[0]) and np.array_equal(tg, blocks[2]):
             return rhs, 1.0, 1
         return solve(tf, tg, rhs, **kwargs)
 
     monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbing)
-    y = riccati._cluster_gramian(lam, c, cols, clash)
+    y, clash = riccati._cluster_gramian(lam, c, cols)
     monkeypatch.undo()
-    expected = np.zeros((5, 5), dtype=bool)
-    expected[0, 2] = expected[2, 0] = True
-    assert np.array_equal(clash, expected)
-    want = _pairwise_gramian(lam, c, cols, expected)
+    assert calls[0] == len(lam) and len(calls) == 1 + 15
+    assert _clash_pairs(clash) == {(0, 2)}
+    want = _pairwise_gramian(lam, c, cols, clash)
     assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+    assert not y[np.ix_(cols[0], cols[2])].any()
 
 
 def test_lyapunov_factors_one_schur_form(schur_calls):
@@ -1273,6 +1310,16 @@ def test_degenerate_everything_zero_and_uncontrolled():
 
 # ---------------------------------------------------------------------------
 # degenerate axis blocks
+
+
+def test_rays_refuse_a_shared_cluster_whose_kernel_is_empty(monkeypatch):
+    # A0 = 0, B = 0: two uncontrollable zero blocks share one cluster
+    form, split = homogeneous_setup(np.zeros((2, 2)), np.zeros((2, 1)))
+    assert len({blk.cluster for blk in split.blocks}) == 1
+    monkeypatch.setattr(riccati, "_uncontrollable_directions", lambda form, lam, tol: [])
+    with pytest.raises(DegenerateSpectrum, match=r"^uncontrollable block 0 shares its "
+                                                 r"cluster but .* has no kernel$"):
+        degenerate_classify(form, split)
 
 
 def test_degenerate_controllable_zero_is_trivial():

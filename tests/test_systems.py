@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ariset import pbh_classify, spectral_split
+from ariset import InvalidInput, pbh_classify, spectral_split
 
 from conftest import build_system, draw_spectrum, kalman_rank
 
@@ -54,6 +54,11 @@ def test_split_groups_worked_example():
     split = spectral_split(np.diag([1.0, 2.0, -4.0]), np.ones((3, 1)))
     assert [blk.half_plane for blk in split.blocks] == ["RHP", "RHP", "LHP"]
     assert split.indices(half_plane="AXIS") == []
+
+
+def test_split_refuses_b_of_the_wrong_row_count():
+    with pytest.raises(InvalidInput, match=r"^B must have 2 rows, got 3$"):
+        spectral_split(np.eye(2), np.ones((3, 1)))
 
 
 def test_split_scalar_axis():
