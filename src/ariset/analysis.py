@@ -10,6 +10,7 @@ feedback, and certified inequality verification.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import _check_nonsingular, _solve_lyapunov_schur, as_matrix, definiteness, symmetrize
+from .linalg import _check_nonsingular, as_matrix, definiteness, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
@@ -154,12 +155,13 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
     Returns ``"semidefinite-rank<=1"`` when ``alpha`` is zero (then X and
     Ric(X) vanish) or ``v`` is an eigenvector of A0ᵀ within tolerance
     (then Ric(X) has rank at most one and a single sign); otherwise
-    ``"indefinite"``. A non-finite ``alpha``, or a ``v`` of any shape but
-    (n,), (n, 1) or (1, n), raises :class:`InvalidInput`.
+    ``"indefinite"``. An ``alpha`` that is not a finite real number (a
+    bool, string, complex number or array is not), or a ``v`` of any
+    shape but (n,), (n, 1) or (1, n), raises :class:`InvalidInput`.
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not math.isfinite(alpha):
+        raise InvalidInput(f"alpha must be a finite real number, got {alpha!r}")
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise InvalidInput(f"alpha must be finite, got {alpha!r}")
     vec = as_matrix(v, name="v")
     n = form.problem.n
     if vec.shape not in ((n, 1), (1, n)):  # as_matrix makes a column of (n,)
@@ -291,11 +293,12 @@ def parametrize(
 ):
     """Reduced inequality solution attached to a PSD parameter.
 
-    Solves the perturbation equation Delta Dk + Dkᵀ Delta = P, forms
-    Yhat = Y* + Delta around the inverse of the maximal reduced solution,
-    and returns the solution with coordinates Yhat⁻¹. The attached
-    certificate is evaluated on the reduced residual (which equals
-    −Lhat P Lhat) and is strict exactly when P is positive definite.
+    Solves Yhat Dk + Dkᵀ Yhat = Mk + P in one reduced Gramian solve: Yhat
+    = Y* + Delta, with Y* Dk + Dkᵀ Y* = Mk and Delta Dk + Dkᵀ Delta = P,
+    so :func:`recover_parameter`'s P = Yhat Dk + Dkᵀ Yhat − Mk inverts it.
+    Returns the solution with coordinates Lhat = Yhat⁻¹. The certificate
+    is evaluated on the reduced residual (which equals −Lhat P Lhat) and is
+    strict exactly when P is positive definite.
 
     ``point`` may be a :class:`ParamPoint` or a bare symmetric array.
     """
@@ -315,9 +318,7 @@ def parametrize(
         raise InvalidInput(f"P must be positive semidefinite, got {p_verdict.kind}")
     strict = p_verdict.kind == "positive-definite"
 
-    y_star = solve_reduced_gramian(eqn)
-    delta = _solve_lyapunov_schur(-eqn.Dk, p, tol.axis)
-    y_hat = y_star + delta
+    y_hat = solve_reduced_gramian(eqn, eqn.Mk + p)
     _check_nonsingular(y_hat, tol.rank, SingularInput, "perturbed Gramian is singular")
     lhat = np.linalg.inv(y_hat)
     lhat = 0.5 * (lhat + lhat.T)

@@ -465,47 +465,33 @@ def solve_sylvester(f, g, c, sep_tol=SYLVESTER_SEP_RTOL):
     return uf @ y @ ug.T
 
 
-def solve_lyapunov_stable(f, c, axis_tol=1e-8, sym_tol=1e-8):
+def solve_lyapunov_stable(f, c, axis_tol=DEFAULT.axis, sym_tol=DEFAULT.sym):
     """Solve ``F^T P + P F = -C`` for Hurwitz ``F`` and symmetric ``C``.
 
     For ``C >= 0`` the unique solution is the integral of
     ``exp(F^T t) C exp(F t)`` over ``t >= 0`` and is positive
     semidefinite. One real Schur form ``F = U T U^T`` serves both the
-    Hurwitz check and the solve ``T^T P' + P' T = -U^T C U``
-    (:func:`_solve_lyapunov_schur`).
+    Hurwitz check, on the eigenvalues read from the diagonal blocks of
+    ``T``, and the solve ``T^T P' + P' T = -U^T C U`` by
+    :func:`_solve_quasi_triangular`.
 
     Raises
     ------
     NotHurwitz
-        When some eigenvalue of ``F`` has real part >= ``-axis_tol * ||F||``.
+        When some eigenvalue of ``F`` has real part >= ``-axis_tol * ||T||_2``
+        (``||T||_2 = ||F||_2`` up to rounding).
     """
     fm = as_matrix(f, name="F", square=True)
     cm = symmetrize(c, sym_tol=sym_tol, name="C")
     t, u = schur(fm, output="real")
-    p = u @ _solve_lyapunov_schur(t, u.T @ cm @ u, axis_tol) @ u.T
-    return 0.5 * (p + p.T)
-
-
-def _solve_lyapunov_schur(t, c, axis_tol):
-    """Solve ``T^T P + P T = -C`` for a quasi-upper-triangular ``T`` and
-    symmetric ``C``.
-
-    ``T`` must be Hurwitz: every eigenvalue, read from its diagonal
-    blocks, has real part below ``-axis_tol * ||T||_2``. Returns the
-    symmetric part of the solution.
-
-    Raises
-    ------
-    NotHurwitz
-        When some eigenvalue of ``T`` has real part >= ``-axis_tol * ||T||_2``.
-    """
     w = _row_eigenvalues(t)
     margin = axis_tol * _norm2(t)
     if float(w.real.max()) >= -margin:
         raise NotHurwitz(
             f"F has an eigenvalue with real part {w.real.max():.3e} >= {-margin:.3e}"
         )
-    p = _solve_quasi_triangular(t, t, -c, trana="T")
+    p = _solve_quasi_triangular(t, t, -(u.T @ cm @ u), trana="T")
+    p = u @ (0.5 * (p + p.T)) @ u.T
     return 0.5 * (p + p.T)
 
 
@@ -513,7 +499,7 @@ def _solve_lyapunov_schur(t, c, axis_tol):
 # Schur complement
 
 
-def schur_complement(s, keep: Sequence[int], rank_tol=1e-10, sym_tol=1e-8):
+def schur_complement(s, keep: Sequence[int], rank_tol=DEFAULT.rank, sym_tol=DEFAULT.sym):
     """Schur complement of a symmetric matrix onto the kept index set.
 
     Returns ``S[keep, keep] - S[keep, drop] S[drop, drop]^{-1} S[drop, keep]``

@@ -48,7 +48,7 @@ from .linalg import (
     symmetrize,
     verdict_from_extremes,
 )
-from .systems import AXIS, SpectralSplit
+from .systems import AXIS, SpectralSplit, _input_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -101,10 +101,8 @@ class RiccatiProblem:
 
     def __post_init__(self):
         a = as_matrix(self.A, name="A", square=True)
-        b = as_matrix(self.B, name="B")
         n = a.shape[0]
-        if b.shape[0] != n:
-            raise InvalidInput(f"B must have {n} rows, got {b.shape[0]}")
+        b = _input_matrix(self.B, n)
         q = np.zeros((n, n)) if self.Q is None else _symmetric_of_order(self.Q, n, "Q")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
@@ -446,11 +444,11 @@ def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
     )
 
 
-def solve_reduced_gramian(eqn: SimplifiedEquation):
-    """Solve ``Y Dk + Dkᵀ Y = Mk`` for the inverse of the maximal reduced
-    solution. Singular spectra (axis blocks, mirrored pairs) raise
-    :class:`SingularSylvester`."""
-    y = _solve_quasi_triangular(eqn.Dk, eqn.Dk, eqn.Mk, trana="T")
+def solve_reduced_gramian(eqn: SimplifiedEquation, c):
+    """Solve ``Y Dk + Dkᵀ Y = C`` for a symmetric k×k ``C``: at ``C = Mk``,
+    the inverse of the maximal reduced solution. Singular spectra (axis
+    blocks, mirrored pairs) raise :class:`SingularSylvester`."""
+    y = _solve_quasi_triangular(eqn.Dk, eqn.Dk, c, trana="T")
     return 0.5 * (y + y.T)
 
 
@@ -468,7 +466,7 @@ def full_rank_simplified_solution(eqn: SimplifiedEquation, tol: Tolerances = DEF
         ``Y`` is singular within rank tolerance (typical for selections
         containing uncontrollable blocks).
     """
-    y = solve_reduced_gramian(eqn)
+    y = solve_reduced_gramian(eqn, eqn.Mk)
     _check_nonsingular(y, tol.rank, SingularY,
                        "reduced Gramian is singular (smallest singular value "
                        "{sv_min:.3e}); the selected blocks admit no full-rank solution")
@@ -550,19 +548,17 @@ def _cluster_gramian(lam, c, cols):
 
 
 class _Members(NamedTuple):
-    """The present members of a family over ``eqn``, one row each, in the
-    order they were computed."""
+    """The present members of a family over ``eqn``, one row each, sorted
+    by (rank, block_set); a member's rank is its column count."""
 
     x: np.ndarray  # (N, n, n) stack of X
     residual: np.ndarray  # (N, n, n) stack of Ric(X)
     cut: np.ndarray  # (N,) residual cuts
-    rank: np.ndarray  # (N,)
     lcoords: list  # Lcoord stacks of the levels of equal column count, in row order
     block_ids: np.ndarray  # eqn.block_set
     block_rows: np.ndarray  # (N, len(block_ids)) membership of the blocks
     eigenvalues: np.ndarray  # eqn.eigenvalues as an object array
     col_rows: np.ndarray  # (N, eqn.k) membership of the columns of Lk
-    order: np.ndarray  # the rows sorted by (rank, block_set)
 
 
 class _ResidualExtremes:
@@ -584,16 +580,17 @@ class SolutionFamily(Sequence):
     sequence of :class:`AriSolution`, sorted by ``(rank, block_set)``.
 
     Member 0 is the zero solution. The others stay in the stacked arrays
-    the family was computed in (X, Ric(X), residual cuts, ranks, Lcoord
-    and boolean rows of block and column membership), and a member's
-    :class:`AriSolution` is built on its first read, by index, slice or
-    iteration, and then kept, so ``family[i] is family[i]``. Its ``X``
-    and ``residual`` are views into the stacks. The Python fields of all
-    members (the ``block_set`` and ``eigenvalues`` tuples, ranks and
-    cuts) are built together, in one pass over the rows, on the first
-    read of any member but the zero solution, and the extreme eigenvalues
-    of all residuals, for ``residual_verdict``, in one stacked ``eigvalsh``
-    on the first read of any member's verdict. A slice returns a list.
+    the family was computed in, whose rows are already in the family's
+    order (X, Ric(X), residual cuts, Lcoord and boolean rows of block and
+    column membership), and a member's :class:`AriSolution` is built on
+    its first read, by index, slice or iteration, and then kept, so
+    ``family[i] is family[i]``. Its ``X`` and ``residual`` are views into
+    the stacks. The Python fields of all members (the ``block_set`` and
+    ``eigenvalues`` tuples and cuts) are built together, in one pass over
+    the rows, on the first read of any member but the zero solution, and
+    the extreme eigenvalues of all residuals, for ``residual_verdict``, in
+    one stacked ``eigvalsh`` on the first read of any member's verdict. A
+    slice returns a list.
     """
 
     def __init__(self, form, tol, members=None):
@@ -624,10 +621,10 @@ class SolutionFamily(Sequence):
     def _build(self, i):
         if i == 0:
             return zero_solution(self._form, self._tol)
-        order, lcoords, block_sets, ranks, cuts, eigenvalues = self._python_fields
-        p = order[i - 1]
+        lcoords, block_sets, cuts, eigenvalues = self._python_fields
+        p = i - 1
         m = self._members
-        sol = AriSolution(m.x[p], lcoords[p], block_sets[p], ranks[p], m.residual[p],
+        sol = AriSolution(m.x[p], lcoords[p], block_sets[p], len(lcoords[p]), m.residual[p],
                           cuts[p], eigenvalues[p])
         object.__setattr__(sol, "_stacked", (self._extremes, p))
         return sol
@@ -638,11 +635,10 @@ class SolutionFamily(Sequence):
 
     @cached_property
     def _python_fields(self):
-        """Per row: the sort order and Lcoord, block_set, rank, residual
-        cut and eigenvalues as the Python objects a member holds."""
+        """Per row: the Lcoord, block_set, residual cut and eigenvalues as
+        the Python objects a member holds."""
         m = self._members
-        return (m.order.tolist(), list(chain.from_iterable(m.lcoords)),
-                _rows_as_tuples(m.block_ids, m.block_rows), m.rank.tolist(),
+        return (list(chain.from_iterable(m.lcoords)), _rows_as_tuples(m.block_ids, m.block_rows),
                 m.cut.tolist(), _rows_as_tuples(m.eigenvalues, m.col_rows))
 
 
@@ -745,11 +741,20 @@ def _gramian_members(eqn, tol):
     pick = pick[~np.any((pick @ clash) & pick, axis=1) & ~(pick @ dead)]
     if not len(pick):
         return None
+    # the rows in the family's order, by (column count, block_set) as
+    # tuples compare: each row's blocks ascending, then padded with −1 so
+    # that a prefix sorts first
+    block_ids = np.array(eqn.block_set)
+    past = int(block_ids.max()) + 1
+    padded = np.sort(np.where(pick[:, unit_of_block], block_ids, past), axis=1)
+    padded[padded == past] = -1
+    ncols = pick @ np.bincount(unit_of_col)
+    order = np.lexsort([*padded.T[::-1], ncols])
+    pick, ncols = pick[order], ncols[order]
     col_pick = pick[:, unit_of_col]
-    ncols = col_pick.sum(axis=1)
-    # each level of equal column count, fewest columns first: its present
-    # rows, their Lcoord, and every member's X = Q g⁻¹ Qᵀ in the next rows
-    # of one stack
+    # each level of equal column count, a run of rows: its present rows,
+    # their Lcoord, and every member's X = Q g⁻¹ Qᵀ in the next rows of one
+    # stack
     x = np.empty((len(pick), len(lp), len(lp)))
     present, lcoords, start = [], [], 0
     for k in np.unique(ncols):
@@ -765,19 +770,10 @@ def _gramian_members(eqn, tol):
     x = x[:start]
     x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
     x *= 0.5
-    block_ids = np.array(eqn.block_set)
     block_rows = pick[present][:, unit_of_block]
     resid, scale = _gated_residuals(form, x, block_ids, block_rows)
-
-    rank = ncols[present]
-    # sort by (rank, block_set) as tuples compare: each row's blocks
-    # ascending, then padded with −1 so that a prefix sorts first
-    past = int(block_ids.max()) + 1
-    padded = np.sort(np.where(block_rows, block_ids, past), axis=1)
-    padded[padded == past] = -1
-    order = np.lexsort([*padded.T[::-1], rank])
-    return _Members(x, resid, tol.definiteness * scale, rank, lcoords, block_ids, block_rows,
-                    np.array(eqn.eigenvalues, dtype=object), col_pick[present], order)
+    return _Members(x, resid, tol.definiteness * scale, lcoords, block_ids, block_rows,
+                    np.array(eqn.eigenvalues, dtype=object), col_pick[present])
 
 
 def _dead_units(lp, y, unit_of_col, rank_tol):

@@ -80,6 +80,15 @@ class SpectralSplit:
         return cols
 
 
+def _input_matrix(b, n):
+    """``b`` by :func:`as_matrix` as the input matrix of an order-``n``
+    system, raising :class:`InvalidInput` unless it has n rows."""
+    bm = as_matrix(b, name="B")
+    if bm.shape[0] != n:
+        raise InvalidInput(f"B must have {n} rows, got {bm.shape[0]}")
+    return bm
+
+
 def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     """Return a copy of ``split`` with controllability tags recomputed.
 
@@ -99,7 +108,7 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     is the rule's.
     """
     am = as_matrix(a0, name="A0", square=True)
-    bm = as_matrix(b, name="B")
+    bm = _input_matrix(b, am.shape[0])
     n, m = bm.shape
     w = np.hstack([am, bm])
     lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
@@ -271,11 +280,7 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     SpectralSplit
     """
     am = as_matrix(a0, name="A0", square=True)
-    bm = as_matrix(b, name="B")
-    if bm.shape[0] != am.shape[0]:
-        raise InvalidInput(
-            f"B must have {am.shape[0]} rows, got {bm.shape[0]}"
-        )
+    bm = _input_matrix(b, am.shape[0])
     axis_abs = tol.axis * _norm2(am)
 
     def classify(lam):

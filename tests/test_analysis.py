@@ -27,7 +27,7 @@ from ariset import (
     schur_family,
     verify,
 )
-from ariset import analysis
+from ariset import analysis, linalg
 from ariset.linalg import solve_lyapunov_stable
 
 from conftest import (
@@ -125,6 +125,22 @@ def test_rank_one_requires_finite_alpha(paper, alpha):
     _, form, _ = paper
     with pytest.raises(InvalidInput):
         rank_one_classify(form, [1.0, 0.0, 0.0], alpha)
+
+
+@pytest.mark.parametrize("alpha", ["abc", "1.0", None, 1j, True, np.ones(2), np.array(1.0)],
+                         ids=["string", "numeric-string", "none", "complex", "bool",
+                              "array", "0-d-array"])
+def test_rank_one_requires_a_real_alpha(paper, alpha):
+    _, form, _ = paper
+    with pytest.raises(InvalidInput, match="^alpha must be a finite real number"):
+        rank_one_classify(form, [1.0, 0.0, 0.0], alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, np.int64(2), np.float64(2.0), 2.0])
+def test_rank_one_takes_any_real_alpha(paper, alpha):
+    _, form, _ = paper
+    assert rank_one_classify(form, [1.0, 0.0, 0.0], alpha) == \
+        rank_one_classify(form, [1.0, 0.0, 0.0], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +309,10 @@ def test_boundedness_of_a_jordan_chain_off_the_axis():
     assert all(_sweep_ok(form, w) for w in report.witnesses)
 
 
-def test_boundedness_and_parametrize_factor_no_schur_form(schur_calls):
+def test_boundedness_and_parametrize_factor_no_schur_form(schur_calls, monkeypatch):
     # rays on an uncontrollable RHP pair and LHP mode, and a parametrized
-    # solution, all on the Schur forms reduce already hands back
+    # solution, all on the Schur forms reduce already hands back; the
+    # parametrized solution is one Sylvester kernel call
     rng = np.random.default_rng(139)
     a0, b = build_system(rng, ctrl=[1.3, complex(0.8, 1.1), -0.9],
                          unc=[complex(1.7, 0.6), -1.2], m=2)
@@ -304,8 +321,12 @@ def test_boundedness_and_parametrize_factor_no_schur_form(schur_calls):
     report = boundedness(form, split)
     rhp = split.indices(half_plane="RHP", controllable=True)
     eqn = reduce(form, split, rhp)
+    solve, solves = linalg.lapack.dtrsyl, []
+    monkeypatch.setattr(linalg.lapack, "dtrsyl",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
     sol = parametrize(eqn, np.eye(eqn.k))
-    assert schur_calls == []
+    monkeypatch.setattr(linalg.lapack, "dtrsyl", solve)
+    assert schur_calls == [] and len(solves) == 1
     assert report.verdict == "unbounded-both"
     assert sorted(w.sign for w in report.witnesses) == ["+", "-"]
     assert all(_sweep_ok(form, w) for w in report.witnesses)

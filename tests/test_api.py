@@ -81,6 +81,10 @@ def test_readme_threshold_table_names_every_fixed_threshold():
     ("linalg.definiteness", "tol", "definiteness"),
     ("linalg.definiteness", "sym_tol", "sym"),
     ("systems.pbh_classify", "rank_tol", "rank"),
+    ("linalg.solve_lyapunov_stable", "axis_tol", "axis"),
+    ("linalg.solve_lyapunov_stable", "sym_tol", "sym"),
+    ("linalg.schur_complement", "rank_tol", "rank"),
+    ("linalg.schur_complement", "sym_tol", "sym"),
 ])
 def test_default_tolerances_come_from_default(func, param, field):
     module, name = func.split(".")

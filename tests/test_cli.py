@@ -403,6 +403,32 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([[1.0]], "top-level value must be an object"),
+    ({"A": [[1.0]], "B": [[1.0]], "tolerances": [1e-8]}, "'tolerances' must be an object"),
+    ({"A": [[1.0]], "B": [[1.0]], "tolerances": {"sepTol": 1e-8}},
+     "unknown tolerance 'sepTol'"),
+], ids=["top-level-list", "tolerances-list", "unknown-tolerance"])
+def test_malformed_problem_file_exit_2(tmp_path, capsys, doc, message):
+    path = _write(tmp_path, "bad.json", doc)
+    assert main(["classify", path]) == 2
+    assert capsys.readouterr().err == f"error: parse: {message} at {path}\n"
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ("1,x", "block list '1,x' is not a comma-separated list of integers"),
+    (" , ", "block list is empty"),
+    ("1,4", "block index 4 out of range 1..3"),
+    ("0", "block index 0 out of range 1..3"),
+], ids=["non-integer", "empty", "past-the-end", "zero"])
+@pytest.mark.parametrize("command", ["solve", "parametrize"])
+def test_bad_block_list_exit_2(paper_file, capsys, blocks, message, command):
+    flags = {"solve": ["--rank-set", blocks],
+             "parametrize": ["--blocks", blocks, "--sample", "1"]}[command]
+    assert main([command, paper_file] + flags) == 2
+    assert capsys.readouterr().err == f"error: parse: {message}\n"
+
+
 def test_missing_matrix_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"A": [[1.0]]})
     assert main(["classify", path]) == 2
@@ -514,6 +540,70 @@ def test_human_output_renders(paper_file, capsys):
     assert main(["classify", paper_file]) == 0
     out = capsys.readouterr().out
     assert "block 1" in out and "bounded" in out
+
+
+def _plain_and_results(capsys, argv):
+    """The plain-text report of ``argv`` and the results of its ``--json``
+    report."""
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    code, report = _run_json(capsys, argv)
+    assert code == 0
+    return plain, report["results"]
+
+
+@pytest.fixture
+def mirrored_file(tmp_path):
+    # modes 1 and -1: the subset of both is a mirrored pair, so it is absent
+    return _write(tmp_path, "mirror.json", {"A": [[1.0, 0.0], [0.0, -1.0]],
+                                           "B": [[1.0], [1.0]], "K0": [[0, 0], [0, 0]]})
+
+
+@pytest.mark.parametrize("absent", [False, True], ids=["all-present", "absent"])
+def test_solve_family_plain_text(paper_file, mirrored_file, capsys, absent):
+    path = mirrored_file if absent else paper_file
+    plain, results = _plain_and_results(capsys, ["solve", path, "--family"])
+    assert results["absent"] == ([[1, 2]] if absent else [])
+    lines = [f"{len(results['family'])} solutions"]
+    for s in results["family"]:
+        lines.append(f"blocks {s['blocks'] or '[]'}: rank {s['rank']}, "
+                     f"|Ric(X)|_max = {s['residual_max_norm']:.3e}")
+        lines.append(_fmt_matrix(s["X"]))
+    if absent:
+        lines.append("absent subsets: [[1, 2]]")
+    assert plain == "\n".join(lines) + "\n"
+
+
+def test_solve_rank_set_plain_text(paper_file, mirrored_file, capsys):
+    plain, results = _plain_and_results(capsys, ["solve", paper_file, "--rank-set", "1,3"])
+    s = results["solution"]
+    assert plain == (f"blocks [1, 3]: rank 2, |Ric(X)|_max = {s['residual_max_norm']:.3e}\n"
+                     + _fmt_matrix(s["X"]) + "\n")
+    plain, results = _plain_and_results(capsys, ["solve", mirrored_file, "--rank-set", "1,2"])
+    assert results["reason"] == "SingularSylvester"
+    assert plain == "blocks [1, 2]: absent (SingularSylvester)\n"
+
+
+def test_extremal_plain_text(paper_file, capsys):
+    plain, r = _plain_and_results(capsys, ["extremal", paper_file])
+    assert plain == "\n".join([
+        "maximum solution X (support blocks [1, 2]):", _fmt_matrix(r["Lr"]["X"]),
+        "minimum solution X (support blocks [3]):", _fmt_matrix(r["Ll"]["X"]),
+        "K_max:", _fmt_matrix(r["K_max"]), "K_min:", _fmt_matrix(r["K_min"]),
+    ]) + "\n"
+
+
+def test_parametrize_plain_text(paper_file, capsys):
+    argv = ["parametrize", paper_file, "--blocks", "1,2", "--sample", "2", "--seed", "3"]
+    plain, results = _plain_and_results(capsys, argv)
+    lines = ["blocks [1, 2]: 2 solution(s)"]
+    for e in results["solutions"]:
+        rc = e["reduced_certificate"]
+        assert rc["strict"] and rc["passed"]
+        lines.append(f"P -> solution (strict=True, passed=True, "
+                     f"max eig reduced residual {rc['residual_max_eig']:.3e})")
+        lines.append(_fmt_matrix(e["solution"]["X"]))
+    assert plain == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

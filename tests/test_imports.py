@@ -1,9 +1,11 @@
 """No module of the package imports a name it never reads, no private
 module-level name is left that nothing else in the package names, no
+private function or class is left that the package only imports, no
 function takes a parameter it never reads, and no private function has a
 default that no call in the package sets."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,44 @@ def test_the_scan_sees_an_orphaned_private():
            "class _Kept:\n    pass\n")
     user = "from lib import _Kept\nimport lib\nlib._used()\n"
     assert orphaned_privates([lib, user]) == ["_UNUSED", "_segments"]
+
+
+def _loaded(node):
+    """The name ``node`` loads, as a variable or an attribute, or None."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        return node.id if isinstance(node, ast.Name) else node.attr
+    return None
+
+
+def unloaded_privates(sources):
+    """Private functions and classes of ``sources``, methods and nested
+    ones too (``_name``, not dunder), that no expression of any of them
+    loads, as a variable or an attribute, outside their own definition.
+    An import does not load a name, so a helper that only tests call is
+    found."""
+    defined, loads, own = set(), Counter(), Counter()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            loads[_loaded(node)] += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.add(node.name)
+                own[node.name] += sum(_loaded(sub) == node.name for sub in ast.walk(node))
+    return sorted(name for name in defined if loads[name] <= own[name])
+
+
+def test_every_private_function_and_class_is_loaded():
+    assert unloaded_privates([path.read_text() for path in SOURCES]) == []
+
+
+def test_the_scan_sees_a_private_that_is_only_imported():
+    lib = ("def _used():\n    return 1\n"
+           "def _imported():\n    return 2\n"
+           "def _recursive(n):\n    return _recursive(n - 1)\n"
+           "class _Box:\n    def _get(self):\n        return self._put()\n"
+           "    def _put(self):\n        return _used()\n")
+    user = "from lib import _imported, _Box\n"
+    assert unloaded_privates([lib, user]) == ["_Box", "_get", "_imported", "_recursive"]
 
 
 # the CLI's command handlers, which main calls with one shared signature

@@ -463,21 +463,8 @@ def test_lyapunov_rejects_non_hurwitz():
         solve_lyapunov_stable(np.diag([-1.0, 0.5]), np.eye(2))
 
 
-def test_lyapunov_schur_helper_matches_the_general_solver():
-    rng = np.random.default_rng(47)
-    for n in (1, 3, 8, 15):
-        t = _quasi_triangular(rng, n)
-        t = t - (np.abs(np.linalg.eigvals(t).real).max() + 0.5) * np.eye(n)
-        g = rng.standard_normal((n, n))
-        c = g @ g.T
-        p = linalg._solve_lyapunov_schur(t, c, 1e-8)
-        want = solve_lyapunov_stable(t, c)
-        assert np.array_equal(p, p.T)
-        assert np.abs(p - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-
-
 @pytest.mark.parametrize("factor, refused", [(0.5, True), (2.0, False)])
-def test_lyapunov_schur_helper_refuses_at_the_hurwitz_margin(factor, refused):
+def test_lyapunov_refuses_at_the_hurwitz_margin(factor, refused):
     # the pair -1 ± 2i and a real eigenvalue -r at factor times the margin
     # axis_tol * ||T||_2 (||T||_2 moves by at most r as r is planted)
     axis_tol = 1e-8
@@ -486,9 +473,9 @@ def test_lyapunov_schur_helper_refuses_at_the_hurwitz_margin(factor, refused):
     c = np.eye(3)
     if refused:
         with pytest.raises(NotHurwitz):
-            linalg._solve_lyapunov_schur(t, c, axis_tol)
+            solve_lyapunov_stable(t, c, axis_tol=axis_tol)
         return
-    p = linalg._solve_lyapunov_schur(t, c, axis_tol)
+    p = solve_lyapunov_stable(t, c, axis_tol=axis_tol)
     resid = t.T @ p + p @ t + c
     assert np.abs(resid).max() <= 1e-10 * np.abs(p).max()
 

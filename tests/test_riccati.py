@@ -107,6 +107,26 @@ def test_base_no_solution():
         solve_base_are(problem, kind="antistabilizing")
 
 
+def test_base_refuses_a_computed_solution_that_fails_verification():
+    # with a zero residual bound, the rounding of any computed K fails it
+    rng = np.random.default_rng(17)
+    problem = RiccatiProblem(A=rng.standard_normal((5, 5)), B=rng.standard_normal((5, 2)))
+    for kind in ("antistabilizing", "stabilizing"):
+        with pytest.raises(NoBaseSolution, match=r"^computed base solution fails "
+                                                 r"verification: residual "):
+            solve_base_are(problem, kind=kind, tol=Tolerances(base=0.0))
+
+
+def test_base_refuses_a_pair_that_straddles_the_subspace(monkeypatch):
+    # real Schur forms never split a pair by its real part, so the ordered
+    # form is faked: one 2x2 block across the boundary at n = 1
+    problem = RiccatiProblem(A=[[1.0]], B=[[1.0]])
+    fake = (np.eye(2), np.zeros((2, 2)), [linalg.SchurBlock(0, 2, (1j, -1j))])
+    monkeypatch.setattr(riccati, "real_schur_ordered", lambda ham, classify: fake)
+    with pytest.raises(NoBaseSolution, match=r"^a complex-conjugate pair straddles"):
+        solve_base_are(problem, kind="antistabilizing")
+
+
 def test_base_unknown_kind():
     problem = RiccatiProblem(A=[[1.0]], B=[[1.0]])
     with pytest.raises(InvalidInput):
@@ -910,7 +930,8 @@ def _eager_family(form, family):
     members = [
         AriSolution(X=m.x[p], Lcoord=lcoords[p],
                     block_set=tuple(int(i) for i in m.block_ids[m.block_rows[p]]),
-                    rank=int(m.rank[p]), residual=m.residual[p], residual_cut=float(m.cut[p]),
+                    rank=int(m.col_rows[p].sum()), residual=m.residual[p],
+                    residual_cut=float(m.cut[p]),
                     eigenvalues=tuple(m.eigenvalues[m.col_rows[p]]))
         for p in range(len(m.x))
     ]
@@ -1320,6 +1341,19 @@ def test_rays_refuse_a_shared_cluster_whose_kernel_is_empty(monkeypatch):
     with pytest.raises(DegenerateSpectrum, match=r"^uncontrollable block 0 shares its "
                                                  r"cluster but .* has no kernel$"):
         degenerate_classify(form, split)
+
+
+def test_rays_refuse_a_direction_that_b_reaches():
+    # at rank tolerance 1 the PBH rule tags every block uncontrollable, so
+    # the worked example's controllable blocks get rays, and Ric(G) keeps
+    # its quadratic term G M G, which fails the gate
+    problem = RiccatiProblem(A=PAPER_A, B=PAPER_B)
+    form = solve_base_are(problem, kind="given", k0=np.zeros((3, 3)))
+    tol = Tolerances(rank=1.0)
+    split = spectral_split(form.A0, PAPER_B, tol=tol)
+    assert not any(blk.controllable for blk in split.blocks)
+    with pytest.raises(RiccatiError, match=r"^ray of block 0 has residual "):
+        riccati._uncontrollable_rays(form, split, [0], tol)
 
 
 def test_degenerate_controllable_zero_is_trivial():

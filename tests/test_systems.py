@@ -61,6 +61,14 @@ def test_split_refuses_b_of_the_wrong_row_count():
         spectral_split(np.eye(2), np.ones((3, 1)))
 
 
+def test_pbh_refuses_b_of_the_wrong_row_count():
+    a0 = np.diag([1.0, -3.0])
+    split = spectral_split(a0, np.ones((2, 1)))
+    for rows in (1, 3):
+        with pytest.raises(InvalidInput, match=rf"^B must have 2 rows, got {rows}$"):
+            pbh_classify(a0, np.ones((rows, 1)), split)
+
+
 def test_split_scalar_axis():
     split = spectral_split([[0.0]], [[1.0]])
     assert len(split.blocks) == 1
