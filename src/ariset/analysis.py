@@ -23,7 +23,7 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import _check_nonsingular, as_matrix, definiteness, symmetrize
+from .linalg import _symmetric_inverse, as_matrix, definiteness, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
@@ -40,7 +40,7 @@ from .riccati import (
     solve_reduced_gramian,
     zero_solution,
 )
-from .systems import AXIS, LHP, RHP, SpectralSplit
+from .systems import AXIS, LHP, RHP, SpectralSplit, _check_same_order
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -202,6 +202,7 @@ def extremal_solutions(
         Some block is uncontrollable: the solution set is unbounded and
         has no extremal structure (see :func:`boundedness`).
     """
+    _check_same_order(form.A0, "the form", split.T, "the split")
     bad = split.indices(controllable=False)
     if bad:
         raise Uncontrollable(
@@ -251,6 +252,7 @@ def boundedness(
     axis blocks get the generators of :func:`degenerate_classify`, one per
     kernel direction.
     """
+    _check_same_order(form.A0, "the form", split.T, "the split")
     unc = split.indices(controllable=False)
     if not unc:
         return BoundednessReport(verdict="bounded", witnesses=())
@@ -319,9 +321,7 @@ def parametrize(
     strict = p_verdict.kind == "positive-definite"
 
     y_hat = solve_reduced_gramian(eqn, eqn.Mk + p)
-    _check_nonsingular(y_hat, tol.rank, SingularInput, "perturbed Gramian is singular")
-    lhat = np.linalg.inv(y_hat)
-    lhat = 0.5 * (lhat + lhat.T)
+    lhat = _symmetric_inverse(y_hat, tol.rank, SingularInput, "perturbed Gramian is singular")
 
     reduced = -eqn.Dk @ lhat - lhat @ eqn.Dk.T + lhat @ eqn.Mk @ lhat
     reduced = 0.5 * (reduced + reduced.T)
@@ -351,9 +351,8 @@ def recover_parameter(
         ``lhat`` violates the reduced inequality.
     """
     lm = _symmetric_of_order(lhat, eqn.k, "Lhat", tol.sym)
-    _check_nonsingular(lm, tol.rank, SingularInput,
-                       "Lhat is singular; restrict to its support blocks first")
-    y_hat = np.linalg.inv(lm)
+    y_hat = _symmetric_inverse(lm, tol.rank, SingularInput,
+                               "Lhat is singular; restrict to its support blocks first")
     p = y_hat @ eqn.Dk + eqn.Dk.T @ y_hat - eqn.Mk
     p = 0.5 * (p + p.T)
     verdict = definiteness(p, tol.definiteness)
@@ -424,6 +423,7 @@ def feedback_flip(form: HomogeneousForm, sol: AriSolution, tol: Tolerances = DEF
         ``sol`` has a nonzero residual (strict-inequality solutions do
         not flip).
     """
+    _check_same_order(form.A0, "the form", sol.X, "the solution")
     resid = float(np.abs(sol.residual).max())
     if resid > tol.base * float(_ric_scale(form, sol.X)):
         raise NotAnEquationSolution(

@@ -58,6 +58,8 @@ _TOL_KEYS = {
     "defTol": "definiteness",
     "baseTol": "base",
 }
+# the --tol-* flags and the field each sets; a flag wins over the file
+_TOL_FLAGS = {"--tol-axis": "axis", "--tol-rank": "rank", "--tol-def": "definiteness"}
 
 
 class CliParseError(Exception):
@@ -128,14 +130,10 @@ def _tolerances(doc, args, path):
         if key not in _TOL_KEYS:
             raise CliParseError(f"unknown tolerance {key!r}", location=path)
         overrides[_TOL_KEYS[key]] = _tolerance_value(value, key, path)
-    # flags win over the file
-    for flag, field in (("tol_axis", "axis"), ("tol_rank", "rank"),
-                        ("tol_def", "definiteness")):
-        value = getattr(args, flag, None)
+    for flag, field in _TOL_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for the flag
         if value is not None:
-            overrides[field] = _tolerance_value(
-                value, "--" + flag.replace("_", "-")
-            )
+            overrides[field] = _tolerance_value(value, flag)
     return dataclasses.replace(Tolerances(), **overrides)
 
 
@@ -473,9 +471,8 @@ def _command(sub, name, help, handler, render, needs_split=True):
         help="base solution kind (default: given if the file has K0, "
         "else antistabilizing)",
     )
-    p.add_argument("--tol-axis", type=float, default=None)
-    p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--tol-def", type=float, default=None)
+    for flag in _TOL_FLAGS:
+        p.add_argument(flag, type=float, default=None)
     return p
 
 

@@ -221,6 +221,14 @@ def _check_nonsingular(m, rank_tol, error, message):
         raise error(message.format(sv_min=sv[-1]))
 
 
+def _symmetric_inverse(m, rank_tol, error, message):
+    """``inv(m)``, symmetrized, for a symmetric ``m`` that passes
+    :func:`_check_nonsingular` (else ``error(message)``)."""
+    _check_nonsingular(m, rank_tol, error, message)
+    z = np.linalg.inv(m)
+    return 0.5 * (z + z.T)
+
+
 # ---------------------------------------------------------------------------
 # ordered real Schur form
 
@@ -408,7 +416,7 @@ def _solve_quasi_triangular(tf, tg, c, trana="N", sep_tol=SYLVESTER_SEP_RTOL):
         to perturb the solve.
     """
     wf = _row_eigenvalues(tf)
-    wg = _row_eigenvalues(tg)
+    wg = wf if tg is tf else _row_eigenvalues(tg)
     sep = float(np.abs(wf[:, None] + wg[None, :]).min())
     scale = max(1.0, float(np.abs(wf).max()) + float(np.abs(wg).max()))
     if sep <= sep_tol * scale:

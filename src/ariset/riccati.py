@@ -42,13 +42,14 @@ from .linalg import (
     _select_leading,
     _selection_gap,
     _solve_quasi_triangular,
+    _symmetric_inverse,
     as_matrix,
     real_schur_ordered,
     solve_sylvester,  # noqa: F401 (bench/spans.py wraps it at this binding)
     symmetrize,
     verdict_from_extremes,
 )
-from .systems import AXIS, SpectralSplit, _input_matrix
+from .systems import AXIS, LHP, RHP, SpectralSplit, _check_same_order, _half_plane, _input_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -233,10 +234,14 @@ def are_residual(problem: RiccatiProblem, k):
 def ric_residual(form: HomogeneousForm, x):
     """Homogeneous residual Ric(X) = −A0ᵀX − XA0 + X M X, symmetrized, for
     an n×n X (else :class:`InvalidInput`)."""
-    xm = _symmetric_of_order(x, form.problem.n, "X")
-    a0, m = form.A0, form.M
-    r = -a0.T @ xm - xm @ a0 + xm @ (m @ xm)
-    return 0.5 * (r + r.T)
+    return _ric(form, _symmetric_of_order(x, form.problem.n, "X"))
+
+
+def _ric(form, x):
+    """Ric(X), symmetrized, for one symmetric X or a stack of them."""
+    a0 = form.A0
+    r = -a0.T @ x - x @ a0 + x @ form.M @ x
+    return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
 def _ric_scale(form, x):
@@ -281,27 +286,24 @@ def solve_base_are(
     BaseResidualTooLarge
         A user-supplied ``k0`` fails residual verification.
     """
-    a, b, q = problem.A, problem.B, problem.Q
-    n = problem.n
-    scale = _base_scale(problem)
-
     if kind == "given":
         if k0 is None:
             raise InvalidInput('kind="given" requires k0')
-        km = _symmetric_of_order(k0, n, "K0", tol.sym)
-        resid = float(np.abs(are_residual(problem, km)).max())
-        if resid > tol.base * scale:
-            raise BaseResidualTooLarge(
-                f"supplied K0 has residual {resid:.3e} > {tol.base * scale:.3e}"
-            )
+        km = _symmetric_of_order(k0, problem.n, "K0", tol.sym)
     elif kind in ("antistabilizing", "stabilizing"):
-        km, resid = _hamiltonian_solution(problem, kind, tol)
+        km = _hamiltonian_solution(problem, kind, tol)
     else:
         raise InvalidInput(f"unknown base-solution kind: {kind!r}")
+    resid = float(np.abs(are_residual(problem, km)).max())
+    bound = tol.base * _base_scale(problem)
+    if resid > bound:
+        if kind == "given":
+            raise BaseResidualTooLarge(f"supplied K0 has residual {resid:.3e} > {bound:.3e}")
+        raise NoBaseSolution(f"computed base solution fails verification: residual {resid:.3e}")
 
-    m = b @ b.T
+    m = problem.B @ problem.B.T
     m = 0.5 * (m + m.T)
-    a0 = a - m @ km
+    a0 = problem.A - m @ km
     return HomogeneousForm(
         problem=problem,
         K0=km,
@@ -313,21 +315,16 @@ def solve_base_are(
 
 
 def _hamiltonian_solution(problem, kind, tol):
-    """Base solution from an n-dimensional invariant subspace of the
-    Hamiltonian [[A, −BBᵀ], [−Q, −Aᵀ]] of the requested spectral class."""
+    """Base solution K, unchecked, from an n-dimensional invariant subspace
+    of the Hamiltonian [[A, −BBᵀ], [−Q, −Aᵀ]] of the requested spectral
+    class."""
     a, b, q = problem.A, problem.B, problem.Q
     n = problem.n
     ham = np.block([[a, -b @ b.T], [-q, -a.T]])
     axis_abs = tol.axis * _norm2(ham)
-    want_rhp_first = kind == "antistabilizing"
-
-    def classify(lam):
-        if abs(lam.real) <= axis_abs:
-            return 1
-        in_rhp = lam.real > 0
-        return 0 if in_rhp == want_rhp_first else 2
-
-    u, _, blocks = real_schur_ordered(ham, classify)
+    # the requested half plane first, then the AXIS band
+    rank = {RHP: 0, AXIS: 1, LHP: 2} if kind == "antistabilizing" else {LHP: 0, AXIS: 1, RHP: 2}
+    u, _, blocks = real_schur_ordered(ham, lambda lam: rank[_half_plane(lam, axis_abs)])
     if n not in accumulate(blk.size for blk in blocks):
         raise NoBaseSolution(
             "a complex-conjugate pair straddles the invariant-subspace "
@@ -339,13 +336,7 @@ def _hamiltonian_solution(problem, kind, tol):
                        "invariant subspace has a singular top block; no "
                        "solution of the requested kind")
     k = np.linalg.solve(u1.T, u2.T).T
-    km = 0.5 * (k + k.T)
-    resid = float(np.abs(are_residual(problem, km)).max())
-    if resid > tol.base * _base_scale(problem):
-        raise NoBaseSolution(
-            f"computed base solution fails verification: residual {resid:.3e}"
-        )
-    return km, resid
+    return 0.5 * (k + k.T)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +376,7 @@ def reduce(form: HomogeneousForm, split: SpectralSplit, block_set):
     NonInvariantSelection
         The extracted columns fail the invariance residual check.
     """
+    _check_same_order(form.A0, "the form", split.T, "the split")
     selected = sorted({_block_index(i) for i in block_set})
     nblk = len(split.blocks)
     if not selected:
@@ -467,11 +459,10 @@ def full_rank_simplified_solution(eqn: SimplifiedEquation, tol: Tolerances = DEF
         containing uncontrollable blocks).
     """
     y = solve_reduced_gramian(eqn, eqn.Mk)
-    _check_nonsingular(y, tol.rank, SingularY,
-                       "reduced Gramian is singular (smallest singular value "
-                       "{sv_min:.3e}); the selected blocks admit no full-rank solution")
-    lcoord = np.linalg.inv(y)
-    return _solution_from_coordinates(eqn, 0.5 * (lcoord + lcoord.T), tol)
+    lcoord = _symmetric_inverse(y, tol.rank, SingularY,
+                                "reduced Gramian is singular (smallest singular value "
+                                "{sv_min:.3e}); the selected blocks admit no full-rank solution")
+    return _solution_from_coordinates(eqn, lcoord, tol)
 
 
 def zero_solution(form: HomogeneousForm, tol: Tolerances = DEFAULT):
@@ -709,6 +700,7 @@ def schur_family(
         A sequence of :class:`AriSolution` sorted by (rank, block_set),
         with the zero solution first; members are built when read.
     """
+    _check_same_order(form.A0, "the form", split.T, "the split")
     at_axis = {b.cluster for b in split.blocks if b.half_plane == AXIS}
     live = [i for i, b in enumerate(split.blocks) if b.cluster not in at_axis]
     if not live:
@@ -909,12 +901,10 @@ def _gated_residuals(form, x, block_ids, block_rows):
     each; raises :class:`RiccatiError` when some member's backward error
     η exceeds :data:`FAMILY_BACKWARD_ERROR`, naming the ``block_ids`` of
     its row of ``block_rows``."""
-    a0, m = form.A0, form.M
-    resid = -a0.T @ x - x @ a0 + x @ m @ x
-    resid = 0.5 * (resid + np.swapaxes(resid, 1, 2))
+    resid = _ric(form, x)
     both = np.stack((resid, x))
     r_fro, x_fro = np.sqrt(np.einsum("snij,snij->sn", both, both))
-    eta = r_fro / (2.0 * np.linalg.norm(a0) * x_fro + np.linalg.norm(m) * x_fro ** 2)
+    eta = r_fro / (2.0 * np.linalg.norm(form.A0) * x_fro + np.linalg.norm(form.M) * x_fro ** 2)
     if np.any(eta > FAMILY_BACKWARD_ERROR):
         worst = int(np.argmax(eta))
         blocks = tuple(block_ids[block_rows[worst]].tolist())
@@ -1015,7 +1005,7 @@ def _uncontrollable_rays(form, split, indices, tol):
         g = 0.5 * (g + g.T)
         g /= np.linalg.norm(g)
         growth = 0.0 if blk.half_plane == AXIS else 2.0 * lam.real
-        resid = float(np.abs(ric_residual(form, g) + growth * g).max())
+        resid = float(np.abs(_ric(form, g) + growth * g).max())
         if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
             raise RiccatiError(f"ray of block {i} has residual {resid:.3e}")
         rays[i] = (g, first)
@@ -1042,6 +1032,7 @@ def degenerate_classify(
     -------
     list of (SpectralBlock, DegenerateOutcome)
     """
+    _check_same_order(form.A0, "the form", split.T, "the split")
     unc = split.indices(half_plane=AXIS, controllable=False)
     rays = _uncontrollable_rays(form, split, unc, tol)
     outcomes = []

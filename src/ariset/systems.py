@@ -80,6 +80,14 @@ class SpectralSplit:
         return cols
 
 
+def _half_plane(lam, axis_abs):
+    """AXIS when ``|Re λ|`` is at most the band's half-width ``axis_abs``,
+    else RHP or LHP by the sign of ``Re λ``."""
+    if abs(lam.real) <= axis_abs:
+        return AXIS
+    return RHP if lam.real > 0 else LHP
+
+
 def _input_matrix(b, n):
     """``b`` by :func:`as_matrix` as the input matrix of an order-``n``
     system, raising :class:`InvalidInput` unless it has n rows."""
@@ -87,6 +95,13 @@ def _input_matrix(b, n):
     if bm.shape[0] != n:
         raise InvalidInput(f"B must have {n} rows, got {bm.shape[0]}")
     return bm
+
+
+def _check_same_order(a, a_name, b, b_name):
+    """Raise :class:`InvalidInput` unless the square matrices ``a`` and
+    ``b``, named in the message, are of one order."""
+    if len(a) != len(b):
+        raise InvalidInput(f"{a_name} is of order {len(a)} but {b_name} is of order {len(b)}")
 
 
 def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
@@ -109,6 +124,7 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     """
     am = as_matrix(a0, name="A0", square=True)
     bm = _input_matrix(b, am.shape[0])
+    _check_same_order(am, "A0", split.T, "the split")
     n, m = bm.shape
     w = np.hstack([am, bm])
     lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
@@ -282,21 +298,13 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     am = as_matrix(a0, name="A0", square=True)
     bm = _input_matrix(b, am.shape[0])
     axis_abs = tol.axis * _norm2(am)
-
-    def classify(lam):
-        if abs(lam.real) <= axis_abs:
-            return _PLANE_ORDER[AXIS]
-        return _PLANE_ORDER[RHP] if lam.real > 0 else _PLANE_ORDER[LHP]
-
-    u, t, raw = real_schur_ordered(am.T, classify)
-
-    planes = [AXIS, RHP, LHP]
+    u, t, raw = real_schur_ordered(am.T, lambda lam: _PLANE_ORDER[_half_plane(lam, axis_abs)])
     blocks = tuple(
         SpectralBlock(
             offset=blk.offset,
             size=blk.size,
             eigenvalues=blk.eigenvalues,
-            half_plane=planes[classify(blk.eigenvalues[0])],
+            half_plane=_half_plane(blk.eigenvalues[0], axis_abs),
             controllable=False,
             cluster=label,
         )

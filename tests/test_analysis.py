@@ -12,22 +12,26 @@ from ariset import (
     ParamPoint,
     RiccatiError,
     SingularInput,
+    SingularY,
     Uncontrollable,
     are_residual,
     boundedness,
     definiteness,
+    degenerate_classify,
     extremal_solutions,
     feedback_flip,
     full_rank_simplified_solution,
     parametrize,
+    pbh_classify,
     rank_one_classify,
     recover_parameter,
     reduce,
     ric_residual,
     schur_family,
+    spectral_split,
     verify,
 )
-from ariset import analysis, linalg
+from ariset import Tolerances, analysis, linalg
 from ariset.linalg import solve_lyapunov_stable
 
 from conftest import (
@@ -468,6 +472,26 @@ def test_parametrize_and_recover_refuse_a_matrix_of_the_wrong_order(paper):
         recover_parameter(eqn, np.eye(3))
 
 
+@pytest.mark.parametrize("caller, error, message", [
+    ("full_rank_simplified_solution", SingularY,
+     r"^reduced Gramian is singular \(smallest singular value \d\.\d{3}e[+-]\d+\); "
+     r"the selected blocks admit no full-rank solution$"),
+    ("parametrize", SingularInput, r"^perturbed Gramian is singular$"),
+    ("recover_parameter", SingularInput,
+     r"^Lhat is singular; restrict to its support blocks first$"),
+])
+def test_checked_inverse_refusals_keep_their_type_and_message(paper, caller, error, message):
+    # at rank = 1 no matrix passes the rule σ_min > rank · max(1, σ_max)
+    _, form, split = paper
+    eqn = reduce(form, split, [0, 1])
+    args = {"full_rank_simplified_solution": (eqn,),
+            "parametrize": (eqn, np.eye(2)),
+            "recover_parameter": (eqn, parametrize(eqn, np.eye(2)).Lcoord)}[caller]
+    with pytest.raises(error, match=message) as info:
+        globals()[caller](*args, tol=Tolerances(rank=1.0))
+    assert type(info.value) is error
+
+
 def test_recover_rejects_singular_and_violating(paper):
     _, form, split = paper
     eqn = reduce(form, split, [0, 1])
@@ -641,3 +665,35 @@ def test_verify_inhomogeneous_problem():
     for k in (-1.2, 3.2):
         assert not verify(form, [[k]]).passed
     assert verify(form, [[1.0]], strict=True).passed
+
+
+def _orders_2_and_3(paper):
+    """A 2×2 form, A = diag(1, −3) with B = (0, 1)ᵀ and K0 = 0, beside the
+    worked example's 3×3 split and an equation solution of it."""
+    _, form3, split3 = paper
+    form2, _ = homogeneous_setup(np.diag([1.0, -3.0]), [[0.0], [1.0]])
+    return form2, split3, full_rank_simplified_solution(reduce(form3, split3, [0, 1]))
+
+
+ORDER_CALLS = {
+    "boundedness": lambda f, s, sol: boundedness(f, s),
+    "degenerate_classify": lambda f, s, sol: degenerate_classify(f, s),
+    "pbh_classify": lambda f, s, sol: pbh_classify(f.A0, f.problem.B, s),
+    "reduce": lambda f, s, sol: reduce(f, s, [0]),
+    "schur_family": lambda f, s, sol: schur_family(f, s),
+    "extremal_solutions": lambda f, s, sol: extremal_solutions(f, s),
+    "feedback_flip": lambda f, s, sol: feedback_flip(f, sol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CALLS))
+def test_a_form_and_a_split_of_different_orders_are_refused(paper, name):
+    # the form's own split gives "bounded-below-only"; read against the
+    # 3×3 split, it would say "bounded" or fail inside numpy
+    form2, split3, sol3 = _orders_2_and_3(paper)
+    assert boundedness(form2, spectral_split(form2.A0, form2.problem.B)).verdict == \
+        "bounded-below-only"
+    other = "solution" if name == "feedback_flip" else "split"
+    first = "A0" if name == "pbh_classify" else "the form"
+    with pytest.raises(InvalidInput, match=f"^{first} is of order 2 but the {other} is of order 3$"):
+        ORDER_CALLS[name](form2, split3, sol3)

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -90,3 +91,24 @@ def test_default_tolerances_come_from_default(func, param, field):
     module, name = func.split(".")
     fn = getattr(importlib.import_module(f"ariset.{module}"), name)
     assert inspect.signature(fn).parameters[param].default == getattr(DEFAULT, field)
+
+
+
+def module_references(text):
+    """The distinct ``module.name`` references in backticks of ``text``,
+    ``ariset.`` prefix optional, as sorted (module, name) pairs."""
+    pattern = rf"`(?:ariset\.)?({'|'.join(MODULES + ('cli',))})\.(\w+)`"
+    return sorted(set(re.findall(pattern, text)))
+
+
+def test_every_readme_reference_resolves():
+    refs = module_references(README.read_text(encoding="utf-8"))
+    assert len(refs) >= 16  # as many as the README held when this test was written
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"ariset.{module}"), name)]
+    assert missing == []
+
+
+def test_the_scan_sees_every_module_reference():
+    text = "`riccati.gone`, `linalg.as_matrix`, `ariset.cli.main`, `numpy.zeros` and `riccati`"
+    assert module_references(text) == [("cli", "main"), ("linalg", "as_matrix"), ("riccati", "gone")]

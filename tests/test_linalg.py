@@ -392,6 +392,28 @@ def test_quasi_triangular_kernel_matches_kronecker_oracle(flags):
     assert pairs >= 8
 
 
+def test_lyapunov_form_reads_its_row_eigenvalues_once(monkeypatch):
+    # with TG the same matrix as TF, one read of the diagonal blocks serves
+    # both sides of the separation test; a distinct TG is read on its own
+    rng = np.random.default_rng(41)
+    t = _quasi_triangular(rng, 6)
+    t += (np.abs(np.linalg.eigvals(t)).max() + 1.0) * np.eye(6)  # spec(T) in the RHP
+    assert np.count_nonzero(np.diag(t, -1))
+    c = rng.standard_normal((6, 6))
+    spectrum, reads = linalg._block_spectrum, []
+
+    def counting(m):
+        reads.append(m)
+        return spectrum(m)
+
+    monkeypatch.setattr(linalg, "_block_spectrum", counting)
+    y = linalg._solve_quasi_triangular(t, t, c, trana="T")
+    assert len(reads) == 1
+    assert np.abs(t.T @ y + y @ t - c).max() <= 1e-12 * np.abs(c).max()
+    assert np.array_equal(linalg._solve_quasi_triangular(t, t.copy(), c, trana="T"), y)
+    assert len(reads) == 3
+
+
 @pytest.mark.parametrize("factor, refused", [(0.5, True), (2.0, False)])
 def test_kernel_refuses_a_mirrored_pair_at_the_sylvester_threshold(factor, refused):
     # F's pair 0.9 ± 1.3i against G's -0.9 + delta ± 1.3i: the separation is

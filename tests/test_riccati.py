@@ -1483,6 +1483,29 @@ def test_degenerate_double_zero_read_as_a_near_real_pair():
     assert len(boundedness(form, split).witnesses) == 2
 
 
+@pytest.mark.xfail(strict=True, raises=DegenerateSpectrum,
+                   reason="ROADMAP item 2: a shared cluster takes its kernel at Re λ := 0, "
+                          "where two uncontrollable copies of δ inside the AXIS band leave "
+                          "none; at the computed λ it has two directions")
+def test_degenerate_near_axis_copies_that_share_a_cluster():
+    # δ lies inside the AXIS band (1e-8 · ‖A0‖₂) but [A0ᵀ; Bᵀ] has σ_min
+    # about δ, above tol.rank · σ_max; a lone copy of δ gets its ray from
+    # reduce, as the first loop shows
+    from ariset import boundedness
+
+    lone, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    for delta in (1e-9, 5e-9):
+        a0 = lone @ np.diag([delta, -1.0, 2.0]) @ lone.T
+        form, split = homogeneous_setup(a0, lone[:, [1]] + lone[:, [2]])
+        assert [out.kind for _, out in degenerate_classify(form, split)] == ["free-family"]
+        a0 = q @ np.diag([delta, delta, -1.0, 2.0]) @ q.T
+        form, split = homogeneous_setup(a0, q[:, [2]] + q[:, [3]])
+        assert [blk.cluster for blk in split.blocks if blk.half_plane == "AXIS"] == [0, 0]
+        assert [out.kind for _, out in degenerate_classify(form, split)] == ["free-family"] * 2
+        assert boundedness(form, split).verdict == "unbounded-both"
+
+
 def test_degenerate_jordan_chain_hands_out_each_kernel_direction_once():
     # two uncontrollable zero blocks in one Jordan chain; the kernel of
     # [A0ᵀ; Bᵀ] is one-dimensional, so the chain carries one free direction

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ariset import InvalidInput, pbh_classify, spectral_split
+from ariset.systems import AXIS, LHP, RHP, _half_plane
 
 from conftest import build_system, draw_spectrum, kalman_rank
 
@@ -315,3 +316,15 @@ def test_pbh_leaves_pencils_outside_the_certified_range_to_the_svd(monkeypatch, 
     assert len(undecided) == len(split.blocks)
     for blk in retagged.blocks:
         assert blk.controllable == _pbh_oracle(a0, b, blk.eigenvalues[0])
+
+
+@pytest.mark.parametrize("band", [0.0, 2e-8, 3.0])
+def test_half_plane_band_edge(band):
+    # the band is closed: |Re λ| equal to its half-width is AXIS, the next
+    # float beyond it is not
+    above = np.nextafter(band, np.inf)
+    for imag in (0.0, 1.5):
+        assert _half_plane(complex(band, imag), band) == AXIS
+        assert _half_plane(complex(-band, imag), band) == AXIS
+        assert _half_plane(complex(above, imag), band) == RHP
+        assert _half_plane(complex(-above, imag), band) == LHP
