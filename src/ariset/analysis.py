@@ -23,12 +23,13 @@ from .errors import (
     SingularInput,
     Uncontrollable,
 )
-from .linalg import _symmetric_inverse, as_matrix, definiteness, symmetrize
+from .linalg import _definiteness_of_symmetric, _symmetric_inverse, as_matrix, symmetrize
 from .riccati import (
     AriSolution,
     HomogeneousForm,
     SimplifiedEquation,
     _base_scale,
+    _check_split,
     _ric_scale,
     _solution_from_coordinates,
     _symmetric_of_order,
@@ -202,7 +203,7 @@ def extremal_solutions(
         Some block is uncontrollable: the solution set is unbounded and
         has no extremal structure (see :func:`boundedness`).
     """
-    _check_same_order(form.A0, "the form", split.T, "the split")
+    _check_split(form, split)
     bad = split.indices(controllable=False)
     if bad:
         raise Uncontrollable(
@@ -252,7 +253,7 @@ def boundedness(
     axis blocks get the generators of :func:`degenerate_classify`, one per
     kernel direction.
     """
-    _check_same_order(form.A0, "the form", split.T, "the split")
+    _check_split(form, split)
     unc = split.indices(controllable=False)
     if not unc:
         return BoundednessReport(verdict="bounded", witnesses=())
@@ -315,7 +316,7 @@ def parametrize(
     else:
         p_raw = point
     p = _symmetric_of_order(p_raw, eqn.k, "P", tol.sym)
-    p_verdict = definiteness(p, tol.definiteness)
+    p_verdict = _definiteness_of_symmetric(p, tol.definiteness)
     if not p_verdict.is_psd:
         raise InvalidInput(f"P must be positive semidefinite, got {p_verdict.kind}")
     strict = p_verdict.kind == "positive-definite"
@@ -355,7 +356,7 @@ def recover_parameter(
                                "Lhat is singular; restrict to its support blocks first")
     p = y_hat @ eqn.Dk + eqn.Dk.T @ y_hat - eqn.Mk
     p = 0.5 * (p + p.T)
-    verdict = definiteness(p, tol.definiteness)
+    verdict = _definiteness_of_symmetric(p, tol.definiteness)
     if not verdict.is_psd:
         raise NotASolution(
             f"recovered parameter is {verdict.kind}; Lhat does not satisfy "

@@ -171,7 +171,11 @@ def definiteness(s, tol=DEFAULT.definiteness, sym_tol=DEFAULT.sym):
     -------
     DefinitenessVerdict
     """
-    m = symmetrize(s, sym_tol=sym_tol, name="S")
+    return _definiteness_of_symmetric(symmetrize(s, sym_tol=sym_tol, name="S"), tol)
+
+
+def _definiteness_of_symmetric(m, tol):
+    """:func:`definiteness` of an exactly symmetric array ``m``."""
     w = np.linalg.eigvalsh(m)
     return verdict_from_extremes(
         float(w[0]), float(w[-1]), tol * max(1.0, float(np.abs(m).max()))

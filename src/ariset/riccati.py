@@ -359,6 +359,16 @@ def _check_invariant(form, basis, d, error, message):
         raise error(message.format(resid=resid))
 
 
+def _check_split(form, split):
+    """Raise :class:`InvalidInput` unless ``split`` is a Schur form of the
+    form's ``A0ᵀ``: of its order, and ``A0ᵀ U = U T`` by
+    :func:`_check_invariant`. Its tags are then read as the form's."""
+    _check_same_order(form.A0, "the form", split.T, "the split")
+    _check_invariant(form, split.U, split.T, InvalidInput,
+                     "the split is not a Schur form of the form's A0ᵀ: "
+                     "invariance residual {resid:.3e}")
+
+
 def reduce(form: HomogeneousForm, split: SpectralSplit, block_set):
     """Restrict the homogeneous problem to selected Schur blocks.
 
@@ -429,7 +439,7 @@ def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
         Lcoord=lcoord,
         block_set=eqn.block_set,
         rank=len(lcoord),
-        residual=ric_residual(eqn.form, x),
+        residual=_ric(eqn.form, x),
         residual_cut=tol.definiteness * float(_ric_scale(eqn.form, x)),
         eigenvalues=eqn.eigenvalues,
         certificate=certificate,
@@ -641,10 +651,13 @@ def schur_family(
     """All equation solutions generated by subsets of non-axis blocks.
 
     Every solution of Ric(X) = 0 is supported on an A0ᵀ-invariant
-    subspace spanned by Schur blocks. One :func:`reduce` over the
-    eligible blocks gives ``A0ᵀ Lk = Lk Dk``. Each eigenvalue cluster then
-    gets an orthonormal basis of its own invariant subspace from one Schur
-    reordering of ``Dk`` (:func:`_cluster_bases`): together they form
+    subspace spanned by Schur blocks. A cluster that holds an axis block
+    or a block the split tags uncontrollable takes no part: a subspace
+    that holds an uncontrollable mode has a singular Gramian, so it
+    carries no full-rank solution. One :func:`reduce` over the blocks of
+    the other clusters gives ``A0ᵀ Lk = Lk Dk``. Each of those clusters
+    then gets an orthonormal basis of its own invariant subspace from one
+    Schur reordering of ``Dk`` (:func:`_cluster_bases`): together they form
     ``L'`` with ``A0ᵀ L' = L' Λ``, where ``Λ`` is quasi-triangular with no
     coupling across clusters. The Gramian ``Y'`` of ``Λ`` (``Y' Λ + Λᵀ Y'
     = L'ᵀ M L'``) is one call of the Sylvester kernel when the kernel
@@ -664,28 +677,27 @@ def schur_family(
     level, where the level is built, in one pass of
     :func:`_certified_full_rank` from the inverse's residual; only the
     unions it cannot certify take ``eigvalsh`` (none on the bench's
-    families). A cluster whose columns of
-    ``Y'`` are small enough to make the Gramian of every union holding it
-    fail that test (:func:`_dead_units`; the clusters B misses) is left
-    out with its unions before anything is factored. Every present
+    families). Every union of clusters with no clashing pair is
+    enumerated, and a weakly controllable cluster that the split tags
+    controllable reaches that test like any other. Every present
     member's X then goes into one stack, and one stacked pass computes
     all residuals Ric(X) and applies the backward-error gate. The
     members stay in those stacks: each member's :class:`AriSolution` is
     built when it is first read, and the ``residual_verdict`` of all of
     them, from one stacked ``eigvalsh``, when the first is read.
 
-    A subset is absent when it contains an uncontrollable block (its
-    Gramian is singular), both blocks of a mirrored pair λ, −λ (their
-    Sylvester solve is singular), part but not all of a
-    ``SpectralBlock.cluster`` of ``split``, or a block of a cluster that
-    holds an axis block. Axis blocks
-    never participate: controllable ones only contribute the zero
-    coordinate and uncontrollable ones generate the infinite families
-    reported by :func:`degenerate_classify`.
+    A subset is absent when it contains a block of a cluster that holds
+    an axis block or an uncontrollable one, both blocks of a mirrored pair
+    λ, −λ (their Sylvester solve is singular) or part but not all of a
+    ``SpectralBlock.cluster`` of ``split``, or when its Gramian fails the
+    rank rule. Axis blocks never participate: controllable ones only
+    contribute the zero coordinate and uncontrollable ones generate the
+    infinite families reported by :func:`degenerate_classify`.
 
-    Verification: ``A0ᵀ L' = L' Λ`` is checked once, and every member's
-    normwise backward error ``η(X) = ‖Ric(X)‖_F / (2‖A0‖_F ‖X‖_F +
-    ‖M‖_F ‖X‖²_F)`` must be at most :data:`FAMILY_BACKWARD_ERROR`,
+    Verification: the split is checked against the form
+    (:func:`_check_split`), ``A0ᵀ L' = L' Λ`` is checked once, and every
+    member's normwise backward error ``η(X) = ‖Ric(X)‖_F / (2‖A0‖_F
+    ‖X‖_F + ‖M‖_F ‖X‖²_F)`` must be at most :data:`FAMILY_BACKWARD_ERROR`,
     whatever clusters it covers; no change of ``(A0, M)`` smaller than η
     relative, in Frobenius norm, makes X an exact solution. A member is
     present exactly when its Gramian passes the rank rule; nothing is
@@ -700,9 +712,9 @@ def schur_family(
         A sequence of :class:`AriSolution` sorted by (rank, block_set),
         with the zero solution first; members are built when read.
     """
-    _check_same_order(form.A0, "the form", split.T, "the split")
-    at_axis = {b.cluster for b in split.blocks if b.half_plane == AXIS}
-    live = [i for i, b in enumerate(split.blocks) if b.cluster not in at_axis]
+    _check_split(form, split)
+    excluded = {b.cluster for b in split.blocks if b.half_plane == AXIS or not b.controllable}
+    live = [i for i, b in enumerate(split.blocks) if b.cluster not in excluded]
     if not live:
         return SolutionFamily(form, tol)
     return SolutionFamily(form, tol, _gramian_members(reduce(form, split, live), tol))
@@ -725,12 +737,10 @@ def _gramian_members(eqn, tol):
     c = 0.5 * (c + c.T)
     y, clash = _cluster_gramian(lam, c, cols)
 
-    # every union of non-clashing units that holds no dead unit, one row
-    # each of a membership table
+    # every union of non-clashing units, one row each of a membership table
     masks = np.arange(1, 2 ** len(units))
     pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
-    dead = _dead_units(lp, y, unit_of_col, tol.rank)
-    pick = pick[~np.any((pick @ clash) & pick, axis=1) & ~(pick @ dead)]
+    pick = pick[~np.any((pick @ clash) & pick, axis=1)]
     if not len(pick):
         return None
     # the rows in the family's order, by (column count, block_set) as
@@ -766,28 +776,6 @@ def _gramian_members(eqn, tol):
     resid, scale = _gated_residuals(form, x, block_ids, block_rows)
     return _Members(x, resid, tol.definiteness * scale, lcoords, block_ids, block_rows,
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present])
-
-
-def _dead_units(lp, y, unit_of_col, rank_tol):
-    """The units u for which every union S holding u fails the rank test:
-    ``‖Y'[:, u]‖_F <= ½ · rank_tol · σ_min(L')²``.
-
-    Let z be a unit vector on u's columns and ``L'_S = QR``. At the unit
-    vector ``Rz / ‖Rz‖``, the union's Gramian ``g = R⁻ᵀ Y'_S R⁻¹`` gives
-    ``σ_min(g) <= ‖Y'_S z‖ / (σ_min(R) ‖Rz‖) <= ‖Y'[:, u]‖_F / σ_min(L')²``,
-    as ``σ_min(R) = σ_min(L'_S) >= σ_min(L')`` and ``‖Rz‖ = ‖L'_S z‖``. So
-    ``σ_min(g) <= ½ · rank_tol`` and S fails the test. The half leaves
-    room for the rounding of g. A unit that B misses has columns of Y' at
-    the rounding level and is dead. Failing the rank test on its own does
-    not make a unit dead: its union with a unit of the other half-plane
-    can still pass.
-    """
-    norm2 = np.bincount(unit_of_col, weights=np.einsum("ij,ij->j", y, y))
-    cut = 0.5 * rank_tol
-    if not (norm2 <= cut * cut).any():  # σ_min(L') <= 1: its columns have unit norm
-        return np.zeros(len(norm2), dtype=bool)
-    cut *= np.linalg.svd(lp, compute_uv=False)[-1] ** 2
-    return norm2 <= cut * cut
 
 
 def _level_coordinates(ls, ys, tol):
@@ -1032,7 +1020,7 @@ def degenerate_classify(
     -------
     list of (SpectralBlock, DegenerateOutcome)
     """
-    _check_same_order(form.A0, "the form", split.T, "the split")
+    _check_split(form, split)
     unc = split.indices(half_plane=AXIS, controllable=False)
     rays = _uncontrollable_rays(form, split, unc, tol)
     outcomes = []

@@ -109,6 +109,18 @@ def assert_family_is_direct(form, split, members):
         assert np.abs(eig_got - eig_want).max() <= 1e-9 * max(1.0, np.abs(eig_want).max())
 
 
+def assert_inertia_law(split, members):
+    """Every member's ``Lcoord`` has as many positive eigenvalues as the
+    member has RHP columns and as many negative ones as LHP columns (the
+    Lyapunov inertia theorem for its Gramian)."""
+    for sol in members:
+        w = np.linalg.eigvalsh(sol.Lcoord)
+        blocks = [split.blocks[i] for i in sol.block_set]
+        rhp = sum(blk.size for blk in blocks if blk.half_plane == "RHP")
+        lhp = sum(blk.size for blk in blocks if blk.half_plane == "LHP")
+        assert (np.count_nonzero(w > 0), np.count_nonzero(w < 0)) == (rhp, lhp), sol.block_set
+
+
 def _eig_block(lam):
     lam = complex(lam)
     if lam.imag != 0.0:

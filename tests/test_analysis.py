@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +355,34 @@ def test_parametrize_zero_recovers_equation_solution(paper):
     sol = parametrize(eqn, np.zeros((2, 2)))
     assert np.abs(sol.Lcoord - LR[:2, :2]).max() <= 1e-9
     assert sol.certificate.strict is False and sol.certificate.passed
+@pytest.mark.parametrize("p", [np.eye(2), np.diag([1.0, 0.0])])
+def test_parametrize_and_recover_parameter_symmetrize_once(paper, p, monkeypatch):
+    # only the caller's P (or Lhat) is checked for symmetry; X, its
+    # residual and the recovered P are built exactly symmetric
+    _, form, split = paper
+    eqn = reduce(form, split, split.indices(half_plane="RHP"))
+    original, calls = linalg.symmetrize, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(*args, **kwargs)
+
+    bindings = [m for name, m in sorted(sys.modules.items())
+                if name.split(".")[0] == "ariset" and getattr(m, "symmetrize", None) is original]
+    assert {m.__name__ for m in bindings} >= {"ariset", "ariset.linalg", "ariset.riccati",
+                                              "ariset.analysis"}
+    for module in bindings:
+        monkeypatch.setattr(module, "symmetrize", counting)
+    sol = parametrize(eqn, p)
+    assert calls == ["P"]
+    point = recover_parameter(eqn, sol.Lcoord)
+    assert calls == ["P", "Lhat"]
+    monkeypatch.undo()
+    again = parametrize(eqn, p)
+    assert np.array_equal(sol.X, again.X) and np.array_equal(sol.residual, again.residual)
+    assert np.array_equal(point.P, recover_parameter(eqn, sol.Lcoord).P)
+
+
 
 
 def test_parametrize_identity_hand_values(paper):
@@ -697,3 +726,19 @@ def test_a_form_and_a_split_of_different_orders_are_refused(paper, name):
     first = "A0" if name == "pbh_classify" else "the form"
     with pytest.raises(InvalidInput, match=f"^{first} is of order 2 but the {other} is of order 3$"):
         ORDER_CALLS[name](form2, split3, sol3)
+
+
+SPLIT_READERS = ("boundedness", "degenerate_classify", "extremal_solutions", "schur_family")
+
+
+@pytest.mark.parametrize("name", SPLIT_READERS)
+def test_a_split_of_another_problem_of_the_same_order_is_refused(paper, name):
+    # the form's own split gives "bounded-below-only"; read against the
+    # worked example's split, whose tags say every block is controllable,
+    # it would say "bounded"
+    _, _, split = paper
+    form, own = homogeneous_setup(np.diag([1.0, -3.0, 5.0]), [[0.0], [1.0], [1.0]])
+    assert boundedness(form, own).verdict == "bounded-below-only"
+    with pytest.raises(InvalidInput, match=r"^the split is not a Schur form of the form's A0ᵀ: "
+                                           r"invariance residual 9\.000e\+00$"):
+        ORDER_CALLS[name](form, split, None)

@@ -1,11 +1,16 @@
 """No module of the package imports a name it never reads, no private
 module-level name is left that nothing else in the package names, no
 private function or class is left that the package only imports, no
-function takes a parameter it never reads, and no private function has a
-default that no call in the package sets."""
+function takes a parameter it never reads, no private function has a
+default that no call in the package sets, and no test module imports a
+module that is neither in the standard library nor declared in
+pyproject.toml, other than through ``pytest.importorskip``."""
 
 import ast
+import re
+import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -218,3 +223,51 @@ def test_the_scan_sees_a_dead_default():
            "def public(x=1):\n    return x\n")
     user = "_fmt(1, ' ', sep=',')\n_Box()._pad(1, 3)\n"
     assert dead_defaults([lib, user]) == ["_fmt:fill", "_fmt:width", "_pad:edge"]
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# modules of the test suite and of bench/, which its tests put on the path
+LOCAL_MODULES = {"conftest", "workloads", "problems"}
+
+
+def undeclared_imports(source, declared):
+    """Top-level modules of every import statement in ``source``, at any
+    depth, that are not in the standard library, not in ``declared`` and
+    not local: ``LOCAL_MODULES`` or a ``test_*`` module. A module reached
+    through ``pytest.importorskip`` is a call, not an import statement."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    tops = {name.split(".")[0] for name in names}
+    return sorted(top for top in tops - set(sys.stdlib_module_names) - set(declared) - LOCAL_MODULES
+                  if not top.startswith("test_"))
+
+
+@pytest.fixture(scope="module")
+def declared():
+    """``ariset`` and the distributions pyproject.toml declares, runtime
+    and optional, by the name they are imported under."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    requirements = [*project["dependencies"], *chain.from_iterable(
+        project.get("optional-dependencies", {}).values())]
+    return {"ariset"} | {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                         for r in requirements}
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_tests_import_only_declared_modules(path, declared):
+    assert undeclared_imports(path.read_text(), declared) == []
+
+
+def test_the_scan_sees_an_undeclared_import():
+    src = ("import os.path\nimport numpy as np\nimport sympy\nfrom mpmath import mp\n"
+           "import conftest\nfrom test_systems import _pbh_oracle\nfrom ariset.linalg import as_matrix\n"
+           "from . import sibling\n"
+           "def f():\n    import workloads\n    from scipy.linalg import schur\n    import yaml\n"
+           "    return pytest.importorskip('networkx')\n")
+    assert undeclared_imports(src, {"ariset", "numpy", "scipy"}) == ["mpmath", "sympy", "yaml"]

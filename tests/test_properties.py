@@ -29,7 +29,7 @@ from ariset import (
 )
 from ariset import linalg, riccati, systems
 
-from conftest import build_system, direct_family, homogeneous_setup
+from conftest import assert_inertia_law, build_system, direct_family, homogeneous_setup
 from test_systems import _pbh_oracle
 
 # |Re λ| of the drawn blocks: distinct slots keep every pair of blocks and
@@ -83,7 +83,9 @@ def family_systems(draw):
 def test_family_equals_the_per_subset_solutions(system):
     form, split = homogeneous_setup(*system)
     direct = direct_family(form, split)
-    family = {sol.block_set: sol for sol in schur_family(form, split)}
+    members = schur_family(form, split)
+    assert_inertia_law(split, members)
+    family = {sol.block_set: sol for sol in members}
     assert set(family) == set(direct) | {()}
     for block_set, want in direct.items():
         got = family[block_set]

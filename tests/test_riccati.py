@@ -729,10 +729,19 @@ def test_family_refuses_a_member_over_two_clusters_moved_off_the_solution_set(mo
     assert moved[0] > riccati.FAMILY_BACKWARD_ERROR
 
 
+def _family_clusters(split):
+    """The clusters the family takes part in: those that hold no axis block
+    and no block the split tags uncontrollable."""
+    excluded = {blk.cluster for blk in split.blocks
+                if blk.half_plane == "AXIS" or not blk.controllable}
+    return {blk.cluster for blk in split.blocks} - excluded
+
+
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_reduces_once(case, monkeypatch):
-    # one reduction over the blocks outside axis clusters; no block set is
-    # reduced a second time to check the family
+    # one reduction over the blocks of the clusters that hold no axis block
+    # and no uncontrollable one; no block set is reduced a second time to
+    # check the family
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
     exact, selections = riccati.reduce, []
 
@@ -742,9 +751,8 @@ def test_family_reduces_once(case, monkeypatch):
 
     monkeypatch.setattr(riccati, "reduce", counting)
     assert len(schur_family(form, split)) > 1
-    at_axis = {blk.cluster for blk in split.blocks if blk.half_plane == "AXIS"}
-    assert selections == [tuple(i for i, blk in enumerate(split.blocks)
-                                if blk.cluster not in at_axis)]
+    live = _family_clusters(split)
+    assert selections == [tuple(i for i, blk in enumerate(split.blocks) if blk.cluster in live)]
 
 
 def _eigvalsh_inputs(monkeypatch):
@@ -793,7 +801,8 @@ def _planted_pair_system():
 
 def _factored_supports(form, split, monkeypatch):
     """The family, its cluster columns and the column sets of the supports
-    that reach ``_level_coordinates``."""
+    that reach ``_level_coordinates``; ``L'`` and the cluster columns are
+    None when ``_cluster_bases`` is never called."""
     bases, coordinates = riccati._cluster_bases, riccati._level_coordinates
     seen, supports = {}, []
 
@@ -810,10 +819,10 @@ def _factored_supports(form, split, monkeypatch):
     monkeypatch.setattr(riccati, "_level_coordinates", spy_coordinates)
     family = schur_family(form, split)
     monkeypatch.undo()
-    lp = seen["lp"]
+    lp = seen.get("lp")
     held = [{int(np.flatnonzero((lp == col[:, None]).all(axis=0))[0]) for col in ls.T}
             for ls in supports]
-    return family, lp, seen["cols"], held
+    return family, lp, seen.get("cols"), held
 
 
 @pytest.mark.parametrize("system", [_uncontrollable_system, _planted_pair_system])
@@ -821,33 +830,39 @@ def test_family_factors_no_union_holding_an_uncontrollable_cluster(system, monke
     a0, b = system()
     form, split = homogeneous_setup(a0, b)
     family, lp, cols, held = _factored_supports(form, split, monkeypatch)
-    # the columns of an uncontrollable cluster span a subspace B misses
-    missed = np.abs(b.T @ lp).max(axis=0) <= 1e-12 * np.abs(b).max()
-    unc = set().union(*(set(cu.tolist()) for cu in cols if missed[cu].all()))
-    assert len(unc) == np.count_nonzero(missed) > 0
-    assert len(split.indices(controllable=False)) == sum(missed[cu].all() for cu in cols)
-    assert held and not any(cols & unc for cols in held)
+    # the clusters the split tags uncontrollable never reach L': it holds
+    # the columns of the other clusters only, and B misses none of them
+    assert split.indices(controllable=False)
+    live = _family_clusters(split)
+    assert len(cols) == len(live)
+    assert lp.shape[1] == sum(blk.size for blk in split.blocks if blk.cluster in live)
+    assert not (np.abs(b.T @ lp).max(axis=0) <= 1e-12 * np.abs(b).max()).any()
+    assert held
     assert_family_is_direct(form, split, family)
 
 
 @pytest.mark.parametrize("a0, b_weak, members", [
-    # Y'_uu = 5e-11 fails the rank test on its own, but the union with the
-    # stable mode has Gramian [[5e-11, -1e-5], [-1e-5, -0.25]], whose
-    # smallest singular value, 4.5e-10, passes it
+    # the PBH test tags the weak mode controllable. Y'_uu = 5e-11 fails the
+    # rank test on its own, but the union with the stable mode has Gramian
+    # [[5e-11, -1e-5], [-1e-5, -0.25]], whose smallest singular value,
+    # 4.5e-10, passes it
     (np.diag([1.0, -2.0]), 1e-5, [(), (1,), (0, 1)]),
     # the same weak mode with an unstable partner: the union's Gramian is
     # positive semidefinite, so its smallest eigenvalue is at most 5e-11
     (np.diag([1.0, 2.0]), 1e-5, [(), (1,)]),
-    # ‖Y'[:, u]‖ ≈ 1e-10, twice the cut that leaves a cluster out: every
-    # union is factored, and fails the rank test
+    # at 1e-10 the PBH test tags the weak mode uncontrollable, so its
+    # cluster is left out: the stable mode's is the only support factored
     (np.diag([1.0, -2.0]), 1e-10, [(), (1,)]),
 ])
 def test_family_factors_every_union_of_a_weakly_controllable_cluster(
         a0, b_weak, members, monkeypatch):
     form, split = homogeneous_setup(a0, np.array([[b_weak], [1.0]]))
-    family, _, cols, held = _factored_supports(form, split, monkeypatch)
+    family, lp, cols, held = _factored_supports(form, split, monkeypatch)
+    tagged = b_weak > 1e-6
+    assert [blk.controllable for blk in split.blocks] == [tagged, True]
     assert [sol.block_set for sol in family] == members
-    assert sorted(map(sorted, held)) == [[0], [0, 1], [1]]
+    assert len(cols) == lp.shape[1] == (2 if tagged else 1)
+    assert sorted(map(sorted, held)) == ([[0], [0, 1], [1]] if tagged else [[0]])
     assert_family_is_direct(form, split, family)
 
 
@@ -1135,9 +1150,7 @@ def test_family_solves_the_gramian_with_one_kernel_call_per_cluster(case, monkey
         monkeypatch.setattr(riccati, name, in_phase(label, getattr(riccati, name)))
     schur_family(form, split)
 
-    at_axis = {blk.cluster for blk in split.blocks if blk.half_plane == "AXIS"}
-    clusters = {blk.cluster for blk in split.blocks
-                if blk.half_plane != "AXIS" and blk.cluster not in at_axis}
+    clusters = _family_clusters(split)
     # one call for the whole Gramian; only when a pair clashes does the
     # kernel go pair by pair, at most C(C+1)/2 calls more
     assert len(clusters) >= 2
