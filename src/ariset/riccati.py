@@ -362,11 +362,16 @@ def _check_invariant(form, basis, d, error, message):
 def _check_split(form, split):
     """Raise :class:`InvalidInput` unless ``split`` is a Schur form of the
     form's ``A0ᵀ``: of its order, and ``A0ᵀ U = U T`` by
-    :func:`_check_invariant`. Its tags are then read as the form's."""
+    :func:`_check_invariant`; and, when the split records the B its PBH
+    tags were computed from, unless that is the form's B. Its tags are
+    then read as the form's."""
     _check_same_order(form.A0, "the form", split.T, "the split")
     _check_invariant(form, split.U, split.T, InvalidInput,
                      "the split is not a Schur form of the form's A0ᵀ: "
                      "invariance residual {resid:.3e}")
+    if split._tagged_b is not None and not np.array_equal(split._tagged_b, form.problem.B):
+        raise InvalidInput("the split's controllability tags were computed for another B "
+                           "than the form's")
 
 
 def reduce(form: HomogeneousForm, split: SpectralSplit, block_set):
@@ -508,11 +513,12 @@ def _cluster_bases(eqn, cols):
     k = eqn.k
     lp = np.empty_like(eqn.Lk)
     lam = np.zeros((k, k))
+    eye = np.eye(k)
     for cu in cols:
-        t, q = _select_leading(eqn.Dk, np.eye(k), cu)
+        t, q = _select_leading(eqn.Dk, eye, cu)
         m = len(cu)
         lp[:, cu] = eqn.Lk @ q[:, :m]
-        lam[np.ix_(cu, cu)] = t[:m, :m]
+        lam[cu[:, None], cu] = t[:m, :m]
     return lp, lam
 
 
@@ -667,21 +673,25 @@ def schur_family(
     The member over a subset S is ``X_S = L'_S Y'[S,S]⁻¹ L'_Sᵀ``, the
     Schur complement of the maximal solution onto S. Members' coordinates
     are built in stacked levels of equal column count, fewest columns
-    first (:func:`_level_coordinates`); only the R of ``L'_S = QR`` is
-    factored, the Gramian moved to the basis ``Q = L'_S R⁻¹`` as ``R⁻ᵀ
-    Y'[S,S] R⁻¹`` with one batched inverse of R. There the Gramian's rank
-    test reads as in :func:`full_rank_simplified_solution`, on the moduli
-    of its eigenvalues (its singular values, as it is symmetric), and a
-    present member's ``rank`` is its column count. Each level's Gramians
-    are inverted at once, and the test is decided for every union of the
-    level, where the level is built, in one pass of
-    :func:`_certified_full_rank` from the inverse's residual; only the
-    unions it cannot certify take ``eigvalsh`` (none on the bench's
-    families). Every union of clusters with no clashing pair is
-    enumerated, and a weakly controllable cluster that the split tags
-    controllable reaches that test like any other. Every present
-    member's X then goes into one stack, and one stacked pass computes
-    all residuals Ric(X) and applies the backward-error gate. The
+    first (:func:`_family_coordinates`), and each level does only the
+    work whose shapes depend on its column count k
+    (:func:`_factor_level`): it gathers its ``L'_S`` and ``Y'[S,S]``,
+    factors only the R of ``L'_S = QR``, moves the Gramian to the basis
+    ``Q = L'_S R⁻¹`` as ``g = R⁻ᵀ Y'[S,S] R⁻¹`` with one batched inverse
+    of R, and inverts its Gramians at once. There the Gramian's rank test
+    reads as in :func:`full_rank_simplified_solution`, on the moduli of
+    its eigenvalues (its singular values, as it is symmetric), and a
+    present member's ``rank`` is its column count. The rest runs once
+    per family: the table of unions, built from integer bitmasks, and
+    the columns of every level, from one ``nonzero`` of it; the test,
+    decided for every union of every level in one pass of
+    :func:`_certified_full_rank` from the inverses' residuals, so that
+    only the unions it cannot certify take ``eigvalsh``, level by level
+    (none on the bench's families). Every union of clusters with no
+    clashing pair is enumerated, and a weakly controllable cluster that
+    the split tags controllable reaches that test like any other. Every
+    present member's X then goes into one stack, and one stacked pass
+    computes all residuals Ric(X) and applies the backward-error gate. The
     members stay in those stacks: each member's :class:`AriSolution` is
     built when it is first read, and the ``residual_verdict`` of all of
     them, from one stacked ``eigvalsh``, when the first is read.
@@ -737,10 +747,7 @@ def _gramian_members(eqn, tol):
     c = 0.5 * (c + c.T)
     y, clash = _cluster_gramian(lam, c, cols)
 
-    # every union of non-clashing units, one row each of a membership table
-    masks = np.arange(1, 2 ** len(units))
-    pick = ((masks[:, None] >> np.arange(len(units))) & 1).astype(bool)
-    pick = pick[~np.any((pick @ clash) & pick, axis=1)]
+    pick = _clash_free_unions(clash)
     if not len(pick):
         return None
     # the rows in the family's order, by (column count, block_set) as
@@ -754,21 +761,28 @@ def _gramian_members(eqn, tol):
     order = np.lexsort([*padded.T[::-1], ncols])
     pick, ncols = pick[order], ncols[order]
     col_pick = pick[:, unit_of_col]
-    # each level of equal column count, a run of rows: its present rows,
-    # their Lcoord, and every member's X = Q g⁻¹ Qᵀ in the next rows of one
-    # stack
+    # each level of equal column count k is a run of rows; one nonzero of
+    # the table gives every row's columns, row after row, and each level's
+    # supports L'_S and Gramians Y'[S,S] are gathered from its k·count of
+    # them
+    widths, counts = np.unique(ncols, return_counts=True)
+    support_cols = np.nonzero(col_pick)[1]
+    supports, y_flat, levels, start = lp[:, support_cols], y.ravel(), [], 0
+    for k, count in zip(widths.tolist(), counts.tolist()):
+        end = start + k * count
+        idx = support_cols[start:end].reshape(count, k)
+        levels.append((supports[:, start:end].reshape(-1, count, k).transpose(1, 0, 2),
+                       y_flat[idx[:, :, None] * len(y) + idx[:, None, :]]))
+        start = end
+    # every member's X = Q g⁻¹ Qᵀ in the next rows of one stack
     x = np.empty((len(pick), len(lp), len(lp)))
     present, lcoords, start = [], [], 0
-    for k in np.unique(ncols):
-        rows = np.flatnonzero(ncols == k)
-        idx = np.nonzero(col_pick[rows])[1].reshape(len(rows), k)
-        ok, q, lcoord = _level_coordinates(lp[:, idx].transpose(1, 0, 2),
-                                           y[idx[:, :, None], idx[:, None, :]], tol)
+    for ok, q, lcoord in _family_coordinates(levels, tol):
         np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
         start += len(q)
-        present.append(rows[ok])
+        present.append(ok)
         lcoords.append(lcoord)
-    present = np.concatenate(present)
+    present = np.flatnonzero(np.concatenate(present))
     x = x[:start]
     x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
     x *= 0.5
@@ -778,49 +792,106 @@ def _gramian_members(eqn, tol):
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present])
 
 
-def _level_coordinates(ls, ys, tol):
-    """Coordinates of the members of one level of stacked supports:
-    supports ``ls`` (N×n×k) with Gramians ``ys`` (N×k×k), as ``(ok, q,
-    lcoord)``. ``ok`` marks the supports whose Gramian is nonsingular;
-    ``q`` and ``lcoord`` hold those members only.
+def _clash_free_unions(clash):
+    """Every nonempty union of clusters with no pair that ``clash``es, as
+    rows of a boolean membership table, in the order of their bitmasks.
+    A union is one bitmask; a clashing cluster u drops the unions that hold
+    it and meet its bitmask of clashes."""
+    units = np.arange(len(clash))
+    masks = np.arange(1, 2 ** len(clash))
+    if clash.any():
+        clashes = clash @ (1 << units)
+        for u in np.flatnonzero(clashes).tolist():
+            masks = masks[((masks >> u) & 1 == 0) | (masks & clashes[u] == 0)]
+    return ((masks[:, None] >> units) & 1).astype(bool)
+
+
+class _Level(NamedTuple):
+    """The factors of one level of stacked supports ``ls`` (N×n×k): the
+    inverse ``r_inv`` of the R of ``ls = QR``, the Gramians ``g = R⁻ᵀ Y
+    R⁻¹`` in the basis Q, their inverses ``z`` (None when some g is
+    exactly singular and ``inv`` raises), and the Frobenius norms of g, z
+    and ``g·z − I`` (3×N, nan without z)."""
+
+    ls: np.ndarray
+    r_inv: np.ndarray
+    g: np.ndarray
+    z: Optional[np.ndarray]
+    norms: np.ndarray
+
+
+def _factor_level(ls, ys, upper):
+    """The :class:`_Level` of supports ``ls`` (N×n×k) with Gramians ``ys``
+    (N×k×k): the work whose shapes depend on k. R is read from ``qr``'s
+    raw Householder output through ``upper[:k, :k]``, a mask of the upper
+    triangle, as ``qr(mode="r")`` reads it with ``np.triu``; R⁻¹ serves
+    both sides of ``R⁻ᵀ Y R⁻¹``."""
+    count, _, k = ls.shape
+    h, _ = np.linalg.qr(ls, mode="raw")
+    r_inv = np.linalg.inv(np.where(upper[:k, :k], np.swapaxes(h[:, :, :k], 1, 2), 0.0))
+    parts = np.empty((3, count, k, k))  # g, z and g·z − I, whose norms one einsum takes
+    g, z, resid = parts
+    gram = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
+    np.multiply(0.5, gram + np.swapaxes(gram, 1, 2), out=g)
+    try:
+        z[...] = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        return _Level(ls, r_inv, g, None, np.full((3, count), np.nan))
+    np.matmul(g, z, out=resid)
+    resid.reshape(count, k * k)[:, :: k + 1] -= 1.0
+    return _Level(ls, r_inv, g, z, np.sqrt(np.einsum("snij,snij->sn", parts, parts)))
+
+
+def _family_coordinates(levels, tol):
+    """Coordinates of the members of stacked levels of supports, each
+    ``(ls, ys)``: supports ``ls`` (N×n×k) with Gramians ``ys`` (N×k×k),
+    one k per level. Returns ``(ok, q, lcoord)`` per level: ``ok`` marks
+    the supports whose Gramian is nonsingular; ``q`` and ``lcoord`` hold
+    those members only.
 
     With ``ls = QR``, only R is factored; the Gramian in the basis Q is
     ``g = R⁻ᵀ Y R⁻¹``: one batched inverse of the triangular R and two
     stacked products. The same R⁻¹ gives the present members' basis
     ``Q = L R⁻¹``. The member is ``X = Q g⁻¹ Qᵀ`` with ``Lcoord = g⁻¹``,
-    inverted for the whole level at once. The rank rule σ_min(g) >
-    tol.rank · max(1, σ_max(g)), on the moduli of the eigenvalues that
-    ``eigvalsh`` computes, is first decided for the whole level in one
-    pass of :func:`_certified_full_rank`, from the Frobenius norms of g,
-    g⁻¹ and I − g·g⁻¹; only the unions it does not certify, or every
-    union of the level when some g is exactly singular (``inv`` raises),
-    go to ``eigvalsh``. So every verdict is the rule's.
+    inverted for the whole level at once (:func:`_factor_level`). The rank
+    rule σ_min(g) > tol.rank · max(1, σ_max(g)), on the moduli of the
+    eigenvalues that ``eigvalsh`` computes, is then decided for every
+    union of every level in one pass of :func:`_certified_full_rank`, from
+    the Frobenius norms of g, g⁻¹ and I − g·g⁻¹ and each union's k; only
+    the unions it does not certify, or every union of a level where some
+    g is exactly singular (``inv`` raises), go to ``eigvalsh``, level by
+    level. So every verdict is the rule's.
     A present member's rank is k: ``ok`` asks σ_min(g) > tol.rank ·
     max(1, σ_max(g)), so every singular value of g⁻¹ exceeds tol.rank
     times the largest."""
-    count, _, k = ls.shape
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan fail the certificate
-        r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))  # serves both sides of R⁻ᵀ Y R⁻¹
-        g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
-        g = 0.5 * (g + np.swapaxes(g, 1, 2))
-        try:
-            z = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            z, norms = None, np.full((3, count), np.nan)
-        else:
-            resid = g @ z
-            resid.reshape(count, k * k)[:, :: k + 1] -= 1.0
-            norms = np.sqrt([np.einsum("nij,nij->n", a, a) for a in (g, z, resid)])
-        ok = _certified_full_rank(k, *norms, tol.rank)
-    undecided = ~ok
-    if undecided.any():
+    kmax = max(ls.shape[2] for ls, _ in levels)
+    upper = np.triu(np.ones((kmax, kmax), dtype=bool))
+    # inf and nan fail the certificate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        factored = [_factor_level(ls, ys, upper) for ls, ys in levels]
+        counts = [len(level.g) for level in factored]
+        ks = np.repeat([level.g.shape[2] for level in factored], counts)
+        norms = np.concatenate([level.norms for level in factored], axis=1)
+        certified = _certified_full_rank(ks, *norms, tol.rank)
+    return [_level_members(level, ok, tol)
+            for level, ok in zip(factored, np.split(certified, np.cumsum(counts)[:-1]))]
+
+
+def _level_members(level, ok, tol):
+    """``(ok, q, lcoord)`` of one :class:`_Level` whose certified unions
+    ``ok`` marks: the unions left undecided take the rank rule on
+    ``eigvalsh``, and the present ones their basis ``Q = L R⁻¹`` and
+    ``Lcoord = g⁻¹``."""
+    ls, r_inv, g, z = level.ls, level.r_inv, level.g, level.z
+    if not ok.all():
+        undecided = ~ok
         sv = np.abs(np.linalg.eigvalsh(g[undecided]))  # g is symmetric: its singular values
         ok[undecided] = _full_rank(sv.min(axis=1), sv.max(axis=1), tol.rank)
-    if not ok.all():
-        ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
-        z = None if z is None else z[ok]
-    if z is None:
-        z = np.linalg.inv(g)
+        if not ok.all():
+            ls, r_inv, g = ls[ok], r_inv[ok], g[ok]
+            z = None if z is None else z[ok]
+        if z is None:
+            z = np.linalg.inv(g)
     return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
 
 
@@ -833,9 +904,12 @@ _CERTIFIED_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
     """The unions whose Gramian is certified to pass the rank rule, from
-    the column count ``k`` of their level and the computed Frobenius
-    norms of g, of ``z = inv(g)`` and of the residual ``D = fl(g·z) − I``
-    (arrays, one entry per union; nan where z is missing).
+    their column counts ``k`` and the computed Frobenius norms of g, of
+    ``z = inv(g)`` and of the residual ``D = fl(g·z) − I`` (arrays, one
+    entry per union, so that unions of every level are decided in one
+    call; nan where z is missing). ``k`` may also be one count for all;
+    the arithmetic is elementwise, so each union's answer is the same
+    either way.
 
     Claim: let ĝ, ẑ, r̂ be those norms, u the unit roundoff, ``ρ =
     4γ_{k²+8}``, ``η = (r̂ + γ_k·ĝ·ẑ)(1 + ρ) + k·2⁻⁵³⁶`` and ``e =
@@ -843,7 +917,7 @@ def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
     ``η < 1`` and ``(1 − η)/(ẑ(1 + ρ)) − e > rank_tol · max(1, ĝ(1 + ρ)
     + e)(1 + ρ)``, then the moduli σ̂ of the eigenvalues that LAPACK's
     ``eigvalsh`` computes for g satisfy ``σ̂_min > rank_tol · max(1,
-    σ̂_max)``, the rule of :func:`_level_coordinates`.
+    σ̂_max)``, the rule of :func:`_family_coordinates`.
 
     1. Norms: a computed Frobenius norm is a square root of a sum of k²
        rounded squares, so the true norm is at most ``(1 + γ_{k²+2})``
@@ -890,8 +964,7 @@ def _gated_residuals(form, x, block_ids, block_rows):
     η exceeds :data:`FAMILY_BACKWARD_ERROR`, naming the ``block_ids`` of
     its row of ``block_rows``."""
     resid = _ric(form, x)
-    both = np.stack((resid, x))
-    r_fro, x_fro = np.sqrt(np.einsum("snij,snij->sn", both, both))
+    r_fro, x_fro = (np.sqrt(np.einsum("nij,nij->n", a, a)) for a in (resid, x))
     eta = r_fro / (2.0 * np.linalg.norm(form.A0) * x_fro + np.linalg.norm(form.M) * x_fro ** 2)
     if np.any(eta > FAMILY_BACKWARD_ERROR):
         worst = int(np.argmax(eta))

@@ -53,12 +53,20 @@ class SpectralBlock:
 class SpectralSplit:
     """Ordered Schur decomposition ``A0^T U = U T`` with tagged blocks.
 
-    Blocks are grouped AXIS, RHP, LHP in that order.
+    Blocks are grouped AXIS, RHP, LHP in that order. A split made by
+    :func:`spectral_split` or :func:`pbh_classify` remembers the input
+    matrix B its controllability tags were computed from, and every
+    function that reads the tags as a form's refuses it for a form of
+    another B; a copy made by ``dataclasses.replace`` has no record of B,
+    and is read as before.
     """
 
     U: np.ndarray
     T: np.ndarray
     blocks: tuple
+    # the B that pbh_classify computed the tags from; not a field, so
+    # copies made by dataclasses.replace leave it out
+    _tagged_b = None
 
     def indices(self, half_plane=None, controllable=None):
         """Block indices filtered by half-plane and/or controllability."""
@@ -151,7 +159,9 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
         SpectralBlock(blk.offset, blk.size, blk.eigenvalues, blk.half_plane, ok, blk.cluster)
         for blk, ok in zip(split.blocks, tags.tolist())
     )
-    return SpectralSplit(split.U, split.T, tagged)
+    out = SpectralSplit(split.U, split.T, tagged)
+    object.__setattr__(out, "_tagged_b", bm)
+    return out
 
 
 # Range of ω = (|λ|√n + ‖[A0, B]‖_F)² over which the PBH certificate runs:

@@ -742,3 +742,28 @@ def test_a_split_of_another_problem_of_the_same_order_is_refused(paper, name):
     with pytest.raises(InvalidInput, match=r"^the split is not a Schur form of the form's A0ᵀ: "
                                            r"invariance residual 9\.000e\+00$"):
         ORDER_CALLS[name](form, split, None)
+
+
+@pytest.mark.parametrize("name", SPLIT_READERS)
+def test_a_split_tagged_for_another_b_is_refused(name):
+    # A0 = diag(1, 2, −4) under B = (0, 1, 1)ᵀ and B = (1, 1, 1)ᵀ: the two
+    # splits share U and T and differ only in their tags. Read against the
+    # other's split, boundedness would say "bounded" for the first form,
+    # and schur_family of the second would give 4 members where its own
+    # split gives 8
+    a0 = np.diag([1.0, 2.0, -4.0])
+    form, own = homogeneous_setup(a0, [[0.0], [1.0], [1.0]])
+    other_form, other = homogeneous_setup(a0, [[1.0], [1.0], [1.0]])
+    assert boundedness(form, own).verdict == "bounded-below-only"
+    assert boundedness(other_form, other).verdict == "bounded"
+    refused = "^the split's controllability tags were computed for another B than the form's$"
+    for f, s in ((form, other), (other_form, own)):
+        with pytest.raises(InvalidInput, match=refused):
+            ORDER_CALLS[name](f, s, None)
+    # a copy by dataclasses.replace keeps no record of its B; pbh_classify
+    # tags it for the form's B
+    copy = dataclasses.replace(other)
+    assert copy._tagged_b is None
+    retagged = pbh_classify(form.A0, form.problem.B, copy)
+    assert [blk.controllable for blk in retagged.blocks] == [blk.controllable for blk in own.blocks]
+    assert boundedness(form, retagged).verdict == "bounded-below-only"

@@ -228,7 +228,7 @@ def test_the_scan_sees_a_dead_default():
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # modules of the test suite and of bench/, which its tests put on the path
-LOCAL_MODULES = {"conftest", "workloads", "problems"}
+LOCAL_MODULES = {"conftest", "oracles", "workloads", "problems"}
 
 
 def undeclared_imports(source, declared):

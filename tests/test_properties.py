@@ -283,7 +283,7 @@ SCALE_EXPONENTS = (-600, -400, 0, 400, 505, 600)
 
 @st.composite
 def planted_gramian_stacks(draw):
-    """Levels ``(ls, ys)`` for ``riccati._level_coordinates``, of 1..4
+    """Levels ``(ls, ys)`` for ``riccati._family_coordinates``, of 1..4
     supports each with distinct column counts k in 1..10, and per level
     the ``(ratio, exponent)`` of every row, or None for a row whose
     Gramian is exactly singular. A row's Gramian ``g = R⁻ᵀ Y R⁻¹`` is
@@ -324,8 +324,8 @@ def planted_gramian_stacks(draw):
 
 
 def _eigvalsh_coordinates(ls, ys, tol):
-    """Oracle for ``_level_coordinates``: the rank rule from
-    ``eigvalsh`` on every Gramian, then ``inv`` of the passing ones."""
+    """Oracle for one level of ``_family_coordinates``: the rank rule
+    from ``eigvalsh`` on every Gramian, then ``inv`` of the passing ones."""
     r_inv = np.linalg.inv(np.linalg.qr(ls, mode="r"))
     g = np.swapaxes(r_inv, 1, 2) @ ys @ r_inv
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
@@ -353,14 +353,16 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
         return eigvalsh(a)
 
     low, high = riccati._CERTIFIED_RANGE
-    for (ls, ys), plan in zip(levels, plans):
-        certified.clear()
-        rule_rows.clear()
-        with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
-                mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
-            got = riccati._level_coordinates(ls, ys, DEFAULT)
-        (cert,) = certified  # one certificate call per level
-        assert sum(rule_rows) == np.count_nonzero(~cert)
+    with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
+            mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
+        got_levels = riccati._family_coordinates(levels, DEFAULT)
+    (cert,) = certified  # one certificate call for every level
+    assert sum(rule_rows) == np.count_nonzero(~cert)
+    level_certs = np.split(cert, np.cumsum([len(ls) for ls, _ in levels])[:-1])
+    # one eigvalsh per level with undecided rows, on exactly those rows
+    undecided = [np.count_nonzero(~cert) for cert in level_certs]
+    assert rule_rows == [n for n in undecided if n]
+    for (ls, ys), plan, got, cert in zip(levels, plans, got_levels, level_certs):
         want = _eigvalsh_coordinates(ls, ys, DEFAULT)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -382,6 +384,41 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
                 assert not ok[row]
             if ratio == 1e3 and 0 <= exponent <= 400 and None not in plan:
                 assert cert[row]
+
+
+# norms a Gramian may report besides ordinary ones: nan and inf, zero, the
+# edges of the certificate's range and values just past them
+EDGE_NORMS = (np.nan, np.inf, 0.0, 2.0 ** -501, 2.0 ** -500, 2.0 ** 500, 2.0 ** 501, 1e300)
+
+
+@st.composite
+def certificate_levels(draw):
+    """``(k, norms)`` of 1..5 levels with distinct column counts k in
+    1..40, ``norms`` the 3×N Frobenius norms of g, z and g·z − I of 1..6
+    unions each, and a rank tolerance."""
+    norm = st.one_of(st.sampled_from(EDGE_NORMS), st.floats(1e-3, 1e3))
+    residual = st.one_of(st.sampled_from(EDGE_NORMS), st.floats(0.0, 1.5))
+    levels = []
+    for k in draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True)):
+        rows = draw(st.integers(1, 6))
+        levels.append((k, np.array([draw(st.lists(strategy, min_size=rows, max_size=rows))
+                                    for strategy in (norm, norm, residual)])))
+    return levels, draw(st.sampled_from((0.0, DEFAULT.rank, 1e-3)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(certificate_levels())
+def test_gramian_certificate_of_all_levels_at_once_is_the_per_level_answer(drawn):
+    # one call with each union's k decides every union as the call of its
+    # level with that k alone does, nan, inf and norms out of range included
+    levels, rank_tol = drawn
+    widths = np.repeat([k for k, _ in levels], [norms.shape[1] for _, norms in levels])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        once = riccati._certified_full_rank(widths, *np.concatenate([n for _, n in levels], axis=1),
+                                            rank_tol)
+        per_level = [riccati._certified_full_rank(k, *norms, rank_tol) for k, norms in levels]
+    assert once.dtype == bool
+    assert once.tolist() == np.concatenate(per_level).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from conftest import (
     gauss_solve,
     homogeneous_setup,
 )
+from oracles import level_reference
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +793,71 @@ def test_family_takes_eigvalsh_on_exactly_the_undecided_union(monkeypatch):
     assert_family_is_direct(form, split, family)
 
 
+def test_family_takes_one_qr_and_two_inv_per_level_and_one_certificate(monkeypatch):
+    # six clusters, two of them pairs, make 63 unions over 8 column counts.
+    # Each column count is one level, and only the work whose shapes depend
+    # on it runs per level: one qr and two inv (of R and of the Gramians).
+    # The certificate runs once for the whole family, and, as it certifies
+    # every union, no eigvalsh runs
+    rng = np.random.default_rng(113)
+    ctrl = [1.1, -0.7, 2.1, complex(-1.5, 1.1), 1.6, complex(0.9, 0.6)]
+    form, split = homogeneous_setup(*build_system(rng, ctrl=ctrl, m=2))
+    calls = dict.fromkeys(["qr", "inv", "eigvalsh", "_certified_full_rank"], 0)
+    for owner, name in [(np.linalg, "qr"), (np.linalg, "inv"), (np.linalg, "eigvalsh"),
+                        (riccati, "_certified_full_rank")]:
+        def counting(*args, _exact=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _exact(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    family = schur_family(form, split)
+    monkeypatch.undo()
+    assert len(family) == 2 ** len(ctrl)
+    assert len({sol.rank for sol in family[1:]}) == 8
+    assert calls == {"qr": 8, "inv": 16, "eigvalsh": 0, "_certified_full_rank": 1}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
+def test_family_members_equal_the_level_reference_bitwise(case, monkeypatch):
+    # every clash-free union of k columns, factored in one level by the
+    # reference arithmetic of oracles.level_reference from the family's own
+    # L' and Y', gives each member's X and Lcoord bit for bit, and exactly
+    # the family's present unions
+    form, split = homogeneous_setup(*_family_case(case))
+    bases, gramian, seen = riccati._cluster_bases, riccati._cluster_gramian, {}
+
+    def spy_bases(eqn, cols):
+        seen["lp"], lam = bases(eqn, cols)
+        return seen["lp"], lam
+
+    def spy_gramian(lam, c, cols):
+        seen["y"], seen["clash"] = gramian(lam, c, cols)
+        seen["cols"] = cols
+        return seen["y"], seen["clash"]
+
+    monkeypatch.setattr(riccati, "_cluster_bases", spy_bases)
+    monkeypatch.setattr(riccati, "_cluster_gramian", spy_gramian)
+    family = schur_family(form, split)
+    monkeypatch.undo()
+    lp, y = seen["lp"], seen["y"]
+    levels = {}
+    for idx in _unions(seen["cols"], seen["clash"]):
+        levels.setdefault(len(idx), []).append(np.sort(idx))
+    want = {}
+    for idx in map(np.array, levels.values()):
+        ok, q, lcoord = level_reference(lp[:, idx].transpose(1, 0, 2),
+                                        y[idx[:, :, None], idx[:, None, :]], DEFAULT)
+        x = np.matmul(q @ lcoord, np.swapaxes(q, 1, 2))
+        x = 0.5 * (x + np.swapaxes(x, 1, 2))
+        want.update((tuple(cols.tolist()), (xs, lc)) for cols, xs, lc in zip(idx[ok], x, lcoord))
+    rows = family._members.col_rows
+    got = {tuple(np.flatnonzero(row).tolist()): sol for row, sol in zip(rows, family[1:])}
+    assert got.keys() == want.keys() and len(got) == len(family) - 1
+    for cols, sol in got.items():
+        xs, lc = want[cols]
+        assert sol.X.tobytes() == xs.tobytes() and sol.Lcoord.tobytes() == lc.tobytes()
+
+
 def _planted_pair_system():
     # an uncontrollable conjugate pair: a two-column cluster that B misses
     rng = np.random.default_rng(139)
@@ -801,9 +867,9 @@ def _planted_pair_system():
 
 def _factored_supports(form, split, monkeypatch):
     """The family, its cluster columns and the column sets of the supports
-    that reach ``_level_coordinates``; ``L'`` and the cluster columns are
-    None when ``_cluster_bases`` is never called."""
-    bases, coordinates = riccati._cluster_bases, riccati._level_coordinates
+    that reach ``_factor_level``; ``L'`` and the cluster columns are None
+    when ``_cluster_bases`` is never called."""
+    bases, factor = riccati._cluster_bases, riccati._factor_level
     seen, supports = {}, []
 
     def spy_bases(eqn, cols):
@@ -811,12 +877,12 @@ def _factored_supports(form, split, monkeypatch):
         seen.update(lp=lp, cols=cols)
         return lp, lam
 
-    def spy_coordinates(ls, ys, tol):
+    def spy_factor(ls, ys, upper):
         supports.extend(ls)
-        return coordinates(ls, ys, tol)
+        return factor(ls, ys, upper)
 
     monkeypatch.setattr(riccati, "_cluster_bases", spy_bases)
-    monkeypatch.setattr(riccati, "_level_coordinates", spy_coordinates)
+    monkeypatch.setattr(riccati, "_factor_level", spy_factor)
     family = schur_family(form, split)
     monkeypatch.undo()
     lp = seen.get("lp")
@@ -1321,6 +1387,26 @@ def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
     want = _pairwise_gramian(lam, c, cols, clash)
     assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
     assert not y[np.ix_(cols[0], cols[2])].any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clash_free_unions_are_the_unions_with_no_clashing_pair(seed):
+    # random symmetric clash tables over six clusters, a cluster clashing
+    # with itself included, and none at seed 0: the rows are the unions
+    # with no clashing pair, in the order of their bitmasks
+    clash = np.random.default_rng(seed).random((6, 6)) < 0.2 * min(seed, 1)
+    clash |= clash.T
+    rows = riccati._clash_free_unions(clash)
+    assert rows.dtype == bool and rows.shape[1] == 6
+    masks = rows @ (1 << np.arange(6))
+    assert np.all(np.diff(masks) > 0)
+    want = set()
+    for mask in range(1, 64):
+        units = np.flatnonzero((mask >> np.arange(6)) & 1)
+        if not clash[np.ix_(units, units)].any():
+            want.add(mask)
+    assert set(masks.tolist()) == want
+    assert (len(want) == 63) == (seed == 0)
 
 
 def test_lyapunov_factors_one_schur_form(schur_calls):
