@@ -30,6 +30,7 @@ from .riccati import (
     SimplifiedEquation,
     _base_scale,
     _check_split,
+    _ric,
     _ric_scale,
     _solution_from_coordinates,
     _symmetric_of_order,
@@ -246,7 +247,7 @@ def boundedness(
     half planes, or any uncontrollable axis block (whose free family is
     feasible for either sign), make it unbounded on both sides.
 
-    The witnesses are the rays G of :func:`riccati._uncontrollable_rays`,
+    The witnesses are all the rays G of :func:`riccati._uncontrollable_rays`,
     along which ``Ric(αG) = −2αRe(λ)G`` is negative semidefinite for α of
     the block's sign. Every uncontrollable non-axis block gets one (the
     blocks of a Jordan chain repeat its kernel's directions); uncontrollable
@@ -258,21 +259,18 @@ def boundedness(
     if not unc:
         return BoundednessReport(verdict="bounded", witnesses=())
 
-    witnesses = []
-    has = {AXIS: False, RHP: False, LHP: False}
-    for i, (g, first) in _uncontrollable_rays(form, split, unc, tol).items():
-        plane = split.blocks[i].half_plane
-        has[plane] = True
-        if first or plane != AXIS:
-            witnesses.append(Witness(direction=g, sign=_RAY_SIGN[plane], block=i))
-
-    if has[AXIS] or (has[RHP] and has[LHP]):
+    witnesses = tuple(
+        Witness(direction=g, sign=_RAY_SIGN[split.blocks[i].half_plane], block=i)
+        for i, g in _uncontrollable_rays(form, split, unc, tol).items()
+    )
+    planes = {split.blocks[i].half_plane for i in unc}
+    if AXIS in planes or {RHP, LHP} <= planes:
         verdict = "unbounded-both"
-    elif has[RHP]:
+    elif RHP in planes:
         verdict = "bounded-below-only"
     else:
         verdict = "bounded-above-only"
-    return BoundednessReport(verdict=verdict, witnesses=tuple(witnesses))
+    return BoundednessReport(verdict=verdict, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +322,7 @@ def parametrize(
     y_hat = solve_reduced_gramian(eqn, eqn.Mk + p)
     lhat = _symmetric_inverse(y_hat, tol.rank, SingularInput, "perturbed Gramian is singular")
 
-    reduced = -eqn.Dk @ lhat - lhat @ eqn.Dk.T + lhat @ eqn.Mk @ lhat
-    reduced = 0.5 * (reduced + reduced.T)
+    reduced = _ric(eqn.Dk.T, eqn.Mk, lhat)
     cut = tol.definiteness * max(1.0, float(np.abs(reduced).max()))
     cert = _certificate(reduced, cut, strict)
     return _solution_from_coordinates(eqn, lhat, tol, certificate=cert)
@@ -459,13 +456,17 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     and are cross-checked. Non-strict certification requires the maximum
     residual eigenvalue to be at most the tolerance; strict requires it
     below the negated tolerance. A K that is not n×n raises
-    :class:`InvalidInput`.
+    :class:`InvalidInput`; one whose residual or its scale overflows
+    raises :class:`RiccatiError`.
     """
     km = symmetrize(k, sym_tol=tol.sym, name="K")
-    r_direct = are_residual(form.problem, km)
-    r_homog = ric_residual(form, km - form.K0)
-    k_max = float(np.abs(km).max())
-    scale = max(_base_scale(form.problem), k_max, k_max ** 2 * float(np.abs(form.M).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, refused below
+        r_direct = are_residual(form.problem, km)
+        r_homog = ric_residual(form, km - form.K0)
+        k_max = np.abs(km).max()
+        scale = float(max(_base_scale(form.problem), k_max, k_max ** 2 * np.abs(form.M).max()))
+    if not (math.isfinite(scale) and np.isfinite(r_direct).all() and np.isfinite(r_homog).all()):
+        raise RiccatiError(f"the residual of K or its scale overflows: |K|_max = {k_max:.3e}")
     gap = float(np.abs(r_direct - r_homog).max())
     if gap > ROUTE_AGREEMENT_RTOL * scale + form.base_residual:
         raise RiccatiError(

@@ -234,13 +234,12 @@ def are_residual(problem: RiccatiProblem, k):
 def ric_residual(form: HomogeneousForm, x):
     """Homogeneous residual Ric(X) = −A0ᵀX − XA0 + X M X, symmetrized, for
     an n×n X (else :class:`InvalidInput`)."""
-    return _ric(form, _symmetric_of_order(x, form.problem.n, "X"))
+    return _ric(form.A0, form.M, _symmetric_of_order(x, form.problem.n, "X"))
 
 
-def _ric(form, x):
-    """Ric(X), symmetrized, for one symmetric X or a stack of them."""
-    a0 = form.A0
-    r = -a0.T @ x - x @ a0 + x @ form.M @ x
+def _ric(a0, m, x):
+    """Ric(X) = −A0ᵀX − XA0 + X M X, symmetrized, for one X or a stack."""
+    r = -a0.T @ x - x @ a0 + x @ m @ x
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
@@ -444,7 +443,7 @@ def _solution_from_coordinates(eqn, lcoord, tol, certificate=None):
         Lcoord=lcoord,
         block_set=eqn.block_set,
         rank=len(lcoord),
-        residual=_ric(eqn.form, x),
+        residual=_ric(eqn.form.A0, eqn.form.M, x),
         residual_cut=tol.definiteness * float(_ric_scale(eqn.form, x)),
         eigenvalues=eqn.eigenvalues,
         certificate=certificate,
@@ -747,19 +746,10 @@ def _gramian_members(eqn, tol):
     c = 0.5 * (c + c.T)
     y, clash = _cluster_gramian(lam, c, cols)
 
-    pick = _clash_free_unions(clash)
+    pick, ncols = _clash_free_unions(clash, np.bincount(unit_of_col))
     if not len(pick):
         return None
-    # the rows in the family's order, by (column count, block_set) as
-    # tuples compare: each row's blocks ascending, then padded with −1 so
-    # that a prefix sorts first
     block_ids = np.array(eqn.block_set)
-    past = int(block_ids.max()) + 1
-    padded = np.sort(np.where(pick[:, unit_of_block], block_ids, past), axis=1)
-    padded[padded == past] = -1
-    ncols = pick @ np.bincount(unit_of_col)
-    order = np.lexsort([*padded.T[::-1], ncols])
-    pick, ncols = pick[order], ncols[order]
     col_pick = pick[:, unit_of_col]
     # each level of equal column count k is a run of rows; one nonzero of
     # the table gives every row's columns, row after row, and each level's
@@ -792,18 +782,25 @@ def _gramian_members(eqn, tol):
                     np.array(eqn.eigenvalues, dtype=object), col_pick[present])
 
 
-def _clash_free_unions(clash):
-    """Every nonempty union of clusters with no pair that ``clash``es, as
-    rows of a boolean membership table, in the order of their bitmasks.
-    A union is one bitmask; a clashing cluster u drops the unions that hold
-    it and meet its bitmask of clashes."""
-    units = np.arange(len(clash))
-    masks = np.arange(1, 2 ** len(clash))
-    if clash.any():
-        clashes = clash @ (1 << units)
-        for u in np.flatnonzero(clashes).tolist():
-            masks = masks[((masks >> u) & 1 == 0) | (masks & clashes[u] == 0)]
-    return ((masks[:, None] >> units) & 1).astype(bool)
+def _clash_free_unions(clash, widths):
+    """The nonempty unions of clusters with no ``clash``ing pair, as boolean
+    membership rows and their column counts from the clusters' ``widths``,
+    sorted by (column count, block_set). A clashing cluster drops the
+    unions that hold it and meet its mask of clashes. Cluster u, numbered
+    by its first block, is bit C − 1 − u of a union's mask, and the masks
+    run down from 2^C − 1: within one column count no block_set is a
+    prefix of another, so the first is the one that holds the smallest
+    block where they differ, a cluster's first block and so their highest
+    differing bit. A stable sort on the column counts finishes the order."""
+    bits = len(clash) - 1 - np.arange(len(clash))
+    masks = np.arange(2 ** len(clash) - 1, 0, -1)
+    clashes = clash @ (1 << bits)
+    for u in np.flatnonzero(clashes).tolist():
+        masks = masks[((masks >> bits[u]) & 1 == 0) | (masks & clashes[u] == 0)]
+    table = ((masks[:, None] >> bits) & 1).astype(bool)
+    ncols = table @ widths
+    order = np.argsort(ncols, kind="stable")
+    return table[order], ncols[order]
 
 
 class _Level(NamedTuple):
@@ -963,7 +960,7 @@ def _gated_residuals(form, x, block_ids, block_rows):
     each; raises :class:`RiccatiError` when some member's backward error
     η exceeds :data:`FAMILY_BACKWARD_ERROR`, naming the ``block_ids`` of
     its row of ``block_rows``."""
-    resid = _ric(form, x)
+    resid = _ric(form.A0, form.M, x)
     r_fro, x_fro = (np.sqrt(np.einsum("nij,nij->n", a, a)) for a in (resid, x))
     eta = r_fro / (2.0 * np.linalg.norm(form.A0) * x_fro + np.linalg.norm(form.M) * x_fro ** 2)
     if np.any(eta > FAMILY_BACKWARD_ERROR):
@@ -1012,8 +1009,8 @@ def _uncontrollable_directions(form, lam, tol):
 
 
 def _uncontrollable_rays(form, split, indices, tol):
-    """The ray of every uncontrollable block in ``indices``, as
-    ``{i: (G, first)}``.
+    """The ray G of every uncontrollable block in ``indices`` that has
+    one, as ``{i: G}``.
 
     A direction ``v = x + iy`` with ``A0ᵀv = λv`` and ``Bᵀv = 0`` gives
     ``G = Re(vvᴴ) = xxᵀ + yyᵀ`` with ``BᵀG = 0`` and
@@ -1022,11 +1019,11 @@ def _uncontrollable_rays(form, split, indices, tol):
     with ``w`` the eigenvector of its ``Dk`` (1, or ``(d₁₂, λ − d₁₁)`` on
     a pair). The blocks of a shared cluster have no invariant subspace of
     their own: they take the directions of the kernel of
-    ``[A0ᵀ − λI; Bᵀ]`` at the cluster's first block in turn, wrapping
-    around when a Jordan chain or a copy that B reaches leaves fewer
-    directions than blocks; ``first`` is false for a block that repeats
-    a direction. Axis blocks take ``Re λ := 0``. Every G has unit
-    Frobenius norm.
+    ``[A0ᵀ − λI; Bᵀ]`` at the cluster's first block in turn. When a
+    Jordan chain or a copy that B reaches leaves fewer directions than
+    blocks, the surplus axis blocks get no ray and the other blocks wrap
+    around, repeating a direction. Axis blocks take ``Re λ := 0``. Every
+    G has unit Frobenius norm.
 
     Raises
     ------
@@ -1053,23 +1050,24 @@ def _uncontrollable_rays(form, split, indices, tol):
                 shared[blk.cluster] = (lam, dirs, count())
             lam, dirs, turns = shared[blk.cluster]
             turn = next(turns)
-            v, first = dirs[turn % len(dirs)], turn < len(dirs)
+            if turn >= len(dirs) and blk.half_plane == AXIS:
+                continue
+            v = dirs[turn % len(dirs)]
         else:
             eqn = reduce(form, split, [i])
             d = eqn.Dk
             lam = _row_eigenvalues(d)[0]
             v = eqn.Lk[:, 0] if blk.size == 1 else eqn.Lk @ np.array([d[0, 1], lam - d[0, 0]])
-            first = True
         g = np.outer(v.real, v.real)
         if np.iscomplexobj(v):
             g += np.outer(v.imag, v.imag)
         g = 0.5 * (g + g.T)
         g /= np.linalg.norm(g)
         growth = 0.0 if blk.half_plane == AXIS else 2.0 * lam.real
-        resid = float(np.abs(_ric(form, g) + growth * g).max())
+        resid = float(np.abs(_ric(form.A0, form.M, g) + growth * g).max())
         if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
             raise RiccatiError(f"ray of block {i} has residual {resid:.3e}")
-        rays[i] = (g, first)
+        rays[i] = g
     return rays
 
 
@@ -1101,6 +1099,6 @@ def degenerate_classify(
         blk = split.blocks[i]
         if blk.controllable:
             outcomes.append((blk, DegenerateOutcome(kind="trivial-only")))
-        elif rays[i][1]:
-            outcomes.append((blk, DegenerateOutcome(kind="free-family", generator=rays[i][0])))
+        elif i in rays:
+            outcomes.append((blk, DegenerateOutcome(kind="free-family", generator=rays[i])))
     return outcomes

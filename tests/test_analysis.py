@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -681,6 +683,29 @@ def test_verify_refuses_a_base_solution_inconsistent_with_the_data(paper):
     with pytest.raises(RiccatiError, match=r"^residual routes disagree by .*; base solution "
                                            r"is inconsistent with the problem data$"):
         verify(moved, form.K0)
+
+
+@pytest.mark.parametrize("size", [1e154, 1e160, 1e300])
+def test_verify_refuses_a_k_whose_residual_overflows(paper, size):
+    # k_max ** 2 used to raise a raw OverflowError, and a nan residual a
+    # raw LinAlgError from eigvalsh; an infinite scale would certify at an
+    # infinite cutoff
+    _, form, _ = paper
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"the residual of K or its scale overflows: |K|_max = {size:.3e}"
+        with pytest.raises(RiccatiError, match=f"^{re.escape(message)}$"):
+            verify(form, size * np.eye(3))
+
+
+def test_verify_keeps_the_certificate_of_a_large_finite_k(paper):
+    problem, form, _ = paper
+    k = 1e150 * np.eye(3)
+    cert = verify(form, k)
+    w = np.linalg.eigvalsh(are_residual(problem, k))
+    assert not cert.passed
+    assert (cert.residual_max_eig, cert.residual_min_eig) == (w[-1], w[0])
+    assert cert.tol_used == Tolerances().definiteness * 1e150 ** 2
 
 
 def test_verify_inhomogeneous_problem():

@@ -300,6 +300,16 @@ def test_verify_k_of_the_wrong_order_exits_2(paper_file, tmp_path, capsys):
     assert not captured.out and "K must be 3x3" in captured.err
 
 
+@pytest.mark.parametrize("size", [1e160, 1e300])
+def test_verify_k_whose_residual_overflows_exits_3(paper_file, tmp_path, capsys, size):
+    k_file = _write(tmp_path, "big.json", {"K": (size * np.eye(3)).tolist()})
+    assert main(["verify", paper_file, "--K", k_file]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.splitlines() == [
+        f"error: RiccatiError: the residual of K or its scale overflows: |K|_max = {size:.3e}"]
+
+
 def test_verify_needs_only_the_base(paper_file, tmp_path, capsys, monkeypatch):
     # verify reads no spectral split; its report is the library's
     # certificate on the same base

@@ -1393,13 +1393,14 @@ def test_cluster_gramian_solves_a_perturbed_row_pair_by_pair(monkeypatch):
 def test_clash_free_unions_are_the_unions_with_no_clashing_pair(seed):
     # random symmetric clash tables over six clusters, a cluster clashing
     # with itself included, and none at seed 0: the rows are the unions
-    # with no clashing pair, in the order of their bitmasks
+    # with no clashing pair, each once, with their column counts
     clash = np.random.default_rng(seed).random((6, 6)) < 0.2 * min(seed, 1)
     clash |= clash.T
-    rows = riccati._clash_free_unions(clash)
+    rows, ncols = riccati._clash_free_unions(clash, np.ones(6, dtype=int))
     assert rows.dtype == bool and rows.shape[1] == 6
+    assert np.array_equal(ncols, rows.sum(axis=1))
     masks = rows @ (1 << np.arange(6))
-    assert np.all(np.diff(masks) > 0)
+    assert len(set(masks.tolist())) == len(masks)
     want = set()
     for mask in range(1, 64):
         units = np.flatnonzero((mask >> np.arange(6)) & 1)
@@ -1407,6 +1408,32 @@ def test_clash_free_unions_are_the_unions_with_no_clashing_pair(seed):
             want.add(mask)
     assert set(masks.tolist()) == want
     assert (len(want) == 63) == (seed == 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_clash_free_unions_come_out_in_the_family_order(seed):
+    # random layouts of 1- and 2-column blocks into clusters, interleaved
+    # and labelled by their first block, under random clash tables: the
+    # rows are the clash-free unions, sorted by (column count, block tuple)
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 3, size=rng.integers(1, 9))
+    labels = []
+    for j in range(len(sizes)):
+        labels.append(j if not labels or rng.random() < 0.6 else int(rng.choice(labels)))
+    units, unit_of_block = np.unique(labels, return_inverse=True)
+    clash = rng.random((len(units), len(units))) < rng.choice([0.0, 0.15, 0.4])
+    clash |= clash.T
+    widths = np.bincount(unit_of_block, weights=sizes).astype(int)
+    rows, ncols = riccati._clash_free_unions(clash, widths)
+    got = [(int(k), tuple(np.flatnonzero(row[unit_of_block]).tolist()))
+           for row, k in zip(rows, ncols)]
+    want = []
+    for units_in in itertools.product([False, True], repeat=len(units)):
+        pick = np.array(units_in)
+        if pick.any() and not clash[np.ix_(pick, pick)].any():
+            blocks = np.flatnonzero(pick[unit_of_block])
+            want.append((int(sizes[blocks].sum()), tuple(blocks.tolist())))
+    assert got == sorted(want)
 
 
 def test_lyapunov_factors_one_schur_form(schur_calls):
@@ -1613,6 +1640,9 @@ def test_degenerate_jordan_chain_hands_out_each_kernel_direction_once():
     form, split = homogeneous_setup(a0, b)
     kernel = np.linalg.matrix_rank(np.vstack([a0.T, b.T]))
     assert 3 - kernel == 1
+    unc = split.indices(controllable=False)
+    assert len(unc) == 2
+    assert len(riccati._uncontrollable_rays(form, split, unc, DEFAULT)) == 1
     gens = [out.generator for _, out in degenerate_classify(form, split)
             if out.kind == "free-family"]
     assert len(gens) == 1
