@@ -463,8 +463,11 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, refused below
         r_direct = are_residual(form.problem, km)
         r_homog = ric_residual(form, km - form.K0)
-        k_max = np.abs(km).max()
-        scale = float(max(_base_scale(form.problem), k_max, k_max ** 2 * np.abs(form.M).max()))
+        k_max, m_max = np.abs(km).max(), np.abs(form.M).max()
+        quadratic = k_max ** 2 * m_max
+        if not np.isfinite(quadratic):  # k_max² may overflow where the product would not
+            quadratic = k_max * (k_max * m_max)
+        scale = float(max(_base_scale(form.problem), k_max, quadratic))
     if not (math.isfinite(scale) and np.isfinite(r_direct).all() and np.isfinite(r_homog).all()):
         raise RiccatiError(f"the residual of K or its scale overflows: |K|_max = {k_max:.3e}")
     gap = float(np.abs(r_direct - r_homog).max())

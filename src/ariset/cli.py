@@ -194,16 +194,29 @@ def _block_dict(index, blk):
     }
 
 
-def _solution_dict(sol):
+def _record(block_set, rank, x, residual_max, full=None):
+    """A solution's report record: the fields plain text prints, or, with
+    ``full`` = (eigenvalues, Lcoord, verdict kind), the whole ``--json``
+    record in its key order."""
+    blocks = [i + 1 for i in block_set]
+    if full is None:
+        return {"blocks": blocks, "rank": rank, "X": x, "residual_max_norm": residual_max}
+    eigenvalues, lcoord, verdict = full
     return {
-        "blocks": [i + 1 for i in sol.block_set],
-        "rank": sol.rank,
-        "eigenvalues": [_c2pair(lam) for lam in sol.eigenvalues],
-        "X": _mat(sol.X),
-        "Lcoord": _mat(sol.Lcoord),
-        "residual_max_norm": float(np.abs(sol.residual).max()),
-        "residual_verdict": sol.residual_verdict.kind,
+        "blocks": blocks,
+        "rank": rank,
+        "eigenvalues": [_c2pair(lam) for lam in eigenvalues],
+        "X": x,
+        "Lcoord": lcoord,
+        "residual_max_norm": residual_max,
+        "residual_verdict": verdict,
     }
+
+
+def _solution_dict(sol, full):
+    """:func:`_record` of ``sol``, the whole record when ``full``."""
+    return _record(sol.block_set, sol.rank, _mat(sol.X), float(np.abs(sol.residual).max()),
+                   (sol.eigenvalues, _mat(sol.Lcoord), sol.residual_verdict.kind) if full else None)
 
 
 def _fmt_matrix(m):
@@ -264,11 +277,12 @@ def _render_classify(results):
 def _cmd_solve(args, form, split, tol):
     results = {"kind": form.kind}
     if args.family:
-        family, present = [], set()
-        for sol in schur_family(form, split, tol):
-            present.add(sol.block_set)
-            family.append(_solution_dict(sol))
-        results["family"] = family
+        rows = schur_family(form, split, tol).as_lists(full=args.json)
+        full = (zip(rows["eigenvalues"], rows["Lcoord"], rows["residual_verdict"]) if args.json
+                else itertools.repeat(None))
+        results["family"] = list(map(_record, rows["block_set"], rows["rank"], rows["X"],
+                                     rows["residual_max"], full))
+        present = set(rows["block_set"])
         eligible = [i for i, b in enumerate(split.blocks) if b.half_plane != AXIS]
         absent = []
         for r in range(1, len(eligible) + 1):
@@ -286,7 +300,7 @@ def _cmd_solve(args, form, split, tol):
             results["absent"] = True
             results["reason"] = type(exc).__name__
             return results, 0
-        results["solution"] = _solution_dict(sol)
+        results["solution"] = _solution_dict(sol, args.json)
     return results, 0
 
 
@@ -325,8 +339,8 @@ def _cmd_extremal(args, form, split, tol):
         )
     results = {
         "kind": form.kind,
-        "Lr": _solution_dict(pair.Lr),
-        "Ll": _solution_dict(pair.Ll),
+        "Lr": _solution_dict(pair.Lr, args.json),
+        "Ll": _solution_dict(pair.Ll, args.json),
         "K_max": _mat(pair.K_max),
         "K_min": _mat(pair.K_min),
     }
@@ -404,15 +418,18 @@ def _cmd_parametrize(args, form, split, tol):
     entries = []
     for p in params:
         sol = parametrize(eqn, p, tol)
+        # verified in both modes: a K whose residual overflows exits 3
         cert = verify(form, form.K0 + sol.X, strict=False, tol=tol)
-        entries.append(
-            {
+        reduced = dataclasses.asdict(sol.certificate)
+        if args.json:
+            entries.append({
                 "P": _mat(p),
-                "solution": _solution_dict(sol),
-                "reduced_certificate": dataclasses.asdict(sol.certificate),
+                "solution": _solution_dict(sol, True),
+                "reduced_certificate": reduced,
                 "verify_certificate": dataclasses.asdict(cert),
-            }
-        )
+            })
+        else:  # plain text prints the reduced certificate and X
+            entries.append({"solution": _solution_dict(sol, False), "reduced_certificate": reduced})
     results = {
         "kind": form.kind,
         "blocks": [i + 1 for i in block_set],

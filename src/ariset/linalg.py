@@ -114,7 +114,8 @@ def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):
     """Validate symmetry within tolerance and return the exact symmetric part.
 
     The deviation |S - S^T|_max must not exceed ``sym_tol * max(1, ||S||_max)``;
-    the returned array is (S + S^T)/2 exactly.
+    the returned array is (S + S^T)/2 exactly, formed as S/2 + S^T/2 so
+    that no finite entry overflows.
     """
     m = as_matrix(s, name=name, square=True)
     scale = max(1.0, float(np.abs(m).max()))
@@ -124,7 +125,7 @@ def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):
             f"{name} is not symmetric: |S - S^T|_max = {dev:.3e} "
             f"exceeds {sym_tol:.1e} * {scale:.3e}"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +379,27 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
     DegenerateSpectrum
         If LAPACK refuses to swap a pair of nearly-confluent blocks.
     """
-    m = as_matrix(a, name="A", square=True)
+    u, t, blocks, _ = _ordered_schur(as_matrix(a, name="A", square=True), classify)
+    return u, t, blocks
+
+
+def _ordered_schur(m, classify):
+    """:func:`real_schur_ordered` of a square finite float array ``m``,
+    also returning the rank ``classify`` gives each block. Every read of
+    the blocks, the first and the one after each reordering, classifies
+    each block once."""
     t, u = schur(m, output="real")
 
     # one stable pass per class boundary, highest first: lead with every
     # block ranked at most the cut
     blocks = _schur_blocks(t)
-    cuts = sorted({classify(blk.eigenvalues[0]) for blk in blocks})
-    for cut in reversed(cuts[:-1]):
-        rows = [blk.offset + i for blk in blocks
-                if classify(blk.eigenvalues[0]) <= cut for i in range(blk.size)]
+    ranks = [classify(blk.eigenvalues[0]) for blk in blocks]
+    for cut in reversed(sorted(set(ranks))[:-1]):
+        rows = [blk.offset + i for blk, rank in zip(blocks, ranks)
+                if rank <= cut for i in range(blk.size)]
         t, u = _select_leading(t, u, rows)
         blocks = _schur_blocks(t)
+        ranks = [classify(blk.eigenvalues[0]) for blk in blocks]
 
     scale = max(1.0, float(lapack.dlange("F", m.T)))  # scaled sums: no overflow
     resid = float(np.abs(m @ u - u @ t).max())
@@ -397,7 +407,7 @@ def real_schur_ordered(a, classify: Callable[[complex], int]):
         raise DegenerateSpectrum(
             f"reordered Schur form lost accuracy: residual {resid:.3e}"
         )
-    return u, t, blocks
+    return u, t, blocks, ranks
 
 
 # ---------------------------------------------------------------------------

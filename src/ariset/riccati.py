@@ -183,8 +183,8 @@ class AriSolution:
     from ``residual`` and ``residual_cut`` on first read and then kept; a
     family member reads its residual's extreme eigenvalues from one
     ``eigvalsh`` over its family's residual stack, taken when the first
-    member's verdict is read (a copy made by ``dataclasses.replace``
-    computes its own).
+    member's verdict, or the family's ``as_lists()``, is read (a copy made
+    by ``dataclasses.replace`` computes its own).
     ``certificate``, when present, summarizes strictness on the support
     subspace.
     """
@@ -596,7 +596,8 @@ class SolutionFamily(Sequence):
     the rows, on the first read of any member but the zero solution, and
     the extreme eigenvalues of all residuals, for ``residual_verdict``, in
     one stacked ``eigvalsh`` on the first read of any member's verdict. A
-    slice returns a list.
+    slice returns a list. :meth:`as_lists` reads the fields of every member
+    from the stacks at once, as Python lists, and builds no member.
     """
 
     def __init__(self, form, tol, members=None):
@@ -635,6 +636,38 @@ class SolutionFamily(Sequence):
         object.__setattr__(sol, "_stacked", (self._extremes, p))
         return sol
 
+    def as_lists(self, full=True):
+        """The members' fields as Python lists in the family's order, read
+        from the stacks in one pass, with no member built: ``block_set``
+        (tuples), ``rank``, ``X`` (nested lists, from one ``tolist`` of the
+        stack) and ``residual_max`` (|Ric(X)|_max, from one reduction),
+        each bitwise what the members hold or give. With ``full``, also
+        ``Lcoord`` (nested lists, one ``tolist`` per level),
+        ``eigenvalues`` (tuples) and ``residual_verdict`` (the verdicts'
+        kinds, from the stacked ``eigvalsh`` that the members' verdicts
+        share). Returns a dict of those lists."""
+        n = self._form.problem.n
+        # member 0, the zero solution: its Ric(X) is 0, so its verdict is
+        # "zero" at any cut
+        rows = {"block_set": [()], "rank": [0], "X": [np.zeros((n, n)).tolist()],
+                "residual_max": [0.0]}
+        if full:
+            rows.update(Lcoord=[[]], eigenvalues=[()], residual_verdict=["zero"])
+        m = self._members
+        if m is None:
+            return rows
+        rows["block_set"] += self._block_sets
+        rows["rank"] += chain.from_iterable([level.shape[1]] * len(level) for level in m.lcoords)
+        rows["X"] += m.x.tolist()
+        rows["residual_max"] += np.abs(m.residual).max(axis=(1, 2)).tolist()
+        if full:
+            _, _, cuts, eigenvalues = self._python_fields
+            rows["Lcoord"] += chain.from_iterable(level.tolist() for level in m.lcoords)
+            rows["eigenvalues"] += eigenvalues
+            rows["residual_verdict"] += [verdict_from_extremes(lo, hi, cut).kind
+                                         for (lo, hi), cut in zip(self._extremes.rows, cuts)]
+        return rows
+
     @cached_property
     def _extremes(self):
         return _ResidualExtremes(self._members.residual)
@@ -644,8 +677,13 @@ class SolutionFamily(Sequence):
         """Per row: the Lcoord, block_set, residual cut and eigenvalues as
         the Python objects a member holds."""
         m = self._members
-        return (list(chain.from_iterable(m.lcoords)), _rows_as_tuples(m.block_ids, m.block_rows),
-                m.cut.tolist(), _rows_as_tuples(m.eigenvalues, m.col_rows))
+        return (list(chain.from_iterable(m.lcoords)), self._block_sets, m.cut.tolist(),
+                _rows_as_tuples(m.eigenvalues, m.col_rows))
+
+    @cached_property
+    def _block_sets(self):
+        m = self._members
+        return _rows_as_tuples(m.block_ids, m.block_rows)
 
 
 def schur_family(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput
-from .linalg import _UNIT, _full_rank, _gamma, _norm2, as_matrix, real_schur_ordered
+from .linalg import _UNIT, _full_rank, _gamma, _norm2, _ordered_schur, as_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -25,7 +25,8 @@ __all__ = [
 ]
 
 AXIS, RHP, LHP = "AXIS", "RHP", "LHP"
-_PLANE_ORDER = {AXIS: 0, RHP: 1, LHP: 2}
+_PLANES = (AXIS, RHP, LHP)  # the order of the split's groups
+_PLANE_ORDER = {plane: rank for rank, plane in enumerate(_PLANES)}
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,19 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
     am = as_matrix(a0, name="A0", square=True)
     bm = _input_matrix(b, am.shape[0])
     _check_same_order(am, "A0", split.T, "the split")
+    return _tagged_split(am, bm, split.U, split.T,
+                         [(blk.offset, blk.size, blk.eigenvalues, blk.half_plane, blk.cluster)
+                          for blk in split.blocks], rank_tol)
+
+
+def _tagged_split(am, bm, u, t, blocks, rank_tol):
+    """The :class:`SpectralSplit` of ``(U, T)`` whose blocks, each given as
+    ``(offset, size, eigenvalues, half_plane, cluster)``, are built once,
+    with the PBH tags that :func:`pbh_classify` describes, for A0 ``am``
+    and B ``bm`` (validated, of one order); it records ``bm``."""
     n, m = bm.shape
     w = np.hstack([am, bm])
-    lam = np.array([blk.eigenvalues[0] for blk in split.blocks])
+    lam = np.array([eigenvalues[0] for _, _, eigenvalues, _, _ in blocks])
     lam_abs = np.abs(lam)
     shift, tried = _certificate_shift(lam_abs, np.sqrt(np.vdot(w, w)), n, m, rank_tol)
     if tried.any():  # only certified pencils need them; out of range they may overflow
@@ -155,11 +166,9 @@ def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
         undecided = chosen & ~tags
         if undecided.any():
             tags[undecided] = _svd_rule(am, bm, shifts[undecided], rank_tol)
-    tagged = tuple(
-        SpectralBlock(blk.offset, blk.size, blk.eigenvalues, blk.half_plane, ok, blk.cluster)
-        for blk, ok in zip(split.blocks, tags.tolist())
-    )
-    out = SpectralSplit(split.U, split.T, tagged)
+    out = SpectralSplit(u, t, tuple(SpectralBlock(offset, size, eigenvalues, half_plane, ok, cluster)
+                                    for (offset, size, eigenvalues, half_plane, cluster), ok
+                                    in zip(blocks, tags.tolist())))
     object.__setattr__(out, "_tagged_b", bm)
     return out
 
@@ -279,6 +288,8 @@ def _cluster_labels(blocks, gap):
     owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
     near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap).astype(float)
     reach = owner.T @ near @ owner > 0
+    if np.array_equal(reach, np.eye(len(sizes), dtype=bool)):  # no two blocks within the gap
+        return list(range(len(sizes)))
     for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
         reach = reach @ reach
     return reach.argmax(axis=1).tolist()
@@ -308,17 +319,7 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     am = as_matrix(a0, name="A0", square=True)
     bm = _input_matrix(b, am.shape[0])
     axis_abs = tol.axis * _norm2(am)
-    u, t, raw = real_schur_ordered(am.T, lambda lam: _PLANE_ORDER[_half_plane(lam, axis_abs)])
-    blocks = tuple(
-        SpectralBlock(
-            offset=blk.offset,
-            size=blk.size,
-            eigenvalues=blk.eigenvalues,
-            half_plane=_half_plane(blk.eigenvalues[0], axis_abs),
-            controllable=False,
-            cluster=label,
-        )
-        for blk, label in zip(raw, _cluster_labels(raw, axis_abs))
-    )
-    split = SpectralSplit(U=u, T=t, blocks=blocks)
-    return pbh_classify(am, bm, split, rank_tol=tol.rank)
+    u, t, raw, ranks = _ordered_schur(am.T, lambda lam: _PLANE_ORDER[_half_plane(lam, axis_abs)])
+    blocks = [(blk.offset, blk.size, blk.eigenvalues, _PLANES[rank], label)
+              for blk, rank, label in zip(raw, ranks, _cluster_labels(raw, axis_abs))]
+    return _tagged_split(am, bm, u, t, blocks, tol.rank)

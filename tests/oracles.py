@@ -5,11 +5,44 @@ family as it stood before the family's per-level work was split from its
 once-per-family work: each level factored, certified and inverted on its
 own, R read through ``qr(mode="r")``. The family must still give the same
 bits for every member.
+
+``cli_report`` is every CLI report as it stood before each command was cut
+to the fields its report prints: the command bodies, ``_solution_dict``
+and the ``_render_*`` functions below are verbatim copies of that
+``ariset/cli.py``, which built the whole ``--json`` record of every
+solution, through its ``AriSolution``, in both modes. The CLI must still
+print the same bytes.
 """
+
+import dataclasses
+import hashlib
+import itertools
+import json
 
 import numpy as np
 
 from ariset import linalg, riccati
+from ariset.analysis import boundedness, extremal_solutions, parametrize, verify
+from ariset.cli import (
+    _NO_SOLUTION,
+    _TOL_KEYS,
+    _build_parser,
+    _load_json,
+    _matrix_field,
+    _parse_block_list,
+)
+from ariset.errors import Uncontrollable
+from ariset.riccati import (
+    RiccatiProblem,
+    degenerate_classify,
+    full_rank_simplified_solution,
+    reduce as reduce_blocks,
+    ric_residual,
+    schur_family,
+    solve_base_are,
+)
+from ariset.systems import AXIS, spectral_split
+from ariset.tolerances import Tolerances
 
 
 def level_reference(ls, ys, tol):
@@ -41,3 +74,325 @@ def level_reference(ls, ys, tol):
     if z is None:
         z = np.linalg.inv(g)
     return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def _c2pair(lam):
+    return [float(lam.real), float(lam.imag)]
+
+
+def _mat(m):
+    return np.asarray(m).tolist()
+
+
+def _block_dict(index, blk):
+    return {
+        "index": index + 1,
+        "size": blk.size,
+        "eigenvalues": [_c2pair(lam) for lam in blk.eigenvalues],
+        "half_plane": blk.half_plane,
+        "controllable": blk.controllable,
+    }
+
+
+def _solution_dict(sol):
+    return {
+        "blocks": [i + 1 for i in sol.block_set],
+        "rank": sol.rank,
+        "eigenvalues": [_c2pair(lam) for lam in sol.eigenvalues],
+        "X": _mat(sol.X),
+        "Lcoord": _mat(sol.Lcoord),
+        "residual_max_norm": float(np.abs(sol.residual).max()),
+        "residual_verdict": sol.residual_verdict.kind,
+    }
+
+
+def _fmt_matrix(m):
+    # one %-format for the whole matrix; "% .9g" % v is f"{v: .9g}" for
+    # every float. The reports hold nested lists, read as they are.
+    if isinstance(m, list) and m and isinstance(m[0], list):
+        rows = m
+    else:
+        rows = np.atleast_2d(np.asarray(m)).tolist()
+    line = "    " + "  ".join(["% .9g"] * len(rows[0])) if rows else ""
+    return "\n".join([line] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _cmd_classify(args, form, split, tol):
+    offsets = {blk.offset: i for i, blk in enumerate(split.blocks)}
+    degenerate = [
+        {
+            "block": offsets[blk.offset] + 1,
+            "outcome": out.kind,
+            "generator": None if out.generator is None else _mat(out.generator),
+        }
+        for blk, out in degenerate_classify(form, split, tol)
+    ]
+    bounds = boundedness(form, split, tol)
+    results = {
+        "order": form.problem.n,
+        "kind": form.kind,
+        "base_residual": form.base_residual,
+        "blocks": [_block_dict(i, b) for i, b in enumerate(split.blocks)],
+        "degenerate": degenerate,
+        "boundedness_preview": bounds.verdict,
+    }
+    return results, 0
+
+
+def _render_classify(results):
+    lines = [f"order {results['order']}, base solution kind: {results['kind']}"]
+    for b in results["blocks"]:
+        eigs = ", ".join(
+            f"{re:.6g}{im:+.6g}j" if im else f"{re:.6g}"
+            for re, im in b["eigenvalues"]
+        )
+        tag = "controllable" if b["controllable"] else "UNCONTROLLABLE"
+        lines.append(
+            f"block {b['index']}: {b['half_plane']:4s} size {b['size']} "
+            f"eigenvalues [{eigs}] {tag}"
+        )
+    for d in results["degenerate"]:
+        lines.append(f"axis block {d['block']}: {d['outcome']}")
+    lines.append(f"solution set: {results['boundedness_preview']}")
+    return "\n".join(lines)
+
+
+def _cmd_solve(args, form, split, tol):
+    results = {"kind": form.kind}
+    if args.family:
+        family, present = [], set()
+        for sol in schur_family(form, split, tol):
+            present.add(sol.block_set)
+            family.append(_solution_dict(sol))
+        results["family"] = family
+        eligible = [i for i, b in enumerate(split.blocks) if b.half_plane != AXIS]
+        absent = []
+        for r in range(1, len(eligible) + 1):
+            for subset in itertools.combinations(eligible, r):
+                if subset not in present:
+                    absent.append([i + 1 for i in subset])
+        results["absent"] = absent
+    else:
+        block_set = _parse_block_list(args.rank_set, len(split.blocks))
+        try:
+            eqn = reduce_blocks(form, split, block_set)
+            sol = full_rank_simplified_solution(eqn, tol)
+        except _NO_SOLUTION as exc:
+            results["requested"] = [i + 1 for i in block_set]
+            results["absent"] = True
+            results["reason"] = type(exc).__name__
+            return results, 0
+        results["solution"] = _solution_dict(sol)
+    return results, 0
+
+
+def _render_solve(results):
+    lines = []
+    if "family" in results:
+        lines.append(f"{len(results['family'])} solutions")
+        for s in results["family"]:
+            lines.append(
+                f"blocks {s['blocks'] or '[]'}: rank {s['rank']}, "
+                f"|Ric(X)|_max = {s['residual_max_norm']:.3e}"
+            )
+            lines.append(_fmt_matrix(s["X"]))
+        if results["absent"]:
+            lines.append(f"absent subsets: {results['absent']}")
+    elif results.get("absent"):
+        lines.append(
+            f"blocks {results['requested']}: absent ({results['reason']})"
+        )
+    else:
+        s = results["solution"]
+        lines.append(
+            f"blocks {s['blocks']}: rank {s['rank']}, "
+            f"|Ric(X)|_max = {s['residual_max_norm']:.3e}"
+        )
+        lines.append(_fmt_matrix(s["X"]))
+    return "\n".join(lines)
+
+
+def _cmd_extremal(args, form, split, tol):
+    try:
+        pair = extremal_solutions(form, split, tol)
+    except Uncontrollable as exc:
+        raise Uncontrollable(
+            f"{exc} (run the bounds command for the unboundedness analysis)"
+        )
+    results = {
+        "kind": form.kind,
+        "Lr": _solution_dict(pair.Lr),
+        "Ll": _solution_dict(pair.Ll),
+        "K_max": _mat(pair.K_max),
+        "K_min": _mat(pair.K_min),
+    }
+    return results, 0
+
+
+def _render_extremal(results):
+    out = ["maximum solution X (support blocks {}):".format(results["Lr"]["blocks"])]
+    out.append(_fmt_matrix(results["Lr"]["X"]))
+    out.append("minimum solution X (support blocks {}):".format(results["Ll"]["blocks"]))
+    out.append(_fmt_matrix(results["Ll"]["X"]))
+    out.append("K_max:")
+    out.append(_fmt_matrix(results["K_max"]))
+    out.append("K_min:")
+    out.append(_fmt_matrix(results["K_min"]))
+    return "\n".join(out)
+
+
+_SWEEP = (1.0, 10.0, 100.0, 1000.0)
+
+
+def _cmd_bounds(args, form, split, tol):
+    report = boundedness(form, split, tol)
+    witnesses = []
+    for w in report.witnesses:
+        signs = {"+": [1.0], "-": [-1.0], "+-": [1.0, -1.0]}[w.sign]
+        sweep = []
+        for s in signs:
+            for alpha in _SWEEP:
+                resid = ric_residual(form, s * alpha * w.direction)
+                sweep.append(
+                    {
+                        "alpha": s * alpha,
+                        "residual_max_eig": float(np.linalg.eigvalsh(resid)[-1]),
+                    }
+                )
+        witnesses.append(
+            {
+                "block": w.block + 1,
+                "sign": w.sign,
+                "direction": _mat(w.direction),
+                "alpha_sweep": sweep,
+            }
+        )
+    results = {"kind": form.kind, "verdict": report.verdict, "witnesses": witnesses}
+    return results, 0
+
+
+def _render_bounds(results):
+    lines = [f"verdict: {results['verdict']}"]
+    for w in results["witnesses"]:
+        lines.append(f"witness on block {w['block']} (sign {w['sign']}):")
+        lines.append(_fmt_matrix(w["direction"]))
+        for entry in w["alpha_sweep"]:
+            lines.append(
+                f"  alpha = {entry['alpha']:8.1f}: "
+                f"max eig Ric = {entry['residual_max_eig']: .3e}"
+            )
+    return "\n".join(lines)
+
+
+def _cmd_parametrize(args, form, split, tol):
+    block_set = _parse_block_list(args.blocks, len(split.blocks))
+    eqn = reduce_blocks(form, split, block_set)
+    if args.param is not None:
+        doc, _ = _load_json(args.param)
+        p = _matrix_field(doc, "P", args.param)
+        params = [np.atleast_2d(p)]
+    else:
+        rng = np.random.default_rng(args.seed)
+        params = []
+        for _ in range(args.sample):
+            g = rng.standard_normal((eqn.k, eqn.k))
+            params.append(g @ g.T + 0.1 * np.eye(eqn.k))
+    entries = []
+    for p in params:
+        sol = parametrize(eqn, p, tol)
+        cert = verify(form, form.K0 + sol.X, strict=False, tol=tol)
+        entries.append(
+            {
+                "P": _mat(p),
+                "solution": _solution_dict(sol),
+                "reduced_certificate": dataclasses.asdict(sol.certificate),
+                "verify_certificate": dataclasses.asdict(cert),
+            }
+        )
+    results = {
+        "kind": form.kind,
+        "blocks": [i + 1 for i in block_set],
+        "solutions": entries,
+    }
+    return results, 0
+
+
+def _render_parametrize(results):
+    lines = [f"blocks {results['blocks']}: {len(results['solutions'])} solution(s)"]
+    for e in results["solutions"]:
+        rc = e["reduced_certificate"]
+        lines.append(
+            f"P -> solution (strict={rc['strict']}, passed={rc['passed']}, "
+            f"max eig reduced residual {rc['residual_max_eig']:.3e})"
+        )
+        lines.append(_fmt_matrix(e["solution"]["X"]))
+    return "\n".join(lines)
+
+
+def _cmd_verify(args, form, split, tol):
+    doc, _ = _load_json(args.K)
+    k = _matrix_field(doc, "K", args.K)
+    cert = verify(form, k, strict=args.strict, tol=tol)
+    results = {"kind": form.kind, "certificate": dataclasses.asdict(cert)}
+    return results, 0 if cert.passed else 1
+
+
+def _render_verify(results):
+    c = results["certificate"]
+    status = "PASS" if c["passed"] else "FAIL"
+    mode = "strict" if c["strict"] else "non-strict"
+    return (
+        f"{status} ({mode}): residual eigenvalues in "
+        f"[{c['residual_min_eig']:.6e}, {c['residual_max_eig']:.6e}], "
+        f"tolerance {c['tol_used']:.3e}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+_COMMANDS = {
+    "classify": (_cmd_classify, _render_classify),
+    "solve": (_cmd_solve, _render_solve),
+    "extremal": (_cmd_extremal, _render_extremal),
+    "bounds": (_cmd_bounds, _render_bounds),
+    "parametrize": (_cmd_parametrize, _render_parametrize),
+    "verify": (_cmd_verify, _render_verify),
+}
+
+
+def cli_report(argv):
+    """``(stdout, exit code)`` of ``ariset argv`` at default tolerances,
+    built by the reference commands above from the library's base solve
+    and split of the problem file; a refusal by the library propagates."""
+    args = _build_parser().parse_args(argv)
+    with open(args.file, "rb") as fh:
+        raw = fh.read()
+    doc = json.loads(raw)
+    k0 = doc.get("K0")
+    problem = RiccatiProblem(A=np.array(doc["A"], dtype=float), B=np.array(doc["B"], dtype=float),
+                             Q=None if "Q" not in doc else np.array(doc["Q"], dtype=float))
+    tol = Tolerances()
+    kind = args.kind or ("given" if k0 is not None else "antistabilizing")
+    form = solve_base_are(problem, kind=kind, k0=k0, tol=tol)
+    split = spectral_split(form.A0, problem.B, tol=tol) if args.command != "verify" else None
+    command, render = _COMMANDS[args.command]
+    results, code = command(args, form, split, tol)
+    if not args.json:
+        return render(results) + "\n", code
+    report = {
+        "command": ["ariset"] + list(argv),
+        "input_digest": hashlib.sha256(raw).hexdigest(),
+        "tolerances": {key: getattr(tol, field) for key, field in _TOL_KEYS.items()},
+        "results": results,
+    }
+    return json.dumps(report) + "\n", code

@@ -685,11 +685,11 @@ def test_verify_refuses_a_base_solution_inconsistent_with_the_data(paper):
         verify(moved, form.K0)
 
 
-@pytest.mark.parametrize("size", [1e154, 1e160, 1e300])
+@pytest.mark.parametrize("size", [1e154, 1e160, 1e300, 1e308])
 def test_verify_refuses_a_k_whose_residual_overflows(paper, size):
     # k_max ** 2 used to raise a raw OverflowError, and a nan residual a
     # raw LinAlgError from eigvalsh; an infinite scale would certify at an
-    # infinite cutoff
+    # infinite cutoff. At 1e308 symmetrizing K must not overflow first
     _, form, _ = paper
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -706,6 +706,23 @@ def test_verify_keeps_the_certificate_of_a_large_finite_k(paper):
     assert not cert.passed
     assert (cert.residual_max_eig, cert.residual_min_eig) == (w[-1], w[0])
     assert cert.tol_used == Tolerances().definiteness * 1e150 ** 2
+
+
+def test_verify_certifies_a_k_whose_squared_norm_alone_overflows():
+    # |K|²_max overflows but |K|²_max·|M|_max = 1e120 does not, and both
+    # residuals are finite: the scale is formed as k_max·(k_max·|M|_max)
+    from ariset import RiccatiProblem, solve_base_are
+
+    problem = RiccatiProblem(A=np.diag([1.0, 2.0, -4.0]), B=1e-100 * np.ones((3, 1)))
+    form = solve_base_are(problem, kind="given", k0=np.zeros((3, 3)))
+    k = 1e160 * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify(form, k)
+    w = np.linalg.eigvalsh(are_residual(problem, k))
+    assert not cert.passed
+    assert (cert.residual_max_eig, cert.residual_min_eig) == (w[-1], w[0])
+    assert cert.tol_used == Tolerances().definiteness * 1e160
 
 
 def test_verify_inhomogeneous_problem():

@@ -11,6 +11,7 @@ import ariset
 from ariset.cli import _fmt_matrix, main
 
 from conftest import L1, LHAT, LL, LR, LSTAR, PAPER_A, PAPER_B
+from oracles import cli_report
 
 
 @pytest.fixture
@@ -300,7 +301,7 @@ def test_verify_k_of_the_wrong_order_exits_2(paper_file, tmp_path, capsys):
     assert not captured.out and "K must be 3x3" in captured.err
 
 
-@pytest.mark.parametrize("size", [1e160, 1e300])
+@pytest.mark.parametrize("size", [1e160, 1e300, 1e308])
 def test_verify_k_whose_residual_overflows_exits_3(paper_file, tmp_path, capsys, size):
     k_file = _write(tmp_path, "big.json", {"K": (size * np.eye(3)).tolist()})
     assert main(["verify", paper_file, "--K", k_file]) == 3
@@ -766,3 +767,80 @@ def _render_cases():
                          ids=lambda m: "x".join(map(str, np.shape(m))) or "scalar")
 def test_fmt_matrix_matches_per_entry_formatting(m):
     assert _fmt_matrix(m) == _fmt_matrix_per_entry(m)
+
+
+# ---------------------------------------------------------------------------
+# every report against the reference
+
+
+# name: (A, B, 1-based RHP blocks, K for verify)
+_REPORT_PROBLEMS = {
+    "worked-example": (PAPER_A, PAPER_B, "1,2", LHAT),
+    "mirrored-pair": (np.diag([1.0, -1.0]), np.ones((2, 1)), "1", np.zeros((2, 2))),
+    "uncontrollable-rhp": (np.diag([-1.0, 2.0]), np.array([[1.0], [0.0]]), "1",
+                           np.diag([0.0, 1.0])),
+}
+
+_REPORT_COMMANDS = {
+    "classify": lambda path, k_path, rhp: ["classify", path],
+    "solve-family": lambda path, k_path, rhp: ["solve", path, "--family"],
+    "solve-rank-set": lambda path, k_path, rhp: ["solve", path, "--rank-set", rhp],
+    "solve-rank-set-all": lambda path, k_path, rhp: ["solve", path, "--rank-set", "1,2"],
+    "extremal": lambda path, k_path, rhp: ["extremal", path],
+    "bounds": lambda path, k_path, rhp: ["bounds", path],
+    "parametrize": lambda path, k_path, rhp: ["parametrize", path, "--blocks", rhp,
+                                              "--sample", "2", "--seed", "3"],
+    "verify": lambda path, k_path, rhp: ["verify", path, "--K", k_path],
+    "verify-strict": lambda path, k_path, rhp: ["verify", path, "--K", k_path, "--strict"],
+}
+
+
+@pytest.mark.parametrize("use_json", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("command", list(_REPORT_COMMANDS))
+@pytest.mark.parametrize("name", list(_REPORT_PROBLEMS))
+def test_report_is_byte_equal_to_the_reference(name, command, use_json, tmp_path, capsys):
+    # plain text builds only what it prints and the family reads its
+    # stacks; the bytes are those of the reference's whole records
+    a, b, rhp, k = _REPORT_PROBLEMS[name]
+    n = len(a)
+    path = _write(tmp_path, "problem.json", {"A": a.tolist(), "B": b.tolist(),
+                                             "K0": np.zeros((n, n)).tolist()})
+    k_path = _write(tmp_path, "k.json", {"K": k.tolist()})
+    argv = _REPORT_COMMANDS[command](path, k_path, rhp) + (["--json"] if use_json else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    try:
+        want, want_code = cli_report(argv)
+    except ariset.RiccatiError as exc:
+        assert code in (3, 5) and captured.out == ""
+        assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
+    else:
+        assert (code, captured.err) == (want_code, "")
+        assert captured.out == want
+
+
+@pytest.mark.parametrize("use_json", [False, True], ids=["plain", "json"])
+def test_solve_family_builds_no_member_and_reads_the_residual_stack_once(
+        paper_file, capsys, monkeypatch, use_json):
+    # plain text reads no verdict, so takes no eigvalsh; --json takes the
+    # one over the family's residual stack. Neither builds an AriSolution
+    from ariset import riccati
+
+    eigvalsh, stacks, built = np.linalg.eigvalsh, [], []
+
+    def recording(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def building(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a member AriSolution was built")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(riccati, "AriSolution", building)
+    assert main(["solve", paper_file, "--family"] + (["--json"] if use_json else [])) == 0
+    out = capsys.readouterr().out
+    assert (len(json.loads(out)["results"]["family"]) if use_json else out.splitlines()[0]) == (
+        8 if use_json else "8 solutions")
+    assert built == []
+    assert stacks == ([(7, 3, 3)] if use_json else [])

@@ -94,6 +94,20 @@ def test_symmetrize_checks_and_averages():
         symmetrize([[1.0, 2.0], [0.0, 3.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetrize_keeps_finite_entries_finite():
+    # (S + Sᵀ)/2 overflowed above about 9e307; S/2 + Sᵀ/2 does not, and
+    # halving is exact in the normal range, so normal results keep their bits
+    big = np.array([[1.5e308, 1.7e308], [1.7e308 * (1 + 1e-15), -1.6e308]])
+    assert np.array_equal(symmetrize(big), [[1.5e308, 0.5 * big[0, 1] + 0.5 * big[1, 0]],
+                                            [0.5 * big[0, 1] + 0.5 * big[1, 0], -1.6e308]])
+    rng = np.random.default_rng(8)
+    for scale in (1e-300, 1.0, 1e300):
+        m = scale * rng.standard_normal((5, 5))
+        m = m + 1e-12 * np.abs(m).max() * rng.standard_normal((5, 5)) + m.T
+        assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
+
+
 # ---------------------------------------------------------------------------
 # signature of the full-rank solution
 

@@ -858,6 +858,31 @@ def test_family_members_equal_the_level_reference_bitwise(case, monkeypatch):
         assert sol.X.tobytes() == xs.tobytes() and sol.Lcoord.tobytes() == lc.tobytes()
 
 
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
+def test_family_as_lists_gives_every_member_field_bitwise(case):
+    # the bulk read of a fresh family equals what every member holds or
+    # gives, read from another family of the same problem; plain reads
+    # build no member and take no verdict
+    form, split = homogeneous_setup(*_family_case(case))
+    members = list(schur_family(form, split))
+    for full in (False, True):
+        family = schur_family(form, split)
+        rows = family.as_lists(full=full)
+        assert family._built == [None] * len(family)
+        assert ("_extremes" in vars(family)) == (full and len(family) > 1)
+        assert rows["block_set"] == [sol.block_set for sol in members]
+        assert rows["rank"] == [sol.rank for sol in members]
+        assert rows["X"] == [sol.X.tolist() for sol in members]
+        assert list(map(float.hex, rows["residual_max"])) == [
+            float(np.abs(sol.residual).max()).hex() for sol in members]
+        if full:
+            assert rows["Lcoord"] == [sol.Lcoord.tolist() for sol in members]
+            assert rows["eigenvalues"] == [sol.eigenvalues for sol in members]
+            assert rows["residual_verdict"] == [sol.residual_verdict.kind for sol in members]
+        else:
+            assert rows.keys() == {"block_set", "rank", "X", "residual_max"}
+
+
 def _planted_pair_system():
     # an uncontrollable conjugate pair: a two-column cluster that B misses
     rng = np.random.default_rng(139)

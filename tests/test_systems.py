@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,47 @@ def test_half_plane_band_edge(band):
         assert _half_plane(complex(-band, imag), band) == AXIS
         assert _half_plane(complex(above, imag), band) == RHP
         assert _half_plane(complex(-above, imag), band) == LHP
+
+
+def test_split_reads_each_schur_form_once(monkeypatch):
+    # A0 and B are validated once; each read of the Schur blocks, the
+    # first and the one after each reordering, classifies every block
+    # once, and every SpectralBlock is built once, with its tag
+    from ariset import linalg, systems
+
+    a0 = np.zeros((4, 4))
+    a0[0, 0], a0[3, 3] = -1.0, 0.0
+    a0[1:3, 1:3] = [[0.5, 1.0], [-1.0, 0.5]]
+    b = np.ones((4, 1))
+    reads, classified, built, validated = [], [], [], []
+    schur_blocks, half_plane, block, as_matrix = (linalg._schur_blocks, systems._half_plane,
+                                                  systems.SpectralBlock, linalg.as_matrix)
+
+    def reading(t):
+        reads.append(schur_blocks(t))
+        return reads[-1]
+
+    def classifying(lam, axis_abs):
+        classified.append(lam)
+        return half_plane(lam, axis_abs)
+
+    def building(*args, **kwargs):
+        built.append(block(*args, **kwargs))
+        return built[-1]
+
+    def validating(*args, **kwargs):
+        validated.append(kwargs.get("name"))
+        return as_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_schur_blocks", reading)
+    monkeypatch.setattr(systems, "_half_plane", classifying)
+    monkeypatch.setattr(systems, "SpectralBlock", building)
+    for module in (linalg, systems):
+        monkeypatch.setattr(module, "as_matrix", validating)
+    split = spectral_split(a0, b)
+    assert len(reads) == 3  # three classes: two reorderings
+    assert classified == [blk.eigenvalues[0] for read in reads for blk in read]
+    assert len(built) == len(split.blocks) and all(map(operator.is_, built, split.blocks))
+    assert [blk.half_plane for blk in split.blocks] == [AXIS, RHP, LHP]
+    assert all(blk.controllable for blk in split.blocks)
+    assert validated == ["A0", "B"]
