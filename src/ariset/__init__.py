@@ -34,10 +34,8 @@ from .errors import (
     NonInvariantSelection,
     NotAnEquationSolution,
     NotASolution,
-    NotHurwitz,
     NotRHPSelection,
     RiccatiError,
-    SingularBlock,
     SingularInput,
     SingularSylvester,
     SingularY,
@@ -92,13 +90,11 @@ __all__ = [
     "NonInvariantSelection",
     "NotASolution",
     "NotAnEquationSolution",
-    "NotHurwitz",
     "NotRHPSelection",
     "ParamPoint",
     "RiccatiError",
     "RiccatiProblem",
     "SimplifiedEquation",
-    "SingularBlock",
     "SingularInput",
     "SingularSylvester",
     "SingularY",

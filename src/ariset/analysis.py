@@ -456,8 +456,8 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
     and are cross-checked. Non-strict certification requires the maximum
     residual eigenvalue to be at most the tolerance; strict requires it
     below the negated tolerance. A K that is not n×n raises
-    :class:`InvalidInput`; one whose residual or its scale overflows
-    raises :class:`RiccatiError`.
+    :class:`InvalidInput`; one whose residual, its scale or an extreme
+    eigenvalue of the residual overflows raises :class:`RiccatiError`.
     """
     km = symmetrize(k, sym_tol=tol.sym, name="K")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, refused below
@@ -476,4 +476,7 @@ def verify(form: HomogeneousForm, k, strict=False, tol: Tolerances = DEFAULT):
             f"residual routes disagree by {gap:.3e}; base solution is "
             "inconsistent with the problem data"
         )
-    return _certificate(r_direct, tol.definiteness * scale, strict)
+    cert = _certificate(r_direct, tol.definiteness * scale, strict)
+    if not (math.isfinite(cert.residual_min_eig) and math.isfinite(cert.residual_max_eig)):
+        raise RiccatiError(f"the eigenvalues of K's residual overflow: |K|_max = {k_max:.3e}")
+    return cert

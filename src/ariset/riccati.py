@@ -180,13 +180,10 @@ class AriSolution:
     of its sign classification: ``tol.definiteness`` times the size of Ric's terms,
     max(1, |A0|_max |X|_max, |M|_max |X|²_max). ``residual_verdict``, that
     classification (never positive for an emitted solution), is computed
-    from ``residual`` and ``residual_cut`` on first read and then kept; a
-    family member reads its residual's extreme eigenvalues from one
-    ``eigvalsh`` over its family's residual stack, taken when the first
-    member's verdict, or the family's ``as_lists()``, is read (a copy made
-    by ``dataclasses.replace`` computes its own).
-    ``certificate``, when present, summarizes strictness on the support
-    subspace.
+    from one ``eigvalsh`` of ``residual`` on first read and then kept, for
+    a family member as for any solution. The fields are all the state a
+    solution holds. ``certificate``, when present, summarizes strictness
+    on the support subspace.
     """
 
     X: np.ndarray
@@ -197,20 +194,11 @@ class AriSolution:
     residual_cut: float
     eigenvalues: tuple = ()
     certificate: object = None
-    # (_ResidualExtremes, row) of a SolutionFamily member, whose residual
-    # is that row of the family's stack; not a field, so copies made by
-    # dataclasses.replace and asdict leave it out
-    _stacked = None
 
     @cached_property
     def residual_verdict(self):
-        if self._stacked is None:
-            eig = np.linalg.eigvalsh(self.residual)
-            lo, hi = float(eig[0]), float(eig[-1])
-        else:
-            extremes, row = self._stacked
-            lo, hi = extremes.rows[row]
-        return verdict_from_extremes(lo, hi, self.residual_cut)
+        eig = np.linalg.eigvalsh(self.residual)
+        return verdict_from_extremes(float(eig[0]), float(eig[-1]), self.residual_cut)
 
 
 def _symmetric_of_order(s, n, name, sym_tol=DEFAULT.sym):
@@ -567,20 +555,6 @@ class _Members(NamedTuple):
     col_rows: np.ndarray  # (N, eqn.k) membership of the columns of Lk
 
 
-class _ResidualExtremes:
-    """The smallest and largest eigenvalue of every residual of a stack,
-    from one ``eigvalsh`` over the whole stack on first read. Members hold
-    this rather than their family, so no member refers back to it."""
-
-    def __init__(self, residual):
-        self._residual = residual
-
-    @cached_property
-    def rows(self):
-        eig = np.linalg.eigvalsh(self._residual)
-        return list(zip(eig[:, 0].tolist(), eig[:, -1].tolist()))
-
-
 class SolutionFamily(Sequence):
     """The equation solutions of :func:`schur_family`: an immutable
     sequence of :class:`AriSolution`, sorted by ``(rank, block_set)``.
@@ -593,11 +567,10 @@ class SolutionFamily(Sequence):
     ``family[i] is family[i]``. Its ``X`` and ``residual`` are views into
     the stacks. The Python fields of all members (the ``block_set`` and
     ``eigenvalues`` tuples and cuts) are built together, in one pass over
-    the rows, on the first read of any member but the zero solution, and
-    the extreme eigenvalues of all residuals, for ``residual_verdict``, in
-    one stacked ``eigvalsh`` on the first read of any member's verdict. A
-    slice returns a list. :meth:`as_lists` reads the fields of every member
-    from the stacks at once, as Python lists, and builds no member.
+    the rows, on the first read of any member but the zero solution. Each
+    member reads its own ``residual_verdict``. A slice returns a list.
+    :meth:`as_lists` reads the fields of every member from the stacks at
+    once, as Python lists, and builds no member.
     """
 
     def __init__(self, form, tol, members=None):
@@ -631,10 +604,8 @@ class SolutionFamily(Sequence):
         lcoords, block_sets, cuts, eigenvalues = self._python_fields
         p = i - 1
         m = self._members
-        sol = AriSolution(m.x[p], lcoords[p], block_sets[p], len(lcoords[p]), m.residual[p],
-                          cuts[p], eigenvalues[p])
-        object.__setattr__(sol, "_stacked", (self._extremes, p))
-        return sol
+        return AriSolution(m.x[p], lcoords[p], block_sets[p], len(lcoords[p]), m.residual[p],
+                           cuts[p], eigenvalues[p])
 
     def as_lists(self, full=True):
         """The members' fields as Python lists in the family's order, read
@@ -644,8 +615,8 @@ class SolutionFamily(Sequence):
         each bitwise what the members hold or give. With ``full``, also
         ``Lcoord`` (nested lists, one ``tolist`` per level),
         ``eigenvalues`` (tuples) and ``residual_verdict`` (the verdicts'
-        kinds, from the stacked ``eigvalsh`` that the members' verdicts
-        share). Returns a dict of those lists."""
+        kinds, from one ``eigvalsh`` over the residual stack). Returns a
+        dict of those lists."""
         n = self._form.problem.n
         # member 0, the zero solution: its Ric(X) is 0, so its verdict is
         # "zero" at any cut
@@ -664,13 +635,10 @@ class SolutionFamily(Sequence):
             _, _, cuts, eigenvalues = self._python_fields
             rows["Lcoord"] += chain.from_iterable(level.tolist() for level in m.lcoords)
             rows["eigenvalues"] += eigenvalues
-            rows["residual_verdict"] += [verdict_from_extremes(lo, hi, cut).kind
-                                         for (lo, hi), cut in zip(self._extremes.rows, cuts)]
+            eig = np.linalg.eigvalsh(m.residual)
+            rows["residual_verdict"] += [verdict_from_extremes(lo, hi, cut).kind for lo, hi, cut
+                                         in zip(eig[:, 0].tolist(), eig[:, -1].tolist(), cuts)]
         return rows
-
-    @cached_property
-    def _extremes(self):
-        return _ResidualExtremes(self._members.residual)
 
     @cached_property
     def _python_fields(self):
@@ -730,8 +698,7 @@ def schur_family(
     present member's X then goes into one stack, and one stacked pass
     computes all residuals Ric(X) and applies the backward-error gate. The
     members stay in those stacks: each member's :class:`AriSolution` is
-    built when it is first read, and the ``residual_verdict`` of all of
-    them, from one stacked ``eigvalsh``, when the first is read.
+    built when it is first read.
 
     A subset is absent when it contains a block of a cluster that holds
     an axis block or an uncontrollable one, both blocks of a mirrored pair

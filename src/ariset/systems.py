@@ -8,7 +8,8 @@ blocks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -55,19 +56,19 @@ class SpectralSplit:
     """Ordered Schur decomposition ``A0^T U = U T`` with tagged blocks.
 
     Blocks are grouped AXIS, RHP, LHP in that order. A split made by
-    :func:`spectral_split` or :func:`pbh_classify` remembers the input
-    matrix B its controllability tags were computed from, and every
-    function that reads the tags as a form's refuses it for a form of
-    another B; a copy made by ``dataclasses.replace`` has no record of B,
-    and is read as before.
+    :func:`spectral_split` or :func:`pbh_classify` records in ``_tagged_b``
+    the input matrix B its controllability tags were computed from, and
+    every function that reads the tags as a form's refuses it for a form
+    of another B. The record is a field, so copies made by
+    ``dataclasses.replace``, ``copy`` or ``pickle`` keep it; it takes no
+    part in ``repr`` or equality. A split built by hand from U, T and its
+    blocks has none, and its tags are read unchecked.
     """
 
     U: np.ndarray
     T: np.ndarray
     blocks: tuple
-    # the B that pbh_classify computed the tags from; not a field, so
-    # copies made by dataclasses.replace leave it out
-    _tagged_b = None
+    _tagged_b: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def indices(self, half_plane=None, controllable=None):
         """Block indices filtered by half-plane and/or controllability."""
@@ -114,7 +115,8 @@ def _check_same_order(a, a_name, b, b_name):
 
 
 def pbh_classify(a0, b, split: SpectralSplit, rank_tol=DEFAULT.rank):
-    """Return a copy of ``split`` with controllability tags recomputed.
+    """Return a copy of ``split`` with controllability tags recomputed for
+    ``b``, which the copy records as its B.
 
     A block is tagged controllable iff the PBH pencil ``[lam I - A0, B]``
     at its representative eigenvalue ``lam`` (``eigenvalues[0]``) has full
@@ -166,11 +168,10 @@ def _tagged_split(am, bm, u, t, blocks, rank_tol):
         undecided = chosen & ~tags
         if undecided.any():
             tags[undecided] = _svd_rule(am, bm, shifts[undecided], rank_tol)
-    out = SpectralSplit(u, t, tuple(SpectralBlock(offset, size, eigenvalues, half_plane, ok, cluster)
-                                    for (offset, size, eigenvalues, half_plane, cluster), ok
-                                    in zip(blocks, tags.tolist())))
-    object.__setattr__(out, "_tagged_b", bm)
-    return out
+    tagged = tuple(SpectralBlock(offset, size, eigenvalues, half_plane, ok, cluster)
+                   for (offset, size, eigenvalues, half_plane, cluster), ok
+                   in zip(blocks, tags.tolist()))
+    return SpectralSplit(u, t, tagged, bm)
 
 
 # Range of ω = (|λ|√n + ‖[A0, B]‖_F)² over which the PBH certificate runs:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import sys
 import warnings
@@ -708,6 +710,24 @@ def test_verify_keeps_the_certificate_of_a_large_finite_k(paper):
     assert cert.tol_used == Tolerances().definiteness * 1e150 ** 2
 
 
+def test_verify_refuses_a_k_whose_residual_eigenvalue_overflows(paper):
+    # at 0.9e154·I |Ric|_max = 8.1e307 is finite, but eigvalsh gives the
+    # largest eigenvalue as inf; at 0.5e154·I it is 7.5e307, and the
+    # certificate stands
+    problem, form, _ = paper
+    k = 0.5e154 * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "the eigenvalues of K's residual overflow: |K|_max = 9.000e+153"
+        with pytest.raises(RiccatiError, match=f"^{re.escape(message)}$"):
+            verify(form, 0.9e154 * np.eye(3))
+        cert = verify(form, k)
+    w = np.linalg.eigvalsh(are_residual(problem, k))
+    assert not cert.passed and w[-1] == 7.499999999999999e307
+    assert (cert.residual_max_eig, cert.residual_min_eig) == (w[-1], w[0])
+    assert cert.tol_used == Tolerances().definiteness * 0.5e154 ** 2
+
+
 def test_verify_certifies_a_k_whose_squared_norm_alone_overflows():
     # |K|²_max overflows but |K|²_max·|M|_max = 1e120 does not, and both
     # residuals are finite: the scale is formed as k_max·(k_max·|M|_max)
@@ -802,10 +822,36 @@ def test_a_split_tagged_for_another_b_is_refused(name):
     for f, s in ((form, other), (other_form, own)):
         with pytest.raises(InvalidInput, match=refused):
             ORDER_CALLS[name](f, s, None)
-    # a copy by dataclasses.replace keeps no record of its B; pbh_classify
-    # tags it for the form's B
-    copy = dataclasses.replace(other)
-    assert copy._tagged_b is None
-    retagged = pbh_classify(form.A0, form.problem.B, copy)
+    # a copy by dataclasses.replace keeps the record of its B and is
+    # refused alike; pbh_classify tags it for the form's B and records that
+    duplicate = dataclasses.replace(other)
+    assert duplicate._tagged_b is other._tagged_b
+    with pytest.raises(InvalidInput, match=refused):
+        ORDER_CALLS[name](form, duplicate, None)
+    retagged = pbh_classify(form.A0, form.problem.B, duplicate)
     assert [blk.controllable for blk in retagged.blocks] == [blk.controllable for blk in own.blocks]
+    assert np.array_equal(retagged._tagged_b, form.problem.B)
     assert boundedness(form, retagged).verdict == "bounded-below-only"
+
+
+SPLIT_COPIES = {
+    "replace": dataclasses.replace,
+    "copy": copy.copy,
+    "pickle": lambda split: pickle.loads(pickle.dumps(split)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(SPLIT_COPIES))
+def test_a_copy_of_a_split_keeps_its_record_of_b(how):
+    # the record is a field: every copy carries it, and every reader
+    # refuses the copy against a form of the other B, as the original
+    a0 = np.diag([1.0, 2.0, -4.0])
+    form, own = homogeneous_setup(a0, [[0.0], [1.0], [1.0]])
+    other_form, other = homogeneous_setup(a0, [[1.0], [1.0], [1.0]])
+    refused = "^the split's controllability tags were computed for another B than the form's$"
+    for f, s, tagged_for in ((form, other, other_form), (other_form, own, form)):
+        duplicate = SPLIT_COPIES[how](s)
+        assert np.array_equal(duplicate._tagged_b, tagged_for.problem.B)
+        for name in SPLIT_READERS:
+            with pytest.raises(InvalidInput, match=refused):
+                ORDER_CALLS[name](f, duplicate, None)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,30 @@ def test_verify_k_whose_residual_overflows_exits_3(paper_file, tmp_path, capsys,
     assert not captured.out
     assert captured.err.splitlines() == [
         f"error: RiccatiError: the residual of K or its scale overflows: |K|_max = {size:.3e}"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_verify_k_whose_residual_eigenvalue_overflows_exits_3(paper_file, tmp_path, capsys, flags):
+    # the residual of 0.9e154·I is finite but its largest eigenvalue is
+    # not; --json would print it as Infinity, which is not JSON. The
+    # residual of 0.5e154·I keeps its certificate, which fails (exit 1)
+    big = _write(tmp_path, "big.json", {"K": (0.9e154 * np.eye(3)).tolist()})
+    large = _write(tmp_path, "large.json", {"K": (0.5e154 * np.eye(3)).tolist()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", paper_file, "--K", big] + flags) == 3
+        captured = capsys.readouterr()
+        assert main(["verify", paper_file, "--K", large] + flags) == 1
+    assert not captured.out
+    assert captured.err.splitlines() == [
+        "error: RiccatiError: the eigenvalues of K's residual overflow: |K|_max = 9.000e+153"]
+    out = capsys.readouterr().out
+    if flags:
+        form = ariset.solve_base_are(ariset.RiccatiProblem(A=PAPER_A, B=PAPER_B),
+                                     kind="given", k0=np.zeros((3, 3)))
+        cert = ariset.verify(form, 0.5e154 * np.eye(3))
+        assert json.loads(out)["results"]["certificate"]["residual_max_eig"] == \
+            cert.residual_max_eig
 
 
 def test_verify_needs_only_the_base(paper_file, tmp_path, capsys, monkeypatch):

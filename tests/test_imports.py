@@ -2,9 +2,11 @@
 module-level name is left that nothing else in the package names, no
 private function or class is left that the package only imports, no
 function takes a parameter it never reads, no private function has a
-default that no call in the package sets, and no test module imports a
-module that is neither in the standard library nor declared in
-pyproject.toml, other than through ``pytest.importorskip``."""
+default that no call in the package sets, no object gets state past its
+frozen dataclass's fields through ``object.__setattr__`` outside a
+``__post_init__``, and no test module imports a module that is neither
+in the standard library nor declared in pyproject.toml, other than
+through ``pytest.importorskip``."""
 
 import ast
 import re
@@ -223,6 +225,45 @@ def test_the_scan_sees_a_dead_default():
            "def public(x=1):\n    return x\n")
     user = "_fmt(1, ' ', sep=',')\n_Box()._pad(1, 3)\n"
     assert dead_defaults([lib, user]) == ["_fmt:fill", "_fmt:width", "_pad:edge"]
+
+
+def setattr_outside_post_init(source):
+    """Line of every ``object.__setattr__`` in ``source`` that is not in the
+    body of a ``__post_init__``, the one place where a frozen dataclass
+    sets its own fields; a function nested in one does not count as it."""
+    found = []
+
+    def visit(node, in_post_init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name == "__post_init__")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"
+                    and not in_post_init):
+                found.append(child.lineno)
+            visit(child, in_post_init)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_object_setattr_only_in_post_init(path):
+    assert setattr_outside_post_init(path.read_text()) == []
+
+
+def test_the_scan_sees_a_setattr_outside_post_init():
+    src = ("class Box:\n"
+           "    def __post_init__(self):\n"
+           "        object.__setattr__(self, 'a', 1)\n"
+           "        def later():\n"
+           "            object.__setattr__(self, 'b', 2)\n"
+           "    def _build(self):\n"
+           "        set_it = object.__setattr__\n"
+           "        return set_it(self, 'c', 3)\n"
+           "object.__setattr__(Box(), 'd', 4)\n")
+    assert setattr_outside_post_init(src) == [5, 7, 9]
 
 
 TESTS = sorted(Path(__file__).parent.glob("*.py"))

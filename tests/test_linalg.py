@@ -8,15 +8,14 @@ from scipy.linalg import expm, schur, solve_continuous_lyapunov
 from ariset import (
     DegenerateSpectrum,
     InvalidInput,
-    NotHurwitz,
     RiccatiProblem,
-    SingularBlock,
     SingularSylvester,
     definiteness,
     real_schur_ordered,
     symmetrize,
 )
 from ariset import linalg
+from ariset.errors import NotHurwitz, SingularBlock
 from ariset.linalg import (
     as_matrix,
     schur_complement,

@@ -859,17 +859,20 @@ def test_family_members_equal_the_level_reference_bitwise(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES) + list(SEEDED_CASES))
-def test_family_as_lists_gives_every_member_field_bitwise(case):
+def test_family_as_lists_gives_every_member_field_bitwise(case, monkeypatch):
     # the bulk read of a fresh family equals what every member holds or
-    # gives, read from another family of the same problem; plain reads
-    # build no member and take no verdict
+    # gives, read from another family of the same problem; it builds no
+    # member, and only a full read takes eigvalsh, once over the stack
     form, split = homogeneous_setup(*_family_case(case))
     members = list(schur_family(form, split))
     for full in (False, True):
         family = schur_family(form, split)
+        calls = _eigvalsh_inputs(monkeypatch)
         rows = family.as_lists(full=full)
+        monkeypatch.undo()
         assert family._built == [None] * len(family)
-        assert ("_extremes" in vars(family)) == (full and len(family) > 1)
+        stacked = [family._members.residual.shape] if full and len(family) > 1 else []
+        assert [call.shape for call in calls] == stacked
         assert rows["block_set"] == [sol.block_set for sol in members]
         assert rows["rank"] == [sol.rank for sol in members]
         assert rows["X"] == [sol.X.tolist() for sol in members]
@@ -984,10 +987,13 @@ def _verdict_now(form, sol):
 
 
 def _assert_verdict_on_read(form, sol):
-    assert "residual_verdict" not in vars(sol)
+    # a solution holds its fields and nothing else, and its verdict once read
+    fields = {f.name for f in dataclasses.fields(AriSolution)}
+    assert vars(sol).keys() == fields
     verdict = sol.residual_verdict
     assert verdict == _verdict_now(form, sol)
     assert sol.residual_verdict is verdict
+    assert vars(sol).keys() == fields | {"residual_verdict"}
     # a copy with another X keeps the residual, and reads its verdict anew
     moved = dataclasses.replace(sol, X=sol.X + 1e-3 * np.eye(len(sol.X)))
     assert "residual_verdict" not in vars(moved)
@@ -1005,17 +1011,17 @@ def test_family_verdicts_are_computed_on_first_read(case):
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_verdicts_come_from_one_stacked_eigvalsh(case, monkeypatch):
-    # reading X builds every member and takes no eigvalsh; the first
-    # verdict read takes one over the whole residual stack, and the zero
-    # solution, which is not in it, one of its own
+    # reading X builds every member and takes no eigvalsh; each member's
+    # verdict then takes one eigvalsh of its own n×n residual
     form, split = homogeneous_setup(*FAMILY_CASES[case]())
     family = schur_family(form, split)
     calls = _eigvalsh_inputs(monkeypatch)
     assert [sol.X for sol in family] and not calls
-    family[-1].residual_verdict
-    assert [call.shape for call in calls] == [family._members.residual.shape]
-    verdicts = [sol.residual_verdict for sol in family]
-    assert [call.shape for call in calls[1:]] == [form.A0.shape]
+    verdicts = []
+    for sol in family:
+        verdicts.append(sol.residual_verdict)
+        assert calls[-1].tobytes() == sol.residual.tobytes()
+    assert [call.shape for call in calls] == [form.A0.shape] * len(family)
     monkeypatch.undo()
     assert verdicts == [_verdict_now(form, sol) for sol in family]
 
