@@ -78,7 +78,7 @@ ROUTE_AGREEMENT_RTOL = 1e-8
 FLIP_MATCH_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalPair:
     """Maximum and minimum equation solutions and Willems' bounds.
 
@@ -94,7 +94,7 @@ class ExtremalPair:
     K_min: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """A unit-Frobenius-norm ray along which the solution set is unbounded.
 
@@ -115,7 +115,7 @@ class BoundednessReport:
     witnesses: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamPoint:
     """A positive (semi)definite parameter attached to a block selection."""
 
@@ -176,8 +176,8 @@ def rank_one_classify(form: HomogeneousForm, v, alpha, tol: Tolerances = DEFAULT
         return "semidefinite-rank<=1"
     w = form.A0.T @ vec
     defect = w - (vec @ w) * vec
-    cut = tol.definiteness * max(1.0, form.a0_norm)
-    if float(np.linalg.norm(defect)) <= cut:
+    defect_norm = float(np.linalg.norm(defect))
+    if form._a0_scale.decide(lambda s: defect_norm <= tol.definiteness * max(1.0, s)):
         return "semidefinite-rank<=1"
     return "indefinite"
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lapack, schur
+from scipy.linalg import lapack
 
 from .errors import (
     DegenerateSpectrum,
@@ -110,6 +110,79 @@ def _norm2(m):
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+# Range of the computed ‖m‖_F over which :class:`_Norm2Bracket` holds: within
+# it no scaled sum of dlange overflows and the SVD's bound holds (dgesdd
+# scales a matrix of tiny or huge entries first); gradual underflow errs far
+# below the bracket's δ. Outside it the bracket reads the exact norm at once.
+_BRACKET_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+class _Norm2Bracket:
+    """The value ``s`` that :func:`_norm2` returns for a square matrix
+    ``m``, bracketed as ``lo <= s <= hi`` from one Frobenius norm, and
+    computed on demand, at most once, by :meth:`exact`.
+
+    Claim: let n be the order, u the unit roundoff, F̂ the Frobenius norm
+    that LAPACK ``dlange`` computes, and ``δ = γ_{10n²+24}``. If F̂ lies
+    in :data:`_BRACKET_RANGE`, the computed ``lo = F̂/√n·(1 − δ)`` and
+    ``hi = F̂·(1 + δ)`` satisfy ``lo <= s <= hi``.
+
+    1. Norms: ``‖m‖_F/√n <= ‖m‖₂ <= ‖m‖_F`` (Higham, *Accuracy and
+       Stability*, §6.2).
+    2. SVD: the singular values LAPACK computes are those of some
+       ``m + δm`` with ``‖δm‖₂ <= p(n)·eps·‖m‖₂`` (LAPACK Users' Guide,
+       §4.9), p(n) a modest function of the size taken here as n², as
+       :func:`systems._certificate_shift` takes n(n + m). By Weyl,
+       ``|s − ‖m‖₂| <= 2n²u·‖m‖₂ <= γ_{2n²}‖m‖₂``.
+    3. Frobenius norm: ``dlange`` sums the n² squares of the entries,
+       scaled (``dlassq``), at most four roundings each in any of LAPACK's
+       versions, then takes one square root and one product. So ``|F̂ −
+       ‖m‖_F| <= γ_{4n²+8}·‖m‖_F``, and ``‖m‖_F <= F̂(1 + γ_{8n²+16})``
+       as ``1/(1 − γ_k) <= 1 + γ_{2k}``.
+    4. Hence ``s <= F̂(1 + γ_{8n²+16})(1 + γ_{2n²}) <= F̂(1 + γ_{10n²+16})``
+       and ``s >= F̂(1 − γ_{4n²+8})(1 − γ_{2n²})/√n >= F̂(1 −
+       γ_{6n²+8})/√n`` (Higham, Lemma 3.3); the 8 more of δ cover the at
+       most four roundings in forming each of lo and hi.
+
+    So a rule on s whose answer changes at most once as s grows, such as
+    a comparison with a cut that never decreases as s grows (floating-point
+    rounding is monotone), answers at s as it does at lo and hi wherever
+    those two agree (:meth:`decide`); only a value in the window between
+    them needs s itself.
+    """
+
+    __slots__ = ("_m", "_exact", "lo", "hi")
+
+    def __init__(self, m):
+        self._m = m
+        f = float(lapack.dlange("F", m.T))  # m.T is in Fortran order: no copy
+        low, high = _BRACKET_RANGE
+        if low <= f <= high:
+            delta = _gamma(10 * len(m) ** 2 + 24)
+            self._exact = None
+            self.lo = f / math.sqrt(len(m)) * (1.0 - delta)
+            self.hi = f * (1.0 + delta)
+        else:
+            self._exact = self.lo = self.hi = _norm2(m)
+
+    def exact(self):
+        """The value :func:`_norm2` returns for the matrix, computed on
+        the first call and then kept."""
+        if self._exact is None:
+            self._exact = _norm2(self._m)
+        return self._exact
+
+    def decide(self, rule):
+        """``rule(s)``, a bool or an array of them, for a ``rule`` whose
+        answer, elementwise, changes at most once as s grows: read at lo
+        and at hi, and at s, by :meth:`exact`, only when those two
+        differ."""
+        at_lo, at_hi = rule(self.lo), rule(self.hi)
+        if at_lo is at_hi or np.array_equal(at_lo, at_hi):  # bools are singletons
+            return at_lo
+        return rule(self.exact())
+
+
 def symmetrize(s, sym_tol=DEFAULT.sym, name="matrix"):
     """Validate symmetry within tolerance and return the exact symmetric part.
 
@@ -201,8 +274,9 @@ def verdict_from_extremes(lo, hi, cut):
     return DefinitenessVerdict(kind=kind, min_eig=lo, max_eig=hi, tol_used=cut)
 
 
-# Unit roundoff of float64 arithmetic.
-_UNIT = np.finfo(float).eps / 2
+# Unit roundoff of float64 arithmetic, as a Python float: scalar arithmetic
+# on it gives numpy's bits without numpy's per-operation cost.
+_UNIT = float(np.finfo(float).eps) / 2
 
 
 def _gamma(k):
@@ -226,11 +300,107 @@ def _check_nonsingular(m, rank_tol, error, message):
         raise error(message.format(sv_min=sv[-1]))
 
 
+# Range of the computed ‖g‖_F and ‖g⁻¹‖_F over which the rank certificate
+# runs: within it no square of a norm and no product in g·g⁻¹ overflows,
+# and gradual underflow errs far below the certificate's margins. Matrices
+# outside it go to the rank rule itself.
+_CERTIFIED_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
+    """The k×k matrices g certified to pass the rank rule, from their
+    order ``k`` and the computed Frobenius norms of g, of ``z = inv(g)``
+    and of the residual ``D = fl(g·z) − I`` (arrays, one entry per
+    matrix, so that the unions of every level of a family are decided in
+    one call; nan where z is missing). ``k`` may also be one count for
+    all; the arithmetic is elementwise, so each answer is the same either
+    way.
+
+    Claim: let ĝ, ẑ, r̂ be those norms, u the unit roundoff, ``ρ =
+    4γ_{k²+8}``, ``η = (r̂ + γ_k·ĝ·ẑ)(1 + ρ) + k·2⁻⁵³⁶`` and ``e =
+    k²·eps·ĝ(1 + ρ)``. If ĝ and ẑ lie in :data:`_CERTIFIED_RANGE`,
+    ``η < 1`` and ``(1 − η)/(ẑ(1 + ρ)) − e > rank_tol · max(1, ĝ(1 + ρ)
+    + e)(1 + ρ)``, then the singular values σ̂ that LAPACK's SVD computes
+    for g, and for a symmetric g the moduli σ̂ of the eigenvalues that
+    ``eigvalsh`` computes, satisfy ``σ̂_min > rank_tol · max(1,
+    σ̂_max)``: the rule of :func:`_full_rank` as
+    :func:`_check_nonsingular` and :func:`riccati._family_coordinates`
+    read it.
+
+    1. Norms: a computed Frobenius norm is a square root of a sum of k²
+       rounded squares, so the true norm is at most ``(1 + γ_{k²+2})``
+       times it. Within the range the squares of ‖g‖ and ‖z‖ neither
+       overflow nor lose more than ``k²·2⁻⁷⁴ < u`` (k < 1000) to
+       underflow; the squares of D lose at most ``k²·2⁻¹⁰⁷⁴`` in all,
+       ``k·2⁻⁵³⁷`` in its norm. Overflow gives inf, and inf or nan fails
+       every comparison, so no matrix is certified from it.
+    2. Residual: the product ``C = fl(g·z)`` satisfies ``|C − gz| <=
+       γ_k|g||z|`` in any order of summation, plus at most ``k·2⁻¹⁰⁷⁵``
+       per entry from underflow, and ``D = fl(C − I)`` errs by at most u
+       relative. So the exact ``E = I − gz`` has ``‖E‖₂ <= ‖E‖_F <=
+       ‖D‖_F/(1 − u) + γ_k‖g‖_F‖z‖_F + k²·2⁻¹⁰⁷⁵ <= η``: ρ covers the
+       factors of step 1, the ``1/(1 − u)`` and the rounding of the
+       scalars here, a few operations each.
+    3. Inverse: as ``‖E‖₂ < 1``, ``gz = I − E`` is nonsingular, so g is,
+       and ``g⁻¹ = z(I − E)⁻¹`` gives ``‖g⁻¹‖₂ <= ‖z‖₂/(1 − η)``, so
+       ``σ_min(g) >= (1 − η)/(ẑ(1 + ρ))`` (Higham, *Accuracy and
+       Stability*, ch. 14).
+    4. Computed values: LAPACK's SVD returns the singular values of some
+       ``g + δg`` with ``‖δg‖₂ <= p(k)·eps·‖g‖₂`` (LAPACK Users' Guide,
+       §4.9), and ``eigvalsh`` the eigenvalues of a symmetric ``g + δg``
+       under the same bound (§4.7), p(k) a modest function of the size,
+       taken here as k², as :func:`systems._certificate_shift` takes
+       n(n + m). By Weyl, ``|σ̂_i − σ_i| <= e``, so ``σ̂_min >= σ_min(g) −
+       e`` and ``σ̂_max <= ‖g‖₂ + e <= ĝ(1 + ρ) + e``; the last factor
+       ``1 + ρ`` covers the rounding of the comparison. Hence the rule
+       holds.
+
+    Every matrix this does not certify goes to the rule itself.
+    """
+    kk = k * k
+    slack = 1.0 + 4.0 * _gamma(kk + 8)
+    eta = (r_fro + _gamma(k) * g_fro * z_fro) * slack + k * 2.0 ** -536
+    e = kk * (2.0 * _UNIT) * g_fro * slack
+    low, high = _CERTIFIED_RANGE
+    in_range = (g_fro >= low) & (g_fro <= high) & (z_fro >= low) & (z_fro <= high)
+    lower = (1.0 - eta) / (z_fro * slack) - e
+    upper = rank_tol * np.maximum(1.0, g_fro * slack + e) * slack
+    return in_range & (eta < 1.0) & (lower > upper)
+
+
+def _certified_inverse(m, z, rank_tol):
+    """Whether :func:`_certified_full_rank` certifies the square ``m`` with
+    computed inverse ``z``. Outside :data:`_CERTIFIED_RANGE` (inf and nan
+    included) the norms of m and z decide no; inside it nothing the
+    residual or the certificate computes overflows."""
+    g_fro, z_fro = math.sqrt(np.vdot(m, m)), math.sqrt(np.vdot(z, z))
+    low, high = _CERTIFIED_RANGE
+    if not (low <= g_fro <= high and low <= z_fro <= high):
+        return False
+    resid = m @ z
+    resid.flat[:: len(m) + 1] -= 1.0
+    return bool(_certified_full_rank(len(m), g_fro, z_fro, math.sqrt(np.vdot(resid, resid)),
+                                     rank_tol))
+
+
 def _symmetric_inverse(m, rank_tol, error, message):
     """``inv(m)``, symmetrized, for a symmetric ``m`` that passes
-    :func:`_check_nonsingular` (else ``error(message)``)."""
-    _check_nonsingular(m, rank_tol, error, message)
-    z = np.linalg.inv(m)
+    :func:`_check_nonsingular` (else ``error(message)``).
+
+    The inverse comes first, and :func:`_certified_full_rank` decides the
+    rank rule from the Frobenius norms of m, of ``inv(m)`` and of
+    ``m·inv(m) − I``; only an m it does not certify, or one that ``inv``
+    finds exactly singular, takes the SVD of :func:`_check_nonsingular`.
+    So the answer and every raise are the rule's, and where ``inv`` finds
+    singular an m that passes the rule, its ``LinAlgError`` is raised."""
+    try:
+        z = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        z = None
+    if z is None or not _certified_inverse(m, z, rank_tol):
+        _check_nonsingular(m, rank_tol, error, message)
+        if z is None:
+            z = np.linalg.inv(m)
     return 0.5 * (z + z.T)
 
 
@@ -329,6 +499,28 @@ SCHUR_RESIDUAL_RTOL = 1e-9
 SYLVESTER_SEP_RTOL = 1e-10
 
 
+# Optimal dgees workspace by order, filled on first use of each order:
+# LAPACK's workspace query reads the order alone, not the entries.
+_SCHUR_LWORK = {}
+
+
+def _schur(m):
+    """Real Schur form ``(T, U)``, ``m = U T Uᵀ``, of a square finite float
+    array ``m``: one LAPACK ``dgees`` call, bitwise what
+    ``scipy.linalg.schur(m, output="real")`` returns, which makes the same
+    call after a workspace query and a finiteness scan of its own. The
+    optimal workspace is queried once per order and kept. Raises
+    ``LinAlgError``, as scipy does, when the QR algorithm fails."""
+    no_sort = lambda *_: 0  # noqa: E731 (the selection callback: unsorted, never called)
+    lwork = _SCHUR_LWORK.get(len(m))
+    if lwork is None:
+        lwork = _SCHUR_LWORK[len(m)] = int(lapack.dgees(no_sort, m, lwork=-1)[-2][0])
+    t, _, _, _, u, _, info = lapack.dgees(no_sort, m, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, u
+
+
 def _select_leading(t, u, rows):
     """Reorder the real Schur form ``(U, T)`` through LAPACK ``dtrsen`` so
     that the blocks covering ``rows`` (both rows of a 2x2 block) lead,
@@ -388,7 +580,7 @@ def _ordered_schur(m, classify):
     also returning the rank ``classify`` gives each block. Every read of
     the blocks, the first and the one after each reordering, classifies
     each block once."""
-    t, u = schur(m, output="real")
+    t, u = _schur(m)
 
     # one stable pass per class boundary, highest first: lead with every
     # block ranked at most the cut
@@ -397,6 +589,8 @@ def _ordered_schur(m, classify):
     for cut in reversed(sorted(set(ranks))[:-1]):
         rows = [blk.offset + i for blk, rank in zip(blocks, ranks)
                 if rank <= cut for i in range(blk.size)]
+        if rows[-1] == len(rows) - 1:
+            continue  # those blocks lead already: dtrsen would return T and U unchanged
         t, u = _select_leading(t, u, rows)
         blocks = _schur_blocks(t)
         ranks = [classify(blk.eigenvalues[0]) for blk in blocks]
@@ -481,8 +675,8 @@ def solve_sylvester(f, g, c, sep_tol=SYLVESTER_SEP_RTOL):
     if cm.shape != (p, q):
         raise InvalidInput(f"C must be {p}x{q}, got {cm.shape}")
 
-    tf, uf = schur(fm, output="real")
-    tg, ug = schur(gm, output="real")
+    tf, uf = _schur(fm)
+    tg, ug = _schur(gm)
     y = _solve_quasi_triangular(tf, tg, uf.T @ cm @ ug, sep_tol=sep_tol)
     return uf @ y @ ug.T
 
@@ -505,7 +699,7 @@ def solve_lyapunov_stable(f, c, axis_tol=DEFAULT.axis, sym_tol=DEFAULT.sym):
     """
     fm = as_matrix(f, name="F", square=True)
     cm = symmetrize(c, sym_tol=sym_tol, name="C")
-    t, u = schur(fm, output="real")
+    t, u = _schur(fm)
     w = _row_eigenvalues(t)
     margin = axis_tol * _norm2(t)
     if float(w.real.max()) >= -margin:

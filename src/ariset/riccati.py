@@ -33,11 +33,10 @@ from .errors import (
     SingularY,
 )
 from .linalg import (
-    _UNIT,
+    _certified_full_rank,
     _check_nonsingular,
     _full_rank,
-    _gamma,
-    _norm2,
+    _Norm2Bracket,
     _row_eigenvalues,
     _select_leading,
     _selection_gap,
@@ -49,7 +48,7 @@ from .linalg import (
     symmetrize,
     verdict_from_extremes,
 )
-from .systems import AXIS, LHP, RHP, SpectralSplit, _check_same_order, _half_plane, _input_matrix
+from .systems import AXIS, LHP, RHP, SpectralSplit, _check_same_order, _input_matrix, _plane_of
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -92,9 +91,10 @@ FAMILY_BACKWARD_ERROR = 3e-13
 GENERATOR_RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiccatiProblem:
-    """The data triple (A, B, Q) of the Riccati equation/inequality."""
+    """The data triple (A, B, Q) of the Riccati equation/inequality.
+    Problems compare equal only to themselves and hash by identity."""
 
     A: np.ndarray
     B: np.ndarray
@@ -114,14 +114,17 @@ class RiccatiProblem:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousForm:
     """A base equation solution K0 and the induced homogeneous data.
 
     ``A0 = A − BBᵀK0`` is the feedback matrix, ``M = BBᵀ`` the input Gram
     matrix, and ``base_residual`` the max-norm of the equation residual at
     K0 (bounded by the base tolerance at construction). ``a0_norm`` is
-    ``||A0||₂``, computed once on first use.
+    ``||A0||₂``, computed once on first use; the cuts scaled by it are
+    decided on its bracket (:class:`linalg._Norm2Bracket`), which reads it
+    only for a value in the bracket's window. Forms compare equal only to
+    themselves and hash by identity.
     """
 
     problem: RiccatiProblem
@@ -131,12 +134,16 @@ class HomogeneousForm:
     base_residual: float
     kind: str
 
-    @cached_property
+    @property
     def a0_norm(self):
-        return _norm2(self.A0)
+        return self._a0_scale.exact()
+
+    @cached_property
+    def _a0_scale(self):
+        return _Norm2Bracket(self.A0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplifiedEquation:
     """The Riccati data restricted to selected invariant Schur blocks.
 
@@ -308,10 +315,10 @@ def _hamiltonian_solution(problem, kind, tol):
     a, b, q = problem.A, problem.B, problem.Q
     n = problem.n
     ham = np.block([[a, -b @ b.T], [-q, -a.T]])
-    axis_abs = tol.axis * _norm2(ham)
+    plane = _plane_of(_Norm2Bracket(ham), tol.axis)
     # the requested half plane first, then the AXIS band
     rank = {RHP: 0, AXIS: 1, LHP: 2} if kind == "antistabilizing" else {LHP: 0, AXIS: 1, RHP: 2}
-    u, _, blocks = real_schur_ordered(ham, lambda lam: rank[_half_plane(lam, axis_abs)])
+    u, _, blocks = real_schur_ordered(ham, lambda lam: rank[plane(lam)])
     if n not in accumulate(blk.size for blk in blocks):
         raise NoBaseSolution(
             "a complex-conjugate pair straddles the invariant-subspace "
@@ -342,7 +349,8 @@ def _check_invariant(form, basis, d, error, message):
     basis``: ``|A0ᵀL − LD|_max <= INVARIANCE_RTOL · max(1, ||A0||₂) ·
     max(1, |L|_max)``. ``message`` may name the residual as ``{resid}``."""
     resid = float(np.abs(form.A0.T @ basis - basis @ d).max())
-    if resid > INVARIANCE_RTOL * max(1.0, form.a0_norm) * max(1.0, float(np.abs(basis).max())):
+    size = max(1.0, float(np.abs(basis).max()))
+    if form._a0_scale.decide(lambda s: resid > INVARIANCE_RTOL * max(1.0, s) * size):
         raise error(message.format(resid=resid))
 
 
@@ -738,10 +746,17 @@ def _gramian_members(eqn, tol):
     """Every present member over unions of the clusters in ``eqn``, as a
     :class:`_Members`."""
     form = eqn.form
-    sizes = [blk.size for blk in eqn.blocks]
-    units, unit_of_block = np.unique([blk.cluster for blk in eqn.blocks], return_inverse=True)
-    unit_of_col = np.repeat(unit_of_block, sizes)
-    cols = [np.flatnonzero(unit_of_col == u) for u in range(len(units))]
+    # one pass over the blocks numbers the clusters in the order of their
+    # first blocks, whose indices label them, and lists each one's columns
+    unit_of, unit_of_block, unit_of_col, cols = {}, [], [], []
+    for blk in eqn.blocks:
+        u = unit_of.setdefault(blk.cluster, len(cols))
+        if u == len(cols):
+            cols.append([])
+        cols[u] += range(len(unit_of_col), len(unit_of_col) + blk.size)
+        unit_of_block.append(u)
+        unit_of_col += [u] * blk.size
+    cols = [np.array(cu) for cu in cols]
 
     lp, lam = _cluster_bases(eqn, cols)
     _check_invariant(form, lp, lam, RiccatiError,
@@ -751,7 +766,7 @@ def _gramian_members(eqn, tol):
     c = 0.5 * (c + c.T)
     y, clash = _cluster_gramian(lam, c, cols)
 
-    pick, ncols = _clash_free_unions(clash, np.bincount(unit_of_col))
+    pick, ncols = _clash_free_unions(clash, np.array([len(cu) for cu in cols]))
     if not len(pick):
         return None
     block_ids = np.array(eqn.block_set)
@@ -897,69 +912,6 @@ def _level_members(level, ok, tol):
     return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
 
 
-# Range of the computed ‖g‖_F and ‖g⁻¹‖_F over which the Gramian rank
-# certificate runs: within it no square of a norm and no product in
-# g·g⁻¹ overflows, and gradual underflow errs far below the certificate's
-# margins. Unions outside it go to eigvalsh.
-_CERTIFIED_RANGE = (2.0 ** -500, 2.0 ** 500)
-
-
-def _certified_full_rank(k, g_fro, z_fro, r_fro, rank_tol):
-    """The unions whose Gramian is certified to pass the rank rule, from
-    their column counts ``k`` and the computed Frobenius norms of g, of
-    ``z = inv(g)`` and of the residual ``D = fl(g·z) − I`` (arrays, one
-    entry per union, so that unions of every level are decided in one
-    call; nan where z is missing). ``k`` may also be one count for all;
-    the arithmetic is elementwise, so each union's answer is the same
-    either way.
-
-    Claim: let ĝ, ẑ, r̂ be those norms, u the unit roundoff, ``ρ =
-    4γ_{k²+8}``, ``η = (r̂ + γ_k·ĝ·ẑ)(1 + ρ) + k·2⁻⁵³⁶`` and ``e =
-    k²·eps·ĝ(1 + ρ)``. If ĝ and ẑ lie in :data:`_CERTIFIED_RANGE`,
-    ``η < 1`` and ``(1 − η)/(ẑ(1 + ρ)) − e > rank_tol · max(1, ĝ(1 + ρ)
-    + e)(1 + ρ)``, then the moduli σ̂ of the eigenvalues that LAPACK's
-    ``eigvalsh`` computes for g satisfy ``σ̂_min > rank_tol · max(1,
-    σ̂_max)``, the rule of :func:`_family_coordinates`.
-
-    1. Norms: a computed Frobenius norm is a square root of a sum of k²
-       rounded squares, so the true norm is at most ``(1 + γ_{k²+2})``
-       times it. Within the range the squares of ‖g‖ and ‖z‖ neither
-       overflow nor lose more than ``k²·2⁻⁷⁴ < u`` (k < 1000) to
-       underflow; the squares of D lose at most ``k²·2⁻¹⁰⁷⁴`` in all,
-       ``k·2⁻⁵³⁷`` in its norm. Overflow gives inf, and inf or nan fails
-       every comparison, so no union is certified from it.
-    2. Residual: the product ``C = fl(g·z)`` satisfies ``|C − gz| <=
-       γ_k|g||z|`` in any order of summation, plus at most ``k·2⁻¹⁰⁷⁵``
-       per entry from underflow, and ``D = fl(C − I)`` errs by at most u
-       relative. So the exact ``E = I − gz`` has ``‖E‖₂ <= ‖E‖_F <=
-       ‖D‖_F/(1 − u) + γ_k‖g‖_F‖z‖_F + k²·2⁻¹⁰⁷⁵ <= η``: ρ covers the
-       factors of step 1, the ``1/(1 − u)`` and the rounding of the
-       scalars here, a few operations each.
-    3. Inverse: as ``‖E‖₂ < 1``, ``gz = I − E`` is nonsingular, so g is,
-       and ``g⁻¹ = z(I − E)⁻¹`` gives ``‖g⁻¹‖₂ <= ‖z‖₂/(1 − η)``, so
-       ``σ_min(g) >= (1 − η)/(ẑ(1 + ρ))`` (Higham, *Accuracy and
-       Stability*, ch. 14).
-    4. Eigenvalues: ``eigvalsh`` returns the eigenvalues of some
-       ``g + δg`` with ``‖δg‖₂ <= p(k)·eps·‖g‖₂``, p(k) a modest function
-       of the size (LAPACK Users' Guide, §4.7), taken here as k², as
-       :func:`systems._certificate_shift` takes n(n + m). By Weyl,
-       ``|λ̂_i − λ_i| <= e``, so ``σ̂_min >= σ_min(g) − e`` and ``σ̂_max <=
-       ‖g‖₂ + e <= ĝ(1 + ρ) + e``; the last factor ``1 + ρ`` covers the
-       rounding of the comparison. Hence the rule holds.
-
-    Every union this does not certify goes to the rule itself.
-    """
-    kk = k * k
-    slack = 1.0 + 4.0 * _gamma(kk + 8)
-    eta = (r_fro + _gamma(k) * g_fro * z_fro) * slack + k * 2.0 ** -536
-    e = kk * (2.0 * _UNIT) * g_fro * slack
-    low, high = _CERTIFIED_RANGE
-    in_range = (g_fro >= low) & (g_fro <= high) & (z_fro >= low) & (z_fro <= high)
-    lower = (1.0 - eta) / (z_fro * slack) - e
-    upper = rank_tol * np.maximum(1.0, g_fro * slack + e) * slack
-    return in_range & (eta < 1.0) & (lower > upper)
-
-
 def _gated_residuals(form, x, block_ids, block_rows):
     """Ric(X) for a stack ``x`` of members and the size of Ric's terms for
     each; raises :class:`RiccatiError` when some member's backward error
@@ -989,7 +941,7 @@ def _rows_as_tuples(values, table):
 # degenerate axis blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegenerateOutcome:
     """Classification of one axis block.
 
@@ -1070,7 +1022,7 @@ def _uncontrollable_rays(form, split, indices, tol):
         g /= np.linalg.norm(g)
         growth = 0.0 if blk.half_plane == AXIS else 2.0 * lam.real
         resid = float(np.abs(_ric(form.A0, form.M, g) + growth * g).max())
-        if resid > GENERATOR_RESIDUAL_RTOL * max(1.0, form.a0_norm):
+        if form._a0_scale.decide(lambda s: resid > GENERATOR_RESIDUAL_RTOL * max(1.0, s)):
             raise RiccatiError(f"ray of block {i} has residual {resid:.3e}")
         rays[i] = g
     return rays

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput
-from .linalg import _UNIT, _full_rank, _gamma, _norm2, _ordered_schur, as_matrix
+from .linalg import _UNIT, _full_rank, _gamma, _Norm2Bracket, _ordered_schur, as_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -51,7 +51,7 @@ class SpectralBlock:
     cluster: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSplit:
     """Ordered Schur decomposition ``A0^T U = U T`` with tagged blocks.
 
@@ -61,14 +61,16 @@ class SpectralSplit:
     every function that reads the tags as a form's refuses it for a form
     of another B. The record is a field, so copies made by
     ``dataclasses.replace``, ``copy`` or ``pickle`` keep it; it takes no
-    part in ``repr`` or equality. A split built by hand from U, T and its
-    blocks has none, and its tags are read unchecked.
+    part in ``repr``. A split built by hand from U, T and its blocks has
+    none, and its tags are read unchecked. Splits compare equal only to
+    themselves and hash by identity, as their arrays have no one truth
+    value.
     """
 
     U: np.ndarray
     T: np.ndarray
     blocks: tuple
-    _tagged_b: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _tagged_b: Optional[np.ndarray] = field(default=None, repr=False)
 
     def indices(self, half_plane=None, controllable=None):
         """Block indices filtered by half-plane and/or controllability."""
@@ -96,6 +98,23 @@ def _half_plane(lam, axis_abs):
     if abs(lam.real) <= axis_abs:
         return AXIS
     return RHP if lam.real > 0 else LHP
+
+
+def _plane_of(scale, axis):
+    """The map ``λ ↦ _half_plane(λ, axis·s)`` for the value s that
+    :func:`linalg._norm2` returns for the matrix of ``scale``, a
+    :class:`linalg._Norm2Bracket`. The band's cuts at ``scale.lo`` and
+    ``scale.hi`` decide every λ whose ``|Re λ|`` lies outside the window
+    between them, as the band at s would; a λ inside it reads s
+    (:meth:`linalg._Norm2Bracket.exact`)."""
+    inner, outer = axis * scale.lo, axis * scale.hi
+
+    def plane(lam):
+        if inner < abs(lam.real) <= outer:
+            return _half_plane(lam, axis * scale.exact())
+        return _half_plane(lam, inner)
+
+    return plane
 
 
 def _input_matrix(b, n):
@@ -280,18 +299,27 @@ def _svd_rule(am, bm, shifts, rank_tol):
     return _full_rank(sv[:, -1], sv[:, 0], rank_tol)
 
 
-def _cluster_labels(blocks, gap):
+def _cluster_labels(blocks, scale, gap):
     """Label every block with the index of its cluster's first block;
     clusters are the connected components of the relation "some pair of
-    their eigenvalues lies within ``gap``"."""
-    sizes = [blk.size for blk in blocks]
+    their eigenvalues lies within ``gap·s``", for the value s that
+    :func:`linalg._norm2` returns for the matrix of ``scale``, a
+    :class:`linalg._Norm2Bracket` that decides the distances outside its
+    window. The eigenvalues of one block link nothing, so they are not
+    compared."""
+    count = len(blocks)
+    owner = np.repeat(np.arange(count), [blk.size for blk in blocks])  # block of each eigenvalue
     eigs = np.array([lam for blk in blocks for lam in blk.eigenvalues])
-    owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
-    near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap).astype(float)
-    reach = owner.T @ near @ owner > 0
-    if np.array_equal(reach, np.eye(len(sizes), dtype=bool)):  # no two blocks within the gap
-        return list(range(len(sizes)))
-    for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
+    dist = np.abs(eigs[:, None] - eigs[None, :])
+    own = owner[:, None] == owner[None, :]
+    dist[own] = 0.0
+    near = scale.decide(lambda s: dist <= gap * s)
+    if np.array_equal(near, own):  # no two blocks within the gap
+        return list(range(count))
+    reach = np.zeros((count, count), dtype=bool)
+    rows, cols = np.nonzero(near)
+    reach[owner[rows], owner[cols]] = True
+    for _ in range(count.bit_length()):  # transitive closure by squaring
         reach = reach @ reach
     return reach.argmax(axis=1).tolist()
 
@@ -319,8 +347,9 @@ def spectral_split(a0, b, tol: Tolerances = DEFAULT):
     """
     am = as_matrix(a0, name="A0", square=True)
     bm = _input_matrix(b, am.shape[0])
-    axis_abs = tol.axis * _norm2(am)
-    u, t, raw, ranks = _ordered_schur(am.T, lambda lam: _PLANE_ORDER[_half_plane(lam, axis_abs)])
+    scale = _Norm2Bracket(am)
+    plane = _plane_of(scale, tol.axis)
+    u, t, raw, ranks = _ordered_schur(am.T, lambda lam: _PLANE_ORDER[plane(lam)])
     blocks = [(blk.offset, blk.size, blk.eigenvalues, _PLANES[rank], label)
-              for blk, rank, label in zip(raw, ranks, _cluster_labels(raw, axis_abs))]
+              for blk, rank, label in zip(raw, ranks, _cluster_labels(raw, scale, tol.axis))]
     return _tagged_split(am, bm, u, t, blocks, tol.rank)

@@ -49,15 +49,15 @@ LHAT = np.array(
 
 @pytest.fixture
 def schur_calls(monkeypatch):
-    """Orders of the matrices handed to the real Schur factorization."""
+    """Orders of the matrices handed to the real Schur kernel."""
     calls = []
-    factor = linalg.schur
+    factor = linalg._schur
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         calls.append(np.shape(a)[0])
-        return factor(a, *args, **kwargs)
+        return factor(a)
 
-    monkeypatch.setattr(linalg, "schur", counting)
+    monkeypatch.setattr(linalg, "_schur", counting)
     return calls
 
 

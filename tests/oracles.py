@@ -6,6 +6,14 @@ once-per-family work: each level factored, certified and inverted on its
 own, R read through ``qr(mode="r")``. The family must still give the same
 bits for every member.
 
+``split_reference`` and ``hamiltonian_reference`` are the ordered Schur
+split and the Hamiltonian base solve as they stood before the AXIS band,
+the cluster gap and the invariance cuts were decided on a bracket of
+``‖·‖₂``: verbatim copies of that ``spectral_split``, ``_cluster_labels``,
+``_tagged_split``, ``_ordered_schur`` and ``_hamiltonian_solution``, which
+take ``scipy.linalg.schur`` and the exact ``_norm2`` on every call. Every
+split and base must still come out in the same bits.
+
 ``cli_report`` is every CLI report as it stood before each command was cut
 to the fields its report prints: the command bodies, ``_solution_dict``
 and the ``_render_*`` functions below are verbatim copies of that
@@ -19,7 +27,10 @@ import hashlib
 import itertools
 import json
 
+from itertools import accumulate
+
 import numpy as np
+from scipy.linalg import lapack, schur
 
 from ariset import linalg, riccati
 from ariset.analysis import boundedness, extremal_solutions, parametrize, verify
@@ -31,7 +42,15 @@ from ariset.cli import (
     _matrix_field,
     _parse_block_list,
 )
-from ariset.errors import Uncontrollable
+from ariset.errors import DegenerateSpectrum, NoBaseSolution, Uncontrollable
+from ariset.linalg import (
+    SCHUR_RESIDUAL_RTOL,
+    _check_nonsingular,
+    _norm2,
+    _schur_blocks,
+    _select_leading,
+    as_matrix,
+)
 from ariset.riccati import (
     RiccatiProblem,
     degenerate_classify,
@@ -41,8 +60,21 @@ from ariset.riccati import (
     schur_family,
     solve_base_are,
 )
-from ariset.systems import AXIS, spectral_split
-from ariset.tolerances import Tolerances
+from ariset.systems import (
+    AXIS,
+    LHP,
+    RHP,
+    SpectralBlock,
+    SpectralSplit,
+    _certificate_shift,
+    _cholesky_succeeds,
+    _half_plane,
+    _input_matrix,
+    _shifted_grams,
+    _svd_rule,
+    spectral_split,
+)
+from ariset.tolerances import DEFAULT, Tolerances
 
 
 def level_reference(ls, ys, tol):
@@ -74,6 +106,122 @@ def level_reference(ls, ys, tol):
     if z is None:
         z = np.linalg.inv(g)
     return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the Schur front end before the bracket of ‖·‖₂
+
+_PLANES = (AXIS, RHP, LHP)
+_PLANE_ORDER = {plane: rank for rank, plane in enumerate(_PLANES)}
+
+
+def _ordered_schur(m, classify):
+    t, u = schur(m, output="real")
+
+    # one stable pass per class boundary, highest first: lead with every
+    # block ranked at most the cut
+    blocks = _schur_blocks(t)
+    ranks = [classify(blk.eigenvalues[0]) for blk in blocks]
+    for cut in reversed(sorted(set(ranks))[:-1]):
+        rows = [blk.offset + i for blk, rank in zip(blocks, ranks)
+                if rank <= cut for i in range(blk.size)]
+        t, u = _select_leading(t, u, rows)
+        blocks = _schur_blocks(t)
+        ranks = [classify(blk.eigenvalues[0]) for blk in blocks]
+
+    scale = max(1.0, float(lapack.dlange("F", m.T)))  # scaled sums: no overflow
+    resid = float(np.abs(m @ u - u @ t).max())
+    if resid > SCHUR_RESIDUAL_RTOL * scale:
+        raise DegenerateSpectrum(
+            f"reordered Schur form lost accuracy: residual {resid:.3e}"
+        )
+    return u, t, blocks, ranks
+
+
+def _tagged_split(am, bm, u, t, blocks, rank_tol):
+    n, m = bm.shape
+    w = np.hstack([am, bm])
+    lam = np.array([eigenvalues[0] for _, _, eigenvalues, _, _ in blocks])
+    lam_abs = np.abs(lam)
+    shift, tried = _certificate_shift(lam_abs, np.sqrt(np.vdot(w, w)), n, m, rank_tol)
+    if tried.any():  # only certified pencils need them; out of range they may overflow
+        gram = w @ w.T
+        sym = am + am.T
+    real = lam.imag == 0.0
+    tags = np.zeros(lam.size, dtype=bool)
+    for chosen, shifts in ((real, lam.real), (~real, lam)):
+        if not chosen.any():
+            continue
+        certify = chosen & tried
+        if certify.any():
+            lift = lam_abs[certify] * lam_abs[certify] - shift[certify]
+            tags[certify] = _cholesky_succeeds(
+                _shifted_grams(am, sym, gram, shifts[certify], lift)
+            )
+        undecided = chosen & ~tags
+        if undecided.any():
+            tags[undecided] = _svd_rule(am, bm, shifts[undecided], rank_tol)
+    tagged = tuple(SpectralBlock(offset, size, eigenvalues, half_plane, ok, cluster)
+                   for (offset, size, eigenvalues, half_plane, cluster), ok
+                   in zip(blocks, tags.tolist()))
+    return SpectralSplit(u, t, tagged, bm)
+
+
+def _cluster_labels(blocks, gap):
+    sizes = [blk.size for blk in blocks]
+    eigs = np.array([lam for blk in blocks for lam in blk.eigenvalues])
+    owner = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    near = (np.abs(eigs[:, None] - eigs[None, :]) <= gap).astype(float)
+    reach = owner.T @ near @ owner > 0
+    if np.array_equal(reach, np.eye(len(sizes), dtype=bool)):  # no two blocks within the gap
+        return list(range(len(sizes)))
+    for _ in range(len(sizes).bit_length()):  # transitive closure by squaring
+        reach = reach @ reach
+    return reach.argmax(axis=1).tolist()
+
+
+def split_reference(a0, b, tol=DEFAULT):
+    """``spectral_split(a0, b, tol)`` as it stood before the bracket."""
+    am = as_matrix(a0, name="A0", square=True)
+    bm = _input_matrix(b, am.shape[0])
+    axis_abs = tol.axis * _norm2(am)
+    u, t, raw, ranks = _ordered_schur(am.T, lambda lam: _PLANE_ORDER[_half_plane(lam, axis_abs)])
+    blocks = [(blk.offset, blk.size, blk.eigenvalues, _PLANES[rank], label)
+              for blk, rank, label in zip(raw, ranks, _cluster_labels(raw, axis_abs))]
+    return _tagged_split(am, bm, u, t, blocks, tol.rank)
+
+
+def hamiltonian_reference(problem, kind, tol=DEFAULT):
+    """``riccati._hamiltonian_solution(problem, kind, tol)`` as it stood
+    before the bracket."""
+    a, b, q = problem.A, problem.B, problem.Q
+    n = problem.n
+    ham = np.block([[a, -b @ b.T], [-q, -a.T]])
+    axis_abs = tol.axis * _norm2(ham)
+    # the requested half plane first, then the AXIS band
+    rank = {RHP: 0, AXIS: 1, LHP: 2} if kind == "antistabilizing" else {LHP: 0, AXIS: 1, RHP: 2}
+    u, _, blocks, _ = _ordered_schur(as_matrix(ham, name="A", square=True),
+                                     lambda lam: rank[_half_plane(lam, axis_abs)])
+    if n not in accumulate(blk.size for blk in blocks):
+        raise NoBaseSolution(
+            "a complex-conjugate pair straddles the invariant-subspace "
+            "boundary; no real solution of the requested kind"
+        )
+    u1 = u[:n, :n]
+    u2 = u[n:, :n]
+    _check_nonsingular(u1, tol.rank, NoBaseSolution,
+                       "invariant subspace has a singular top block; no "
+                       "solution of the requested kind")
+    k = np.linalg.solve(u1.T, u2.T).T
+    return 0.5 * (k + k.T)
+
+
+def symmetric_inverse_reference(m, rank_tol, error, message):
+    """``linalg._symmetric_inverse`` as it stood before its certificate:
+    the SVD's rank rule, then the inverse."""
+    _check_nonsingular(m, rank_tol, error, message)
+    z = np.linalg.inv(m)
+    return 0.5 * (z + z.T)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,46 @@ def test_the_scan_sees_a_setattr_outside_post_init():
     assert setattr_outside_post_init(src) == [5, 7, 9]
 
 
+def dataclasses_comparing_arrays(source):
+    """Name of every ``@dataclass`` class in ``source`` with a field whose
+    annotation names ``ndarray`` (``Optional[np.ndarray]`` too) that keeps
+    the generated ``__eq__``: comparing two equal values raises, as an
+    array has no one truth value, and the class is unhashable. Such a
+    class must say ``eq=False``, so that it compares and hashes by
+    identity."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                continue
+            eq = next((k.value for k in (call.keywords if call else []) if k.arg == "eq"), None)
+            if isinstance(eq, ast.Constant) and eq.value is False:
+                continue
+            if any(isinstance(stmt, ast.AnnAssign) and "ndarray" in ast.unparse(stmt.annotation)
+                   for stmt in node.body):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclass_with_an_array_field_keeps_the_generated_eq(path):
+    assert dataclasses_comparing_arrays(path.read_text()) == []
+
+
+def test_the_scan_sees_a_dataclass_that_compares_arrays():
+    src = ("@dataclass(frozen=True)\nclass Split:\n    U: np.ndarray\n"
+           "@dataclasses.dataclass\nclass Outcome:\n    g: Optional[np.ndarray] = None\n"
+           "@dataclass(frozen=True, eq=False)\nclass Solution:\n    X: np.ndarray\n"
+           "@dataclass(eq=True)\nclass Verdict:\n    kind: str\n"
+           "class Plain:\n    x: np.ndarray\n"
+           "@dataclass(eq=True)\nclass Pair:\n    a: 'numpy.ndarray'\n")
+    assert dataclasses_comparing_arrays(src) == ["Split", "Outcome", "Pair"]
+
+
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # modules of the test suite and of bench/, which its tests put on the path

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -217,7 +215,7 @@ def test_schur_reorder_failure_carries_the_gap(monkeypatch):
     def refuse(select, t, u, job):
         return t, u, None, None, 0, 0.0, 0.0, 1
 
-    monkeypatch.setattr(linalg, "lapack", SimpleNamespace(dtrsen=refuse))
+    monkeypatch.setattr(linalg.lapack, "dtrsen", refuse)
     with pytest.raises(DegenerateSpectrum) as err:
         real_schur_ordered(np.diag([3.0, -1.0, 2.5]), lambda lam: 0 if lam.real > 0 else 1)
     # the blocks led (3, 2.5) against the one left behind (-1)

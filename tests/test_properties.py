@@ -352,7 +352,7 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
         rule_rows.append(len(a))
         return eigvalsh(a)
 
-    low, high = riccati._CERTIFIED_RANGE
+    low, high = linalg._CERTIFIED_RANGE
     with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
             mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
         got_levels = riccati._family_coordinates(levels, DEFAULT)
