@@ -372,10 +372,23 @@ def _certified_inverse(m, z, rank_tol):
     """Whether :func:`_certified_full_rank` certifies the square ``m`` with
     computed inverse ``z``. Outside :data:`_CERTIFIED_RANGE` (inf and nan
     included) the norms of m and z decide no; inside it nothing the
-    residual or the certificate computes overflows."""
+    residual or the certificate computes overflows.
+
+    Before the residual is formed, ``fl(1/ẑ) <= fl(rank_tol·max(1, ĝ))``
+    also decides no, for the norms ĝ of m and ẑ of z, so most m that the
+    rule refuses go to it at once. That skips only a certificate that
+    would fail, whatever the residual's norm, because rounding is
+    monotone. The certificate's ``η`` is at least 0 (or nan, which
+    fails), and ``slack >= 1`` and ``e >= 0``, so its ``lower =
+    fl(fl(fl(1 − η)/fl(ẑ·slack)) − e)`` is at most ``fl(1/ẑ)`` and its
+    ``upper = fl(fl(rank_tol·fl(max(1, fl(fl(ĝ·slack) + e))))·slack)`` at
+    least ``fl(rank_tol·max(1, ĝ))``. Whenever the test holds, ``lower <=
+    upper``, and the certificate answers no."""
     g_fro, z_fro = math.sqrt(np.vdot(m, m)), math.sqrt(np.vdot(z, z))
     low, high = _CERTIFIED_RANGE
     if not (low <= g_fro <= high and low <= z_fro <= high):
+        return False
+    if 1.0 / z_fro <= rank_tol * max(1.0, g_fro):
         return False
     resid = m @ z
     resid.flat[:: len(m) + 1] -= 1.0
@@ -391,6 +404,8 @@ def _symmetric_inverse(m, rank_tol, error, message):
     rank rule from the Frobenius norms of m, of ``inv(m)`` and of
     ``m·inv(m) − I``; only an m it does not certify, or one that ``inv``
     finds exactly singular, takes the SVD of :func:`_check_nonsingular`.
+    An m whose ``inv(m)`` is too large for the certificate to pass goes to
+    the SVD before the residual is formed (:func:`_certified_inverse`).
     So the answer and every raise are the rule's, and where ``inv`` finds
     singular an m that passes the rule, its ``LinAlgError`` is raised."""
     try:

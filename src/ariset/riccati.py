@@ -85,6 +85,13 @@ INVARIANCE_RTOL = 1e-8
 # of Ric's terms, max(1, |A0|_max |X|_max, |M|_max |X|²_max).
 FAMILY_BACKWARD_ERROR = 3e-13
 
+# Entries of an X stack per chunk of the family's Ric(X) passes (128 KiB):
+# the passes need a few chunk-sized temporaries beside the X stack, so a
+# family's working set stays near its X stack and the heap is not grown
+# and handed back to the kernel on every large family. Every family of
+# up to 7 blocks at n <= 10 fits in one chunk and runs as one pass.
+_CHUNK_ENTRIES = 2 ** 14
+
 # Residual gate for the ray G (unit Frobenius norm) of an uncontrollable
 # block at eigenvalue λ, Re λ := 0 on axis blocks: |Ric(G) + 2Re(λ)G|_max
 # relative to max(1, ||A0||₂).
@@ -178,8 +185,9 @@ class AriSolution:
     :class:`SimplifiedEquation`, and ``L'_S R⁻¹`` for a
     :func:`schur_family` member, from the R factor of its cluster bases
     ``L'_S`` (orthonormal to rounding). A family member is built when it
-    is first read from its :class:`SolutionFamily`, with ``X`` and
-    ``residual`` as views into the family's stacks. Bases of one support
+    is first read from its :class:`SolutionFamily`, with ``X`` a view
+    into the family's X stack and ``residual`` computed from that X, as
+    for any solution. Bases of one support
     differ by an orthogonal factor, and so do their ``Lcoord``; ``X`` and
     ``rank`` do not depend on the basis. Solutions compare equal only to
     themselves, so a family answers ``index``, ``count`` and ``in`` by
@@ -554,7 +562,7 @@ class _Members(NamedTuple):
     by (rank, block_set); a member's rank is its column count."""
 
     x: np.ndarray  # (N, n, n) stack of X
-    residual: np.ndarray  # (N, n, n) stack of Ric(X)
+    residual_max: np.ndarray  # (N,) |Ric(X)|_max
     cut: np.ndarray  # (N,) residual cuts
     lcoords: list  # Lcoord stacks of the levels of equal column count, in row order
     block_ids: np.ndarray  # eqn.block_set
@@ -569,16 +577,18 @@ class SolutionFamily(Sequence):
 
     Member 0 is the zero solution. The others stay in the stacked arrays
     the family was computed in, whose rows are already in the family's
-    order (X, Ric(X), residual cuts, Lcoord and boolean rows of block and
-    column membership), and a member's :class:`AriSolution` is built on
-    its first read, by index, slice or iteration, and then kept, so
-    ``family[i] is family[i]``. Its ``X`` and ``residual`` are views into
-    the stacks. The Python fields of all members (the ``block_set`` and
-    ``eigenvalues`` tuples and cuts) are built together, in one pass over
-    the rows, on the first read of any member but the zero solution. Each
-    member reads its own ``residual_verdict``. A slice returns a list.
-    :meth:`as_lists` reads the fields of every member from the stacks at
-    once, as Python lists, and builds no member.
+    order (X, |Ric(X)|_max, residual cuts, Lcoord and boolean rows of
+    block and column membership), and a member's :class:`AriSolution` is
+    built on its first read, by index, slice or iteration, and then kept,
+    so ``family[i] is family[i]``. Its ``X`` is a view into the X stack;
+    its ``residual`` is computed from that X when the member is built, as
+    the family keeps no stack of Ric(X). The Python fields of all members
+    (the ``block_set`` and ``eigenvalues`` tuples and cuts) are built
+    together, in one pass over the rows, on the first read of any member
+    but the zero solution. Each member reads its own
+    ``residual_verdict``. A slice returns a list. :meth:`as_lists` reads
+    the fields of every member from the stacks at once, as Python lists,
+    and builds no member.
     """
 
     def __init__(self, form, tol, members=None):
@@ -611,20 +621,21 @@ class SolutionFamily(Sequence):
             return zero_solution(self._form, self._tol)
         lcoords, block_sets, cuts, eigenvalues = self._python_fields
         p = i - 1
-        m = self._members
-        return AriSolution(m.x[p], lcoords[p], block_sets[p], len(lcoords[p]), m.residual[p],
-                           cuts[p], eigenvalues[p])
+        x = self._members.x[p]
+        return AriSolution(x, lcoords[p], block_sets[p], len(lcoords[p]),
+                           _ric(self._form.A0, self._form.M, x), cuts[p], eigenvalues[p])
 
     def as_lists(self, full=True):
         """The members' fields as Python lists in the family's order, read
         from the stacks in one pass, with no member built: ``block_set``
         (tuples), ``rank``, ``X`` (nested lists, from one ``tolist`` of the
-        stack) and ``residual_max`` (|Ric(X)|_max, from one reduction),
-        each bitwise what the members hold or give. With ``full``, also
-        ``Lcoord`` (nested lists, one ``tolist`` per level),
+        stack) and ``residual_max`` (|Ric(X)|_max, kept from the family's
+        gate), each bitwise what the members hold or give. With ``full``,
+        also ``Lcoord`` (nested lists, one ``tolist`` per level),
         ``eigenvalues`` (tuples) and ``residual_verdict`` (the verdicts'
-        kinds, from one ``eigvalsh`` over the residual stack). Returns a
-        dict of those lists."""
+        kinds, from one ``eigvalsh`` per chunk of the X stack over its
+        Ric(X), formed again chunk by chunk). Returns a dict of those
+        lists."""
         n = self._form.problem.n
         # member 0, the zero solution: its Ric(X) is 0, so its verdict is
         # "zero" at any cut
@@ -638,14 +649,16 @@ class SolutionFamily(Sequence):
         rows["block_set"] += self._block_sets
         rows["rank"] += chain.from_iterable([level.shape[1]] * len(level) for level in m.lcoords)
         rows["X"] += m.x.tolist()
-        rows["residual_max"] += np.abs(m.residual).max(axis=(1, 2)).tolist()
+        rows["residual_max"] += m.residual_max.tolist()
         if full:
             _, _, cuts, eigenvalues = self._python_fields
             rows["Lcoord"] += chain.from_iterable(level.tolist() for level in m.lcoords)
             rows["eigenvalues"] += eigenvalues
-            eig = np.linalg.eigvalsh(m.residual)
-            rows["residual_verdict"] += [verdict_from_extremes(lo, hi, cut).kind for lo, hi, cut
-                                         in zip(eig[:, 0].tolist(), eig[:, -1].tolist(), cuts)]
+            a0, mm = self._form.A0, self._form.M
+            eig = np.concatenate([np.linalg.eigvalsh(_ric(a0, mm, m.x[part]))[:, [0, -1]]
+                                  for part in _chunks(m.x)])
+            rows["residual_verdict"] += [verdict_from_extremes(lo, hi, cut).kind for (lo, hi), cut
+                                         in zip(eig.tolist(), cuts)]
         return rows
 
     @cached_property
@@ -702,11 +715,15 @@ def schur_family(
     only the unions it cannot certify take ``eigvalsh``, level by level
     (none on the bench's families). Every union of clusters with no
     clashing pair is enumerated, and a weakly controllable cluster that
-    the split tags controllable reaches that test like any other. Every
-    present member's X then goes into one stack, and one stacked pass
-    computes all residuals Ric(X) and applies the backward-error gate. The
-    members stay in those stacks: each member's :class:`AriSolution` is
-    built when it is first read.
+    the split tags controllable reaches that test like any other. After
+    the test the levels stream: each level's present members go into one
+    X stack before the next level's coordinates are formed, and its
+    factors are then released. The backward-error gate runs over that
+    stack in fixed chunks (:func:`_gated_residuals`), which form Ric(X)
+    and keep of it only |Ric(X)|_max per member, so the family's working
+    set stays near its X stack. The members stay in the stacks: each
+    member's :class:`AriSolution` is built when it is first read, and its
+    ``residual`` computed then from its own X.
 
     A subset is absent when it contains a block of a cluster that holds
     an axis block or an uncontrollable one, both blocks of a mirrored pair
@@ -771,10 +788,31 @@ def _gramian_members(eqn, tol):
         return None
     block_ids = np.array(eqn.block_set)
     col_pick = pick[:, unit_of_col]
-    # each level of equal column count k is a run of rows; one nonzero of
-    # the table gives every row's columns, row after row, and each level's
-    # supports L'_S and Gramians Y'[S,S] are gathered from its k·count of
-    # them
+    # every member's X = Q g⁻¹ Qᵀ in the next rows of one stack, level by
+    # level as the coordinates are formed
+    x = np.empty((len(pick), len(lp), len(lp)))
+    present, lcoords, start = [], [], 0
+    for ok, q, lcoord in _family_coordinates(_support_levels(lp, y, col_pick, ncols), tol):
+        np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
+        start += len(q)
+        present.append(ok)
+        lcoords.append(lcoord)
+    present = np.flatnonzero(np.concatenate(present))
+    if not len(present):
+        return None
+    x = x[:start]
+    block_rows = pick[present][:, unit_of_block]
+    resid_max, scale = _gated_residuals(form, x, block_ids, block_rows)
+    return _Members(x, resid_max, tol.definiteness * scale, lcoords, block_ids, block_rows,
+                    np.array(eqn.eigenvalues, dtype=object), col_pick[present])
+
+
+def _support_levels(lp, y, col_pick, ncols):
+    """The levels ``(ls, ys)`` of the unions whose columns are the rows of
+    ``col_pick``, sorted by column count ``ncols``: each level of equal
+    column count k is a run of rows. One nonzero of the table gives every
+    row's columns, row after row, and each level's supports L'_S (N×n×k)
+    and Gramians Y'[S,S] (N×k×k) are gathered from its k·N of them."""
     widths, counts = np.unique(ncols, return_counts=True)
     support_cols = np.nonzero(col_pick)[1]
     supports, y_flat, levels, start = lp[:, support_cols], y.ravel(), [], 0
@@ -784,22 +822,7 @@ def _gramian_members(eqn, tol):
         levels.append((supports[:, start:end].reshape(-1, count, k).transpose(1, 0, 2),
                        y_flat[idx[:, :, None] * len(y) + idx[:, None, :]]))
         start = end
-    # every member's X = Q g⁻¹ Qᵀ in the next rows of one stack
-    x = np.empty((len(pick), len(lp), len(lp)))
-    present, lcoords, start = [], [], 0
-    for ok, q, lcoord in _family_coordinates(levels, tol):
-        np.matmul(q @ lcoord, np.swapaxes(q, 1, 2), out=x[start:start + len(q)])
-        start += len(q)
-        present.append(ok)
-        lcoords.append(lcoord)
-    present = np.flatnonzero(np.concatenate(present))
-    x = x[:start]
-    x += np.swapaxes(x, 1, 2)  # numpy buffers the overlapping operand
-    x *= 0.5
-    block_rows = pick[present][:, unit_of_block]
-    resid, scale = _gated_residuals(form, x, block_ids, block_rows)
-    return _Members(x, resid, tol.definiteness * scale, lcoords, block_ids, block_rows,
-                    np.array(eqn.eigenvalues, dtype=object), col_pick[present])
+    return levels
 
 
 def _clash_free_unions(clash, widths):
@@ -862,9 +885,9 @@ def _factor_level(ls, ys, upper):
 def _family_coordinates(levels, tol):
     """Coordinates of the members of stacked levels of supports, each
     ``(ls, ys)``: supports ``ls`` (N×n×k) with Gramians ``ys`` (N×k×k),
-    one k per level. Returns ``(ok, q, lcoord)`` per level: ``ok`` marks
-    the supports whose Gramian is nonsingular; ``q`` and ``lcoord`` hold
-    those members only.
+    one k per level. Yields ``(ok, q, lcoord)`` per level, in order:
+    ``ok`` marks the supports whose Gramian is nonsingular; ``q`` and
+    ``lcoord`` hold those members only.
 
     With ``ls = QR``, only R is factored; the Gramian in the basis Q is
     ``g = R⁻ᵀ Y R⁻¹``: one batched inverse of the triangular R and two
@@ -880,18 +903,25 @@ def _family_coordinates(levels, tol):
     level. So every verdict is the rule's.
     A present member's rank is k: ``ok`` asks σ_min(g) > tol.rank ·
     max(1, σ_max(g)), so every singular value of g⁻¹ exceeds tol.rank
-    times the largest."""
+    times the largest.
+
+    Every level is factored before the one certificate, but the levels
+    are handed on one at a time: this holds no reference to the Gramians
+    ``ys`` past the factoring, and a level's factors are released as its
+    members are yielded, so a caller that takes each level's members
+    before asking for the next holds one level's coordinates at a time."""
     kmax = max(ls.shape[2] for ls, _ in levels)
     upper = np.triu(np.ones((kmax, kmax), dtype=bool))
     # inf and nan fail the certificate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         factored = [_factor_level(ls, ys, upper) for ls, ys in levels]
+        del levels  # the caller's list of them, so the Gramians ys go now
         counts = [len(level.g) for level in factored]
         ks = np.repeat([level.g.shape[2] for level in factored], counts)
         norms = np.concatenate([level.norms for level in factored], axis=1)
         certified = _certified_full_rank(ks, *norms, tol.rank)
-    return [_level_members(level, ok, tol)
-            for level, ok in zip(factored, np.split(certified, np.cumsum(counts)[:-1]))]
+    for ok in np.split(certified, np.cumsum(counts)[:-1]):
+        yield _level_members(factored.pop(0), ok, tol)
 
 
 def _level_members(level, ok, tol):
@@ -912,14 +942,33 @@ def _level_members(level, ok, tol):
     return ok, ls @ r_inv, 0.5 * (z + np.swapaxes(z, 1, 2))
 
 
+def _chunks(x):
+    """Slices of the rows of a stack ``x`` (N×n×n), each of at most
+    :data:`_CHUNK_ENTRIES` entries and at least one row."""
+    rows = max(1, _CHUNK_ENTRIES // (x.shape[1] * x.shape[2]))
+    return [slice(start, start + rows) for start in range(0, len(x), rows)]
+
+
 def _gated_residuals(form, x, block_ids, block_rows):
-    """Ric(X) for a stack ``x`` of members and the size of Ric's terms for
-    each; raises :class:`RiccatiError` when some member's backward error
-    η exceeds :data:`FAMILY_BACKWARD_ERROR`, naming the ``block_ids`` of
-    its row of ``block_rows``."""
-    resid = _ric(form.A0, form.M, x)
-    r_fro, x_fro = (np.sqrt(np.einsum("nij,nij->n", a, a)) for a in (resid, x))
-    eta = r_fro / (2.0 * np.linalg.norm(form.A0) * x_fro + np.linalg.norm(form.M) * x_fro ** 2)
+    """Symmetrizes a stack ``x`` of members in place and returns
+    |Ric(X)|_max and the size of Ric's terms for each; raises
+    :class:`RiccatiError` when some member's backward error η exceeds
+    :data:`FAMILY_BACKWARD_ERROR`, naming the ``block_ids`` of its row of
+    ``block_rows`` (the first of the largest η). The work runs over
+    :func:`_chunks` of the stack, and nothing of Ric(X) is kept beyond
+    each chunk; every value is computed row by row, so the chunks give
+    the bits of one pass over the stack."""
+    a0_fro, m_fro = np.linalg.norm(form.A0), np.linalg.norm(form.M)
+    eta, resid_max, scale = np.empty((3, len(x)))
+    for rows in _chunks(x):
+        part = x[rows]
+        part += np.swapaxes(part, 1, 2)  # numpy buffers the overlapping operand
+        part *= 0.5
+        resid = _ric(form.A0, form.M, part)
+        r_fro, x_fro = (np.sqrt(np.einsum("nij,nij->n", a, a)) for a in (resid, part))
+        eta[rows] = r_fro / (2.0 * a0_fro * x_fro + m_fro * x_fro ** 2)
+        resid_max[rows] = np.abs(resid, out=resid).max(axis=(1, 2))
+        scale[rows] = _ric_scale(form, part)
     if np.any(eta > FAMILY_BACKWARD_ERROR):
         worst = int(np.argmax(eta))
         blocks = tuple(block_ids[block_rows[worst]].tolist())
@@ -927,7 +976,7 @@ def _gated_residuals(form, x, block_ids, block_rows):
             f"family member residual over blocks {blocks} exceeds the "
             f"backward-error bound: η = {eta[worst]:.3e} > {FAMILY_BACKWARD_ERROR:.0e}"
         )
-    return resid, _ric_scale(form, x)
+    return resid_max, scale
 
 
 def _rows_as_tuples(values, table):

@@ -21,6 +21,7 @@ from ariset import (
     full_rank_simplified_solution,
     linalg,
     reduce,
+    ric_residual,
     solve_base_are,
     spectral_split,
 )
@@ -119,6 +120,17 @@ def assert_inertia_law(split, members):
         rhp = sum(blk.size for blk in blocks if blk.half_plane == "RHP")
         lhp = sum(blk.size for blk in blocks if blk.half_plane == "LHP")
         assert (np.count_nonzero(w > 0), np.count_nonzero(w < 0)) == (rhp, lhp), sol.block_set
+
+
+def assert_residuals_are_the_members_own(form, members):
+    """Every member's ``residual`` is :func:`ariset.ric_residual` of its X
+    bit for bit, and the bulk read ``members.as_lists()`` gives each
+    member's |Ric(X)|_max and verdict."""
+    rows = members.as_lists(full=True)
+    for sol, resid_max, verdict in zip(members, rows["residual_max"], rows["residual_verdict"]):
+        assert sol.residual.tobytes() == ric_residual(form, sol.X).tobytes(), sol.block_set
+        assert float(np.abs(sol.residual).max()).hex() == resid_max.hex()
+        assert sol.residual_verdict.kind == verdict
 
 
 def _eig_block(lam):

@@ -13,7 +13,11 @@ import pytest
 
 import ariset
 
-from conftest import assert_family_is_direct, assert_inertia_law
+from conftest import (
+    assert_family_is_direct,
+    assert_inertia_law,
+    assert_residuals_are_the_members_own,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,3 +64,14 @@ def test_bench_family_check_passes_on_every_problem_of_seed_2(monkeypatch, tmp_p
         out = family.run(case)
         assert family.check(case, out) == [], case.label
         assert_inertia_law(*out[1:])
+
+
+def test_bench_family_members_residuals_are_their_own(monkeypatch, tmp_path):
+    # each member's Ric(X) is ric_residual of its own X, bit for bit, and
+    # the bulk read's |Ric(X)|_max and verdicts are the members', on
+    # every problem of seeds 1-3 (their B = 9 families span four chunks)
+    for seed in (1, 2, 3):
+        family = _family_workload(monkeypatch, tmp_path, seed)
+        for case in family.cases:
+            form, _, members = family.run(case)
+            assert_residuals_are_the_members_own(form, members)

@@ -848,7 +848,8 @@ def test_report_is_byte_equal_to_the_reference(name, command, use_json, tmp_path
 def test_solve_family_builds_no_member_and_reads_the_residual_stack_once(
         paper_file, capsys, monkeypatch, use_json):
     # plain text reads no verdict, so takes no eigvalsh; --json takes the
-    # one over the family's residual stack. Neither builds an AriSolution
+    # one over the Ric(X) of the family's X stack, which is one chunk here.
+    # Neither builds an AriSolution
     from ariset import riccati
 
     eigvalsh, stacks, built = np.linalg.eigvalsh, [], []

@@ -9,6 +9,7 @@ decision inside the bracket's window; spies count the exact norms taken."""
 
 import copy
 import dataclasses
+import math
 import pickle
 from pathlib import Path
 from unittest import mock
@@ -471,6 +472,46 @@ def test_the_checked_inverse_takes_the_svd_only_when_the_certificate_declines(mo
     near = np.diag([1.0, 1.000001e-10])  # passes the rule, too close to its cut to certify
     linalg._symmetric_inverse(near, DEFAULT.rank, SingularY, "")
     assert len(checks) == 2
+
+
+def test_a_gramian_the_rule_refuses_goes_to_the_svd_before_the_residual(monkeypatch):
+    # 1/‖inv(m)‖_F is below the rank cut, so no certificate is tried
+    certificates, checks = [], []
+    certify, check = linalg._certified_full_rank, linalg._check_nonsingular
+    monkeypatch.setattr(linalg, "_certified_full_rank",
+                        lambda *a: certificates.append(1) or certify(*a))
+    monkeypatch.setattr(linalg, "_check_nonsingular", lambda *a: checks.append(1) or check(*a))
+    for k in (2, 3, 6):
+        with pytest.raises(SingularY, match="^singular "):
+            linalg._symmetric_inverse(np.diag(np.logspace(0, -11, k)), DEFAULT.rank, SingularY,
+                                      "singular {sv_min:.3e}")
+    assert certificates == [] and len(checks) == 3
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.floats(-12.0, 0.0), st.integers(-400, 400),
+       st.sampled_from([DEFAULT.rank, 0.0, 1e-3]), st.integers(0, 2 ** 32 - 1))
+def test_the_inverse_norm_test_skips_only_certificates_that_fail(k, log_sigma, exponent,
+                                                                  rank_tol, seed):
+    # wherever fl(1/ẑ) <= fl(rank_tol·max(1, ĝ)) holds, the certificate run
+    # in full on the same m and inv(m) declines as well
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    sigma = np.geomspace(10.0 ** log_sigma, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    m = 2.0 ** exponent * (v * sigma) @ v.T
+    m = 0.5 * (m + m.T)
+    z = np.linalg.inv(m)
+    g_fro, z_fro = math.sqrt(np.vdot(m, m)), math.sqrt(np.vdot(z, z))
+    resid = m @ z
+    resid.flat[:: k + 1] -= 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        certified = bool(linalg._certified_full_rank(k, g_fro, z_fro,
+                                                     math.sqrt(np.vdot(resid, resid)), rank_tol))
+    if 1.0 / z_fro <= rank_tol * max(1.0, g_fro):
+        assert not certified
+    low, high = linalg._CERTIFIED_RANGE
+    if low <= g_fro <= high and low <= z_fro <= high:
+        assert linalg._certified_inverse(m, z, rank_tol) == certified
 
 
 # ---------------------------------------------------------------------------

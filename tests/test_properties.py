@@ -355,7 +355,7 @@ def test_gramian_certificate_passes_only_what_eigvalsh_passes(stacks):
     low, high = linalg._CERTIFIED_RANGE
     with mock.patch.object(riccati, "_certified_full_rank", recording_certificate), \
             mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
-        got_levels = riccati._family_coordinates(levels, DEFAULT)
+        got_levels = list(riccati._family_coordinates(levels, DEFAULT))
     (cert,) = certified  # one certificate call for every level
     assert sum(rule_rows) == np.count_nonzero(~cert)
     level_certs = np.split(cert, np.cumsum([len(ls) for ls, _ in levels])[:-1])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from conftest import (
     PAPER_A,
     PAPER_B,
     assert_family_is_direct,
+    assert_residuals_are_the_members_own,
     build_system,
     direct_family,
     draw_spectrum,
@@ -862,17 +864,24 @@ def test_family_members_equal_the_level_reference_bitwise(case, monkeypatch):
 def test_family_as_lists_gives_every_member_field_bitwise(case, monkeypatch):
     # the bulk read of a fresh family equals what every member holds or
     # gives, read from another family of the same problem; it builds no
-    # member, and only a full read takes eigvalsh, once over the stack
+    # member, and only a full read takes eigvalsh, once per chunk of the X
+    # stack (once for these families) and on the members' Ric(X) exactly
     form, split = homogeneous_setup(*_family_case(case))
     members = list(schur_family(form, split))
+    n = form.A0.shape[0]
+    rows_per_chunk = max(1, riccati._CHUNK_ENTRIES // n ** 2)
+    chunks = [(min(rows_per_chunk, len(members) - start), n, n)
+              for start in range(1, len(members), rows_per_chunk)]
     for full in (False, True):
         family = schur_family(form, split)
         calls = _eigvalsh_inputs(monkeypatch)
         rows = family.as_lists(full=full)
         monkeypatch.undo()
         assert family._built == [None] * len(family)
-        stacked = [family._members.residual.shape] if full and len(family) > 1 else []
-        assert [call.shape for call in calls] == stacked
+        assert [call.shape for call in calls] == (chunks if full else [])
+        if full and len(members) > 1:
+            assert np.concatenate(calls).tobytes() == np.array(
+                [ric_residual(form, sol.X) for sol in members[1:]]).tobytes()
         assert rows["block_set"] == [sol.block_set for sol in members]
         assert rows["rank"] == [sol.rank for sol in members]
         assert rows["X"] == [sol.X.tolist() for sol in members]
@@ -884,6 +893,43 @@ def test_family_as_lists_gives_every_member_field_bitwise(case, monkeypatch):
             assert rows["residual_verdict"] == [sol.residual_verdict.kind for sol in members]
         else:
             assert rows.keys() == {"block_set", "rank", "X", "residual_max"}
+
+
+def test_family_over_several_chunks_gives_each_member_its_own_residual(monkeypatch):
+    # B = 9 blocks at n = 10: 512 members, whose X stack spans four chunks
+    rng = np.random.default_rng(7)
+    ctrl = [0.7, -1.4, 2.1, -2.8, 3.5, -4.2, 4.9, -5.6, complex(1.2, 0.8)]
+    form, split = homogeneous_setup(*build_system(rng, ctrl=ctrl, m=1))
+    family = schur_family(form, split)
+    x = family._members.x
+    assert len(family) == 2 ** 9 and x[0].size == 100
+    assert x.size >= 2 * riccati._CHUNK_ENTRIES
+    calls = _eigvalsh_inputs(monkeypatch)
+    verdicts = schur_family(form, split).as_lists(full=True)["residual_verdict"]
+    monkeypatch.undo()
+    per_chunk = riccati._CHUNK_ENTRIES // 100
+    assert [len(call) for call in calls] == [per_chunk] * 3 + [len(x) - 3 * per_chunk]
+    assert verdicts == [sol.residual_verdict.kind for sol in family]
+    assert_residuals_are_the_members_own(form, family)
+
+
+def test_family_working_set_stays_near_its_x_stack():
+    # B = 12 distinct real blocks: the peak of a family's traced numpy data
+    # is at most 4 times its X stack, and what it keeps at most 1.5 times
+    rng = np.random.default_rng(0)
+    form, split = homogeneous_setup(*build_system(
+        rng, ctrl=[0.7 * (i + 1) * (-1) ** i for i in range(12)], m=1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        family = schur_family(form, split)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = family._members.x.nbytes
+    assert len(family) > 2 ** 11
+    assert peak - start <= 4.0 * stack
+    assert held - start <= 1.5 * stack
 
 
 def _planted_pair_system():
@@ -958,6 +1004,16 @@ def test_family_factors_every_union_of_a_weakly_controllable_cluster(
     assert len(cols) == lp.shape[1] == (2 if tagged else 1)
     assert sorted(map(sorted, held)) == ([[0], [0, 1], [1]] if tagged else [[0]])
     assert_family_is_direct(form, split, family)
+
+
+def test_family_whose_every_union_fails_the_rank_rule_is_the_zero_solution():
+    # B = 1e-5 passes the PBH test, but the Gramian 5e-11 fails the rank cut
+    form, split = homogeneous_setup(np.array([[1.0]]), np.array([[1e-5]]))
+    family = schur_family(form, split)
+    assert split.blocks[0].controllable and len(family) == 1
+    assert family.as_lists(full=True) == {
+        "block_set": [()], "rank": [0], "X": [[[0.0]]], "residual_max": [0.0],
+        "Lcoord": [[]], "eigenvalues": [()], "residual_verdict": ["zero"]}
 
 
 def test_family_of_axis_blocks_only_is_the_zero_solution():
@@ -1036,13 +1092,14 @@ def test_direct_and_zero_verdicts_are_computed_on_first_read(paper):
 
 def _eager_family(form, family):
     """The family as a list built field by field from the stacks the
-    family keeps, sorted by Python's tuple order."""
+    family keeps, each residual from :func:`ric_residual` of its X,
+    sorted by Python's tuple order."""
     m = family._members
     lcoords = [lc for batch in m.lcoords for lc in batch]
     members = [
         AriSolution(X=m.x[p], Lcoord=lcoords[p],
                     block_set=tuple(int(i) for i in m.block_ids[m.block_rows[p]]),
-                    rank=int(m.col_rows[p].sum()), residual=m.residual[p],
+                    rank=int(m.col_rows[p].sum()), residual=ric_residual(form, m.x[p]),
                     residual_cut=float(m.cut[p]),
                     eigenvalues=tuple(m.eigenvalues[m.col_rows[p]]))
         for p in range(len(m.x))
